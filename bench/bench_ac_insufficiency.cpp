@@ -15,11 +15,10 @@
 #include <algorithm>
 
 #include "bench/bench_common.hpp"
-#include "harness/scenarios.hpp"
+#include "compose/run.hpp"
 
 using namespace ooc;
 using namespace ooc::bench;
-using harness::BenOrConfig;
 
 int main(int argc, char** argv) {
   Bench bench(argc, argv, "ac_insufficiency");
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
     std::size_t adoptTotal = 0, witnesses = 0;
     int runsWithWitness = 0;
     for (int run = 0; run < kRuns; ++run) {
-      BenOrConfig config;
+      compose::Composition config;  // benor-vac + local-coin
       config.n = c.n;
       config.inputs.resize(c.n);
       for (std::size_t i = 0; i < c.n; ++i)
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
       config.seed = 130'000 + static_cast<std::uint64_t>(run);
       config.t = std::max<std::size_t>(1, c.n / 4);
       config.maxDelay = c.maxDelay;
-      const auto result = runBenOr(config);
+      const auto result = compose::runComposition(config);
       bench.require(result.allDecided && !result.agreementViolated,
                       "VAC template stays correct");
       bench.require(result.allAuditsOk, "object contracts");

@@ -5,11 +5,10 @@
 // decide and agree; at f > t the protocol may (and does) lose liveness —
 // safety (agreement among deciders) must still never break.
 #include "bench/bench_common.hpp"
-#include "harness/scenarios.hpp"
+#include "compose/run.hpp"
 
 using namespace ooc;
 using namespace ooc::bench;
-using harness::BenOrConfig;
 
 int main(int argc, char** argv) {
   Bench bench(argc, argv, "benor_faults");
@@ -26,7 +25,7 @@ int main(int argc, char** argv) {
     int agreementViolations = 0;
     Summary rounds, messages;
     for (int run = 0; run < kRuns; ++run) {
-      BenOrConfig config;
+      compose::Composition config;  // benor-vac + local-coin
       config.n = kN;
       config.inputs.resize(kN);
       for (std::size_t i = 0; i < kN; ++i)
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
             static_cast<ProcessId>((run * 5 + k * 2) % kN),
             static_cast<Tick>(1 + (run * 13 + k * 37) % 60));
       }
-      const auto result = runBenOr(config);
+      const auto result = compose::runComposition(config);
       if (result.agreementViolated) ++agreementViolations;
       if (result.allDecided) {
         ++decidedRuns;

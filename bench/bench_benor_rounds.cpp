@@ -2,10 +2,10 @@
 //
 // E1: rounds-to-decide and message cost vs n, decomposed (VAC+reconciliator
 //     under the template, run as the "benor-vac+local-coin" composition)
-//     against the monolithic classic implementation (the one mode with no
-//     composition spelling). Claim (paper §4.2): the decomposition is
-//     behaviour-preserving, so the two columns must match in shape (same
-//     growth, same order).
+//     against the monolithic classic implementation (the harness baseline,
+//     which has no composition spelling). Claim (paper §4.2): the
+//     decomposition is behaviour-preserving, so the two columns must match
+//     in shape (same growth, same order).
 // E2: rounds vs the fraction of processes proposing 1. Convergence (§2)
 //     pins the endpoints at exactly one round; the worst case must sit at
 //     the balanced midpoint.
@@ -19,7 +19,6 @@
 
 using namespace ooc;
 using namespace ooc::bench;
-using harness::BenOrConfig;
 
 namespace {
 
@@ -34,20 +33,19 @@ std::vector<Value> biasedInputs(std::size_t n, double fractionOnes) {
   return spread;
 }
 
-/// The monolithic baseline predates the registry, so its cell still runs
-/// through the legacy config path.
+/// The monolithic baseline has no detector/driver split, so its cell runs
+/// the harness's classic loop.
 CellStats runMonolithicTrials(std::size_t n, int runs,
                               std::uint64_t seedBase) {
   CellStats stats;
   stats.runs = runs;
   for (int run = 0; run < runs; ++run) {
-    BenOrConfig config;
+    harness::MonolithicBenOrConfig config;
     config.n = n;
     config.inputs = biasedInputs(n, 0.5);
     config.seed = seedBase + static_cast<std::uint64_t>(run);
     config.t = std::max<std::size_t>(1, n / 8);
-    config.mode = BenOrConfig::Mode::kMonolithic;
-    const auto result = runBenOr(config);
+    const auto result = harness::runMonolithicBenOr(config);
     stats.agreementOk = stats.agreementOk && !result.agreementViolated;
     stats.validityOk = stats.validityOk && !result.validityViolated;
     if (result.allDecided) {

@@ -7,12 +7,31 @@
 // or corrupt runs.
 #include "bench/bench_common.hpp"
 #include "benor/async_byzantine.hpp"
-#include "harness/scenarios.hpp"
+#include "compose/run.hpp"
 
 using namespace ooc;
 using namespace ooc::bench;
 using benor::AsyncByzantineStrategy;
-using harness::ByzantineBenOrConfig;
+
+namespace {
+
+/// The hardened VAC (n > 5t) with the local coin; attackers at the back,
+/// alternating correct inputs.
+compose::Composition byzantineBenOr(std::size_t n, std::size_t attackers,
+                                    AsyncByzantineStrategy strategy,
+                                    std::uint64_t seed) {
+  compose::Composition config;
+  config.detector = "byzantine-benor-vac";
+  config.n = n;
+  config.byzantineCount = attackers;
+  config.byzantineStrategy = toString(strategy);
+  config.placement = compose::Placement::kBack;
+  config.inputs = {0, 1};
+  config.seed = seed;
+  return config;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Bench bench(argc, argv, "byzantine_benor");
@@ -31,12 +50,8 @@ int main(int argc, char** argv) {
       Summary rounds, messages;
       int clean = 0;
       for (int run = 0; run < kRuns; ++run) {
-        ByzantineBenOrConfig config;
-        config.n = 11;
-        config.byzantineCount = 2;
-        config.strategy = static_cast<int>(strategy);
-        config.seed = 200'000 + static_cast<std::uint64_t>(run);
-        const auto result = runByzantineBenOr(config);
+        const auto result = compose::runComposition(byzantineBenOr(
+            11, 2, strategy, 200'000 + static_cast<std::uint64_t>(run)));
         const bool ok = result.allDecided && !result.agreementViolated &&
                         !result.validityViolated && result.allAuditsOk;
         clean += ok ? 1 : 0;
@@ -60,15 +75,12 @@ int main(int argc, char** argv) {
     for (std::size_t f = 0; f <= 4; ++f) {
       int clean = 0, decided = 0, broken = 0;
       for (int run = 0; run < kRuns; ++run) {
-        ByzantineBenOrConfig config;
-        config.n = 11;
-        config.byzantineCount = f;
-        config.strategy =
-            static_cast<int>(AsyncByzantineStrategy::kEquivocate);
-        config.seed = 210'000 + static_cast<std::uint64_t>(run);
+        compose::Composition config =
+            byzantineBenOr(11, f, AsyncByzantineStrategy::kEquivocate,
+                           210'000 + static_cast<std::uint64_t>(run));
         config.maxRounds = 80;
         config.maxTicks = 600'000;
-        const auto result = runByzantineBenOr(config);
+        const auto result = compose::runComposition(config);
         const bool ok = result.allDecided && !result.agreementViolated &&
                         !result.validityViolated;
         clean += ok ? 1 : 0;
@@ -92,13 +104,9 @@ int main(int argc, char** argv) {
       const std::size_t t = (n - 1) / 5;
       Summary rounds, messages;
       for (int run = 0; run < kRuns; ++run) {
-        ByzantineBenOrConfig config;
-        config.n = n;
-        config.byzantineCount = t;
-        config.strategy =
-            static_cast<int>(AsyncByzantineStrategy::kEquivocate);
-        config.seed = 220'000 + static_cast<std::uint64_t>(run);
-        const auto result = runByzantineBenOr(config);
+        const auto result = compose::runComposition(
+            byzantineBenOr(n, t, AsyncByzantineStrategy::kEquivocate,
+                           220'000 + static_cast<std::uint64_t>(run)));
         bench.require(result.allDecided && !result.agreementViolated,
                         "byz-benor scale");
         rounds.add(result.meanDecisionRound);

@@ -7,12 +7,32 @@
 // E5: sweep the actual attacker count f across the n/3 bound. For f <= t
 //     every run is clean; for f > t the adversary can and does break runs.
 #include "bench/bench_common.hpp"
+#include "compose/run.hpp"
 #include "harness/scenarios.hpp"
 
 using namespace ooc;
 using namespace ooc::bench;
-using harness::PhaseKingConfig;
 using phaseking::ByzantineStrategy;
+
+namespace {
+
+/// The AC + king conciliator composition with attackers seated as the
+/// first kings (front placement), alternating correct inputs.
+compose::Composition phaseKing(std::size_t n, std::size_t attackers,
+                               ByzantineStrategy strategy,
+                               std::uint64_t seed) {
+  compose::Composition config;
+  config.detector = "phaseking-ac";
+  config.driver = "king-conciliator";
+  config.n = n;
+  config.byzantineCount = attackers;
+  config.byzantineStrategy = toString(strategy);
+  config.inputs = {0, 1};
+  config.seed = seed;
+  return config;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Bench bench(argc, argv, "phaseking");
@@ -32,14 +52,18 @@ int main(int argc, char** argv) {
         Summary rounds, messages, ticks;
         int clean = 0;
         for (int run = 0; run < kRuns; ++run) {
-          PhaseKingConfig config;
-          config.n = n;
-          config.byzantineCount = t;
-          config.strategy = ByzantineStrategy::kEquivocate;
-          config.placement = PhaseKingConfig::Placement::kFront;
-          config.monolithic = monolithic;
-          config.seed = 40'000 + static_cast<std::uint64_t>(run);
-          const auto result = runPhaseKing(config);
+          const std::uint64_t seed = 40'000 + static_cast<std::uint64_t>(run);
+          compose::CompositionResult result;
+          if (monolithic) {
+            harness::MonolithicPhaseKingConfig config;
+            config.n = n;
+            config.byzantineCount = t;
+            config.seed = seed;
+            result = harness::runMonolithicPhaseKing(config);
+          } else {
+            result = compose::runComposition(
+                phaseKing(n, t, ByzantineStrategy::kEquivocate, seed));
+          }
           const bool ok = result.allDecided && !result.agreementViolated &&
                           !result.validityViolated;
           clean += ok ? 1 : 0;
@@ -78,13 +102,8 @@ int main(int argc, char** argv) {
       Summary rounds;
       int clean = 0;
       for (int run = 0; run < kRuns; ++run) {
-        PhaseKingConfig config;
-        config.n = 13;
-        config.byzantineCount = 4;
-        config.strategy = strategy;
-        config.placement = PhaseKingConfig::Placement::kFront;
-        config.seed = 50'000 + static_cast<std::uint64_t>(run);
-        const auto result = runPhaseKing(config);
+        const auto result = compose::runComposition(phaseKing(
+            13, 4, strategy, 50'000 + static_cast<std::uint64_t>(run)));
         const bool ok = result.allDecided && !result.agreementViolated &&
                         !result.validityViolated && result.allAuditsOk;
         clean += ok ? 1 : 0;
@@ -107,14 +126,11 @@ int main(int argc, char** argv) {
     for (std::size_t f = 0; f <= 5; ++f) {
       int clean = 0, agreement = 0, validity = 0, stuck = 0;
       for (int run = 0; run < kRuns; ++run) {
-        PhaseKingConfig config;
-        config.n = 10;
-        config.byzantineCount = f;
-        config.strategy = ByzantineStrategy::kAntiKing;
-        config.placement = PhaseKingConfig::Placement::kFront;
-        config.seed = 60'000 + static_cast<std::uint64_t>(run);
+        compose::Composition config =
+            phaseKing(10, f, ByzantineStrategy::kAntiKing,
+                      60'000 + static_cast<std::uint64_t>(run));
         config.maxRounds = 60;
-        const auto result = runPhaseKing(config);
+        const auto result = compose::runComposition(config);
         const bool ok = result.allDecided && !result.agreementViolated &&
                         !result.validityViolated;
         clean += ok ? 1 : 0;
@@ -148,14 +164,11 @@ int main(int argc, char** argv) {
       Summary rounds;
       constexpr int kGapRuns = 120;
       for (int run = 0; run < kGapRuns; ++run) {
-        PhaseKingConfig config;
-        config.n = 13;
-        config.byzantineCount = 4;
-        config.strategy = ByzantineStrategy::kRandom;
-        config.placement = PhaseKingConfig::Placement::kFront;
-        config.seed = 65'000 + static_cast<std::uint64_t>(run);
+        compose::Composition config =
+            phaseKing(13, 4, ByzantineStrategy::kRandom,
+                      65'000 + static_cast<std::uint64_t>(run));
         config.earlyCommitDecision = early;
-        const auto result = runPhaseKing(config);
+        const auto result = compose::runComposition(config);
         const bool ok = result.allDecided && !result.agreementViolated &&
                         !result.validityViolated;
         clean += ok ? 1 : 0;

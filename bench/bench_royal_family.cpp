@@ -3,12 +3,31 @@
 // for round length (2 ticks vs 3) and per-round traffic (n^2 + n vs
 // 2n^2 + n messages).
 #include "bench/bench_common.hpp"
-#include "harness/scenarios.hpp"
+#include "compose/run.hpp"
+#include "phaseking/byzantine.hpp"
 
 using namespace ooc;
 using namespace ooc::bench;
-using harness::PhaseKingConfig;
 using phaseking::ByzantineStrategy;
+
+namespace {
+
+/// The king's or the queen's AC + conciliator composition, attackers
+/// seated as the first royals (front placement), alternating inputs.
+compose::Composition royal(bool queen, std::size_t n, std::size_t attackers,
+                           ByzantineStrategy strategy, std::uint64_t seed) {
+  compose::Composition config;
+  config.detector = queen ? "phasequeen-ac" : "phaseking-ac";
+  config.driver = queen ? "queen-conciliator" : "king-conciliator";
+  config.n = n;
+  config.byzantineCount = attackers;
+  config.byzantineStrategy = toString(strategy);
+  config.inputs = {0, 1};
+  config.seed = seed;
+  return config;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Bench bench(argc, argv, "royal_family");
@@ -28,16 +47,11 @@ int main(int argc, char** argv) {
         Summary ticks, messages;
         int clean = 0;
         for (int run = 0; run < kRuns; ++run) {
-          PhaseKingConfig config;
-          config.algorithm = queenRun ? PhaseKingConfig::Algorithm::kQueen
-                                      : PhaseKingConfig::Algorithm::kKing;
-          config.n = c.n;
+          compose::Composition config =
+              royal(queenRun, c.n, c.t, ByzantineStrategy::kEquivocate,
+                    230'000 + static_cast<std::uint64_t>(run));
           config.t = c.t;
-          config.byzantineCount = c.t;
-          config.strategy = ByzantineStrategy::kEquivocate;
-          config.placement = PhaseKingConfig::Placement::kFront;
-          config.seed = 230'000 + static_cast<std::uint64_t>(run);
-          const auto result = runPhaseKing(config);
+          const auto result = compose::runComposition(config);
           const bool ok = result.allDecided && !result.agreementViolated &&
                           !result.validityViolated && result.allAuditsOk;
           clean += ok ? 1 : 0;
@@ -66,16 +80,11 @@ int main(int argc, char** argv) {
     for (std::size_t f = 2; f <= 4; ++f) {
       int kingClean = 0, queenClean = 0;
       for (int run = 0; run < kRuns; ++run) {
-        PhaseKingConfig config;
-        config.n = 13;
-        config.byzantineCount = f;
-        config.strategy = ByzantineStrategy::kAntiKing;
-        config.placement = PhaseKingConfig::Placement::kFront;
-        config.seed = 240'000 + static_cast<std::uint64_t>(run);
+        const std::uint64_t seed = 240'000 + static_cast<std::uint64_t>(run);
+        compose::Composition config =
+            royal(false, 13, f, ByzantineStrategy::kAntiKing, seed);
         config.maxRounds = 40;
-
-        config.algorithm = PhaseKingConfig::Algorithm::kKing;
-        const auto king = runPhaseKing(config);
+        const auto king = compose::runComposition(config);
         kingClean += king.allDecided && !king.agreementViolated &&
                              !king.validityViolated
                          ? 1
@@ -83,8 +92,9 @@ int main(int argc, char** argv) {
         bench.require(!king.agreementViolated || f > 4,
                         "king agreement inside bound");
 
-        config.algorithm = PhaseKingConfig::Algorithm::kQueen;
-        const auto queen = runPhaseKing(config);
+        config = royal(true, 13, f, ByzantineStrategy::kAntiKing, seed);
+        config.maxRounds = 40;
+        const auto queen = compose::runComposition(config);
         queenClean += queen.allDecided && !queen.agreementViolated &&
                               !queen.validityViolated
                           ? 1

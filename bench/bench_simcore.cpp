@@ -23,13 +23,14 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "compose/run.hpp"
 #include "harness/scenarios.hpp"
 #include "obs/metrics.hpp"
 
 using namespace ooc;
 using namespace ooc::bench;
-using harness::BenOrConfig;
-using harness::PhaseKingConfig;
+using compose::Composition;
+using compose::runComposition;
 using harness::RaftScenarioConfig;
 
 namespace {
@@ -50,17 +51,15 @@ struct Scenario {
   RunFn run;
 };
 
-BenOrConfig benOr(std::size_t n, Tick minDelay, Tick maxDelay) {
-  BenOrConfig config;
+Composition benOr(std::size_t n, Tick minDelay, Tick maxDelay) {
+  Composition config;
   config.n = n;
   config.inputs.resize(n);
   for (std::size_t i = 0; i < n; ++i) config.inputs[i] = Value(i % 2);
-  config.mode = BenOrConfig::Mode::kDecomposed;
   // The local coin needs 2^Theta(n) rounds on split inputs, so the n=25
   // cells use the common coin: convergence in O(1) rounds keeps the cell a
   // pure fan-out workload instead of a coin-flip lottery.
-  config.reconciliator = n > 8 ? BenOrConfig::Reconciliator::kCommonCoin
-                               : BenOrConfig::Reconciliator::kLocalCoin;
+  config.driver = n > 8 ? "common-coin" : "local-coin";
   config.minDelay = minDelay;
   config.maxDelay = maxDelay;
   return config;
@@ -72,7 +71,7 @@ std::vector<Scenario> scenarios() {
                  [](std::uint64_t seed) {
                    auto config = benOr(5, 1, 10);
                    config.seed = seed;
-                   const auto r = runBenOr(config);
+                   const auto r = runComposition(config);
                    return CellResult{r.eventsProcessed, r.allDecided ? 1u : 0u};
                  }});
   // The ISSUE's headline cell: unit delays make every exchange a synchronous
@@ -82,23 +81,26 @@ std::vector<Scenario> scenarios() {
                  [](std::uint64_t seed) {
                    auto config = benOr(25, 1, 1);
                    config.seed = seed;
-                   const auto r = runBenOr(config);
+                   const auto r = runComposition(config);
                    return CellResult{r.eventsProcessed, r.allDecided ? 1u : 0u};
                  }});
   all.push_back({"benor_n25_async", "Ben-Or n=25, delay 1..10", 2,
                  [](std::uint64_t seed) {
                    auto config = benOr(25, 1, 10);
                    config.seed = seed;
-                   const auto r = runBenOr(config);
+                   const auto r = runComposition(config);
                    return CellResult{r.eventsProcessed, r.allDecided ? 1u : 0u};
                  }});
   all.push_back({"phaseking_n25", "Phase-King n=25, f=t=8 equivocators", 2,
                  [](std::uint64_t seed) {
-                   PhaseKingConfig config;
+                   Composition config;
+                   config.detector = "phaseking-ac";
+                   config.driver = "king-conciliator";
                    config.n = 25;
                    config.byzantineCount = 8;
+                   config.inputs = {0, 1};
                    config.seed = seed;
-                   const auto r = runPhaseKing(config);
+                   const auto r = runComposition(config);
                    return CellResult{r.eventsProcessed, r.allDecided ? 1u : 0u};
                  }});
   all.push_back({"raft_n5", "Raft n=5, delay 1..5, no faults", 40,

@@ -12,29 +12,41 @@
 #include <string>
 #include <vector>
 
+#include "compose/run.hpp"
 #include "harness/scenarios.hpp"
 
 namespace {
 
-using ooc::harness::BenOrConfig;
-using ooc::harness::PhaseKingConfig;
-using ooc::harness::runBenOr;
-using ooc::harness::runPhaseKing;
+using ooc::compose::Composition;
+using ooc::compose::runComposition;
 
-void benchBenOr(benchmark::State& state, BenOrConfig::Mode mode) {
+/// detector == nullptr runs the monolithic baseline.
+void benchBenOr(benchmark::State& state, const char* detector) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::uint64_t seed = 1;
   std::uint64_t rounds = 0, runs = 0;
   for (auto _ : state) {
-    BenOrConfig config;
-    config.n = n;
-    config.inputs.resize(n);
+    std::vector<ooc::Value> inputs(n);
     for (std::size_t i = 0; i < n; ++i)
-      config.inputs[i] = static_cast<ooc::Value>(i % 2);
-    config.seed = seed++;
-    config.t = std::max<std::size_t>(1, n / 8);
-    config.mode = mode;
-    const auto result = runBenOr(config);
+      inputs[i] = static_cast<ooc::Value>(i % 2);
+    const std::size_t t = std::max<std::size_t>(1, n / 8);
+    ooc::compose::CompositionResult result;
+    if (detector == nullptr) {
+      ooc::harness::MonolithicBenOrConfig config;
+      config.n = n;
+      config.inputs = std::move(inputs);
+      config.seed = seed++;
+      config.t = t;
+      result = ooc::harness::runMonolithicBenOr(config);
+    } else {
+      Composition config;
+      config.detector = detector;
+      config.n = n;
+      config.inputs = std::move(inputs);
+      config.seed = seed++;
+      config.t = t;
+      result = runComposition(config);
+    }
     if (!result.allDecided || result.agreementViolated)
       state.SkipWithError("consensus failure");
     rounds += result.maxDecisionRound;
@@ -47,26 +59,36 @@ void benchBenOr(benchmark::State& state, BenOrConfig::Mode mode) {
 }
 
 void BM_BenOrDecomposed(benchmark::State& state) {
-  benchBenOr(state, BenOrConfig::Mode::kDecomposed);
+  benchBenOr(state, "benor-vac");
 }
 void BM_BenOrMonolithic(benchmark::State& state) {
-  benchBenOr(state, BenOrConfig::Mode::kMonolithic);
+  benchBenOr(state, nullptr);
 }
 void BM_BenOrVacFromTwoAc(benchmark::State& state) {
-  benchBenOr(state, BenOrConfig::Mode::kVacFromTwoAc);
+  benchBenOr(state, "vac-from-two-ac");
 }
 
 void benchPhaseKing(benchmark::State& state, bool monolithic) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    PhaseKingConfig config;
-    config.n = n;
-    config.byzantineCount = (n - 1) / 3;
-    config.strategy = ooc::phaseking::ByzantineStrategy::kEquivocate;
-    config.monolithic = monolithic;
-    config.seed = seed++;
-    const auto result = runPhaseKing(config);
+    ooc::compose::CompositionResult result;
+    if (monolithic) {
+      ooc::harness::MonolithicPhaseKingConfig config;
+      config.n = n;
+      config.byzantineCount = (n - 1) / 3;
+      config.seed = seed++;
+      result = ooc::harness::runMonolithicPhaseKing(config);
+    } else {
+      Composition config;
+      config.detector = "phaseking-ac";
+      config.driver = "king-conciliator";
+      config.n = n;
+      config.byzantineCount = (n - 1) / 3;
+      config.inputs = {0, 1};
+      config.seed = seed++;
+      result = runComposition(config);
+    }
     if (!result.allDecided || result.agreementViolated)
       state.SkipWithError("consensus failure");
     benchmark::DoNotOptimize(result.decidedValue);

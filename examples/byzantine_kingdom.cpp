@@ -12,11 +12,11 @@
 #include <cstring>
 #include <string>
 
-#include "harness/scenarios.hpp"
+#include "compose/run.hpp"
+#include "phaseking/byzantine.hpp"
 
 int main(int argc, char** argv) {
   using namespace ooc;
-  using harness::PhaseKingConfig;
   using phaseking::ByzantineStrategy;
 
   ByzantineStrategy strategy = ByzantineStrategy::kEquivocate;
@@ -33,18 +33,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  PhaseKingConfig config;
+  compose::Composition config;
+  config.detector = "phaseking-ac";
+  config.driver = "king-conciliator";
   config.n = 7;
   config.byzantineCount = 2;  // the maximum: t = floor((7-1)/3) = 2
-  config.strategy = strategy;
-  config.placement = PhaseKingConfig::Placement::kFront;
+  config.byzantineStrategy = toString(strategy);
+  config.placement = compose::Placement::kFront;
   config.inputs = {0, 1};  // alternating inputs among the correct five
 
   std::printf("Phase-King: n=7, Byzantine=2 (%s, seated as kings 1 and 2)\n",
               toString(strategy));
   std::printf("correct processors propose 0,1,0,1,0\n\n");
 
-  const auto result = runPhaseKing(config);
+  const auto result = compose::runComposition(config);
 
   std::printf("all correct decided:  %s\n", result.allDecided ? "yes" : "NO");
   std::printf("agreed value:         %lld\n",

@@ -19,8 +19,15 @@ MODE picks the metric(s) and their polarity:
   recovery  mean ticks_to_decide per label set    (lower is better)
   svc       committed cmds/ktick per engine (E21) (higher is better)
   roundless mean rounds per valid E24 cell        (lower is better)
+
+Each new entry also records the build type (from build/CMakeCache.txt,
+where bench.sh builds) and the hardware thread count, so entries from
+different builds or machines are not mistaken for regressions. A run that
+cannot be attributed — an empty, "unknown" or "working-tree" COMMIT, or a
+run JSON without a run_id — is skipped with a warning instead of appended.
 """
 import json
+import os
 import sys
 
 
@@ -76,6 +83,21 @@ def extract(run, mode):
     }, True)]
 
 
+def build_type():
+    """CMAKE_BUILD_TYPE of the build/ tree the bench binaries came from."""
+    cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                         "build", "CMakeCache.txt")
+    try:
+        with open(cache) as lines:
+            for line in lines:
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    # Empty: the project default set in CMakeLists.txt.
+                    return line.split("=", 1)[1].strip() or "RelWithDebInfo"
+    except OSError:
+        pass
+    return "unknown"
+
+
 def main():
     run_path, traj_path, commit, quick, mode = (sys.argv + [""] * 6)[1:6]
     if mode not in ("simcore", "fd", "recovery", "svc", "roundless"):
@@ -83,11 +105,19 @@ def main():
     higher_is_better = mode in ("simcore", "svc")
 
     run = json.load(open(run_path))
+    run_id = run.get("run_id", "")
+    if commit in ("", "unknown", "working-tree") or not run_id:
+        print(f"WARNING: {mode} trajectory: not appending run "
+              f"'{run_id}' of commit '{commit}' to {traj_path} "
+              f"(needs a commit id and a run_id)", file=sys.stderr)
+        return
     fields = extract(run, mode)
     entry = {
-        "run_id": run.get("run_id", ""),
+        "run_id": run_id,
         "commit": commit,
         "quick": bool(quick),
+        "build_type": build_type(),
+        "hardware_threads": os.cpu_count() or 0,
     }
     for field, values, _ in fields:
         if values:

@@ -1,6 +1,6 @@
 #include "check/causal_run.hpp"
 
-#include "harness/serialize.hpp"
+#include "compose/kv.hpp"
 
 namespace ooc::check {
 namespace {
@@ -38,7 +38,7 @@ class RecordAndVerify final : public ScheduleObserver {
 CausalRun collectCausalRun(const Scenario& scenario, const Trace* expected) {
   causal::CausalRecorder recorder(scenario.processCount());
   RecordAndVerify observer(recorder, expected);
-  harness::RunHooks hooks;
+  compose::RunHooks hooks;
   hooks.observer = &observer;
   hooks.telemetry = &recorder;
 
@@ -55,7 +55,7 @@ CausalRun collectCausalRun(const Scenario& scenario, const Trace* expected) {
 causal::TraceMeta causalMeta(const CounterexampleFile& file) {
   causal::TraceMeta meta;
   meta.runId = file.runId.empty()
-                   ? harness::configRunId(serialize(file.scenario))
+                   ? compose::configRunId(serialize(file.scenario))
                    : file.runId;
   meta.scenario = describe(file.scenario);
   return meta;

@@ -100,8 +100,7 @@ std::optional<Violation> SvcExactlyOnceInvariant::check(
 
 std::optional<Violation> SchedulerCoherenceInvariant::check(
     const Scenario& scenario, const RunReport& report) const {
-  if (scenario.family != Family::kCompose && scenario.family != Family::kFd)
-    return std::nullopt;
+  if (scenario.family != Family::kCompose) return std::nullopt;
   const SchedulingPolicy policy = scenario.compose.scheduler;
   const auto fire = [this](const char* what, std::uint64_t count,
                            SchedulingPolicy policy) {

@@ -4,8 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "harness/scenarios.hpp"
-#include "harness/serialize.hpp"
+#include "compose/kv.hpp"
 
 namespace ooc::check {
 namespace {
@@ -28,7 +27,7 @@ void fillCounters(Trace& trace, const RunReport& report) {
 
 RecordedRun recordRun(const Scenario& scenario) {
   TraceRecorder recorder;
-  harness::RunHooks hooks;
+  compose::RunHooks hooks;
   hooks.observer = &recorder;
   RecordedRun run;
   run.report = runScenario(scenario, hooks);
@@ -39,7 +38,7 @@ RecordedRun recordRun(const Scenario& scenario) {
 
 ReplayResult replayRun(const Scenario& scenario, const Trace& expected) {
   TraceVerifier verifier(expected);
-  harness::RunHooks hooks;
+  compose::RunHooks hooks;
   hooks.observer = &verifier;
   ReplayResult result;
   result.report = runScenario(scenario, hooks);
@@ -58,11 +57,13 @@ ReplayResult replayRun(const Scenario& scenario, const Trace& expected) {
 }
 
 std::string serializeCounterexample(const CounterexampleFile& file) {
-  const std::string scenarioText = serialize(file.scenario);
+  const std::string scenarioText = file.scenarioText.empty()
+                                       ? serialize(file.scenario)
+                                       : file.scenarioText;
   std::ostringstream os;
   os << "ooc-counterexample v1\n";
   os << "runid="
-     << (file.runId.empty() ? harness::configRunId(scenarioText) : file.runId)
+     << (file.runId.empty() ? compose::configRunId(scenarioText) : file.runId)
      << "\n";
   os << "invariant=" << file.invariant << "\n";
   os << "detail=" << file.detail << "\n";
@@ -115,7 +116,7 @@ CounterexampleFile parseCounterexample(const std::string& text) {
   if (!sawTrace)
     throw std::runtime_error("counterexample: missing trace section");
   file.scenario = parseScenario(scenarioText);
-  if (file.runId.empty()) file.runId = harness::configRunId(scenarioText);
+  if (file.runId.empty()) file.runId = compose::configRunId(scenarioText);
   file.trace = parseTrace(in);
   return file;
 }

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "compose/kv.hpp"
 #include "compose/run.hpp"
 #include "harness/serialize.hpp"
 
@@ -10,33 +11,24 @@ namespace ooc::check {
 
 const char* toString(Family family) noexcept {
   switch (family) {
-    case Family::kBenOr: return "benor";
-    case Family::kPhaseKing: return "phaseking";
-    case Family::kRaft: return "raft";
     case Family::kCompose: return "compose";
-    case Family::kFd: return "fd";
+    case Family::kRaft: return "raft";
     case Family::kSvc: return "svc";
   }
   return "?";
 }
 
 Family parseFamily(const std::string& name) {
-  if (name == "benor") return Family::kBenOr;
-  if (name == "phaseking") return Family::kPhaseKing;
-  if (name == "raft") return Family::kRaft;
   if (name == "compose") return Family::kCompose;
-  if (name == "fd") return Family::kFd;
+  if (name == "raft") return Family::kRaft;
   if (name == "svc") return Family::kSvc;
   throw std::runtime_error("unknown scenario family '" + name + "'");
 }
 
 std::uint64_t Scenario::seed() const noexcept {
   switch (family) {
-    case Family::kBenOr: return benOr.seed;
-    case Family::kPhaseKing: return phaseKing.seed;
+    case Family::kCompose: return compose.seed;
     case Family::kRaft: return raft.seed;
-    case Family::kCompose:
-    case Family::kFd: return compose.seed;
     case Family::kSvc: return svc.seed;
   }
   return 0;
@@ -44,55 +36,25 @@ std::uint64_t Scenario::seed() const noexcept {
 
 void Scenario::setSeed(std::uint64_t seed) noexcept {
   switch (family) {
-    case Family::kBenOr: benOr.seed = seed; break;
-    case Family::kPhaseKing: phaseKing.seed = seed; break;
+    case Family::kCompose: compose.seed = seed; break;
     case Family::kRaft: raft.seed = seed; break;
-    case Family::kCompose:
-    case Family::kFd: compose.seed = seed; break;
     case Family::kSvc: svc.seed = seed; break;
   }
 }
 
 std::size_t Scenario::processCount() const noexcept {
   switch (family) {
-    case Family::kBenOr: return benOr.n;
-    case Family::kPhaseKing: return phaseKing.n;
+    case Family::kCompose: return compose.n;
     case Family::kRaft: return raft.n;
-    case Family::kCompose:
-    case Family::kFd: return compose.n;
     case Family::kSvc: return svc.n;
   }
   return 0;
 }
 
 RunReport runScenario(const Scenario& scenario,
-                      const harness::RunHooks& hooks) {
+                      const compose::RunHooks& hooks) {
   RunReport report;
   switch (scenario.family) {
-    case Family::kBenOr: {
-      const auto result = harness::runBenOr(scenario.benOr, hooks);
-      report.allDecided = result.allDecided;
-      report.agreementViolated = result.agreementViolated;
-      report.validityViolated = result.validityViolated;
-      report.decidedValue = result.decidedValue;
-      report.messages = result.messagesByCorrect;
-      report.audits = result.audits;
-      report.allAuditsOk = result.allAuditsOk;
-      report.adoptOutcomesTotal = result.adoptOutcomesTotal;
-      report.adoptMismatchWitnesses = result.adoptMismatchWitnesses;
-      break;
-    }
-    case Family::kPhaseKing: {
-      const auto result = harness::runPhaseKing(scenario.phaseKing, hooks);
-      report.allDecided = result.allDecided;
-      report.agreementViolated = result.agreementViolated;
-      report.validityViolated = result.validityViolated;
-      report.decidedValue = result.decidedValue;
-      report.messages = result.messagesByCorrect;
-      report.audits = result.audits;
-      report.allAuditsOk = result.allAuditsOk;
-      break;
-    }
     case Family::kRaft: {
       const auto result = harness::runRaft(scenario.raft, hooks);
       report.allDecided = result.allDecided;
@@ -110,8 +72,7 @@ RunReport runScenario(const Scenario& scenario,
       report.commitRegressionDetail = result.commitRegressionDetail;
       break;
     }
-    case Family::kCompose:
-    case Family::kFd: {
+    case Family::kCompose: {
       const auto result =
           compose::runComposition(scenario.compose, hooks);
       report.allDecided = result.allDecided;
@@ -159,18 +120,92 @@ RunReport runScenario(const Scenario& scenario,
 std::string serialize(const Scenario& scenario) {
   std::string out = std::string("family=") + toString(scenario.family) + "\n";
   switch (scenario.family) {
-    case Family::kBenOr: return out + harness::serialize(scenario.benOr);
-    case Family::kPhaseKing:
-      return out + harness::serialize(scenario.phaseKing);
+    case Family::kCompose: return out + compose::serialize(scenario.compose);
     case Family::kRaft: return out + harness::serialize(scenario.raft);
-    case Family::kCompose:
-    case Family::kFd:
-      return out + compose::serialize(scenario.compose);
-    case Family::kSvc:
-      return out + svc::serializeSvcConfig(scenario.svc);
+    case Family::kSvc: return out + svc::serializeSvcConfig(scenario.svc);
   }
   return out;
 }
+
+namespace {
+
+// The legacy template spellings. Each reads the key set and defaults of the
+// config struct it was written from and lowers it onto the composition that
+// ran it, so a pre-registry counterexample file replays the same schedule.
+
+/// family=benor: Ben-Or's VAC (or one of its §4.3/§5 substitutes) under the
+/// reconciliator template.
+compose::Composition parseBenOrAlias(const std::string& text) {
+  const compose::KvReader kv(text);
+  const std::string mode = kv.get("mode", "decomposed");
+  compose::Composition composition;
+  if (mode == "decomposed") {
+    composition.detector = "benor-vac";
+  } else if (mode == "vac-from-two-ac" || mode == "decentralized-vac") {
+    composition.detector = mode;
+  } else if (mode == "monolithic") {
+    throw std::runtime_error(
+        "scenario: family=benor mode=monolithic is the classic baseline, "
+        "which has no composition to replay");
+  } else {
+    throw std::runtime_error("unknown mode '" + mode + "'");
+  }
+  // The legacy reconciliator names are the registry's driver names.
+  composition.driver = kv.get("reconciliator", "local-coin");
+  composition.n = kv.getU64("n", composition.n);
+  if (kv.has("t")) composition.t = kv.getU64("t", 0);
+  composition.inputs = kv.getValues("inputs");
+  if (composition.inputs.size() != composition.n)
+    throw std::runtime_error("scenario: family=benor inputs must have size n");
+  composition.seed = kv.getU64("seed", composition.seed);
+  composition.bias = kv.getDouble("bias", composition.bias);
+  for (const std::string& entry : kv.getAll("crash"))
+    composition.crashes.push_back(compose::parseCrash(entry));
+  composition.minDelay = kv.getU64("min-delay", composition.minDelay);
+  composition.maxDelay = kv.getU64("max-delay", composition.maxDelay);
+  composition.maxRounds =
+      static_cast<Round>(kv.getU64("max-rounds", composition.maxRounds));
+  composition.maxTicks = kv.getU64("max-ticks", composition.maxTicks);
+  composition.adversary = compose::getAdversary(kv);
+  composition.fault = compose::parsePlantedFault(kv.get("fault", "none"));
+  compose::resolve(composition);
+  return composition;
+}
+
+/// family=phaseking: the Phase-King (or Phase-Queen) adopt-commit and
+/// conciliator under the conciliator template.
+compose::Composition parsePhaseKingAlias(const std::string& text) {
+  const compose::KvReader kv(text);
+  if (kv.getU64("monolithic", 0) != 0)
+    throw std::runtime_error(
+        "scenario: family=phaseking monolithic=1 is the classic baseline, "
+        "which has no composition to replay");
+  const std::string algorithm = kv.get("algorithm", "king");
+  compose::Composition composition;
+  if (algorithm == "king") {
+    composition.detector = "phaseking-ac";
+    composition.driver = "king-conciliator";
+  } else if (algorithm == "queen") {
+    composition.detector = "phasequeen-ac";
+    composition.driver = "queen-conciliator";
+  } else {
+    throw std::runtime_error("unknown algorithm '" + algorithm + "'");
+  }
+  composition.n = kv.getU64("n", 7);
+  composition.byzantineCount = kv.getU64("byzantine", 2);
+  if (kv.has("t")) composition.t = kv.getU64("t", 0);
+  composition.byzantineStrategy = kv.get("strategy", "equivocate");
+  composition.placement = compose::parsePlacement(kv.get("placement", "front"));
+  composition.inputs = kv.getValues("inputs");
+  composition.earlyCommitDecision = kv.getU64("early-commit", 0) != 0;
+  composition.seed = kv.getU64("seed", composition.seed);
+  composition.maxRounds = static_cast<Round>(kv.getU64("max-rounds", 300));
+  composition.maxTicks = kv.getU64("max-ticks", 100000);
+  compose::resolve(composition);
+  return composition;
+}
+
+}  // namespace
 
 Scenario parseScenario(const std::string& text) {
   const auto newline = text.find('\n');
@@ -178,26 +213,29 @@ Scenario parseScenario(const std::string& text) {
       newline == std::string::npos ? text : text.substr(0, newline);
   if (first.rfind("family=", 0) != 0)
     throw std::runtime_error("scenario: expected leading family= line");
-  Scenario scenario;
-  scenario.family = parseFamily(first.substr(7));
+  const std::string name = first.substr(7);
   const std::string rest =
       newline == std::string::npos ? "" : text.substr(newline + 1);
+  Scenario scenario;
+  if (name == "benor") {
+    scenario.compose = parseBenOrAlias(rest);
+    return scenario;
+  }
+  if (name == "phaseking") {
+    scenario.compose = parsePhaseKingAlias(rest);
+    return scenario;
+  }
+  // family=fd was the oracle-guided compositions' own name; same key set.
+  scenario.family = name == "fd" ? Family::kCompose : parseFamily(name);
   switch (scenario.family) {
-    case Family::kBenOr:
-      scenario.benOr = harness::parseBenOrConfig(rest);
-      break;
-    case Family::kPhaseKing:
-      scenario.phaseKing = harness::parsePhaseKingConfig(rest);
-      break;
-    case Family::kRaft:
-      scenario.raft = harness::parseRaftConfig(rest);
-      break;
     case Family::kCompose:
-    case Family::kFd:
       // parseComposition ends by resolving against the registry, so a
       // rejected pairing (or incoherent oracle attachment) fails here
       // with the same diagnostic as the CLI.
       scenario.compose = compose::parseComposition(rest);
+      break;
+    case Family::kRaft:
+      scenario.raft = harness::parseRaftConfig(rest);
       break;
     case Family::kSvc:
       // parseSvcConfig re-runs the engine capability gate, so a scenario
@@ -214,23 +252,6 @@ std::string describe(const Scenario& scenario) {
   os << toString(scenario.family) << " n=" << scenario.processCount()
      << " seed=" << scenario.seed();
   switch (scenario.family) {
-    case Family::kBenOr:
-      os << " mode=" << harness::toString(scenario.benOr.mode)
-         << " reconciliator="
-         << harness::toString(scenario.benOr.reconciliator)
-         << " crashes=" << scenario.benOr.crashes.size()
-         << " max-delay=" << scenario.benOr.maxDelay;
-      if (scenario.benOr.adversary.enabled())
-        os << " adversary-budget=" << scenario.benOr.adversary.extraDelayMax;
-      if (scenario.benOr.fault != harness::BenOrConfig::Fault::kNone)
-        os << " fault=" << harness::toString(scenario.benOr.fault);
-      break;
-    case Family::kPhaseKing:
-      os << " algorithm=" << harness::toString(scenario.phaseKing.algorithm)
-         << " byzantine=" << scenario.phaseKing.byzantineCount
-         << " strategy=" << phaseking::toString(scenario.phaseKing.strategy)
-         << " placement=" << harness::toString(scenario.phaseKing.placement);
-      break;
     case Family::kRaft:
       os << " crashes=" << scenario.raft.crashes.size()
          << " partitions=" << scenario.raft.partitions.size()
@@ -250,7 +271,6 @@ std::string describe(const Scenario& scenario) {
         os << " adversary-budget=" << scenario.raft.adversary.extraDelayMax;
       break;
     case Family::kCompose:
-    case Family::kFd:
       os << " detector=" << scenario.compose.detector
          << " driver=" << scenario.compose.driver;
       if (scenario.compose.scheduler != SchedulingPolicy::kLockstep)
@@ -264,6 +284,8 @@ std::string describe(const Scenario& scenario) {
       if (scenario.compose.adversary.enabled())
         os << " adversary-budget="
            << scenario.compose.adversary.extraDelayMax;
+      if (scenario.compose.fault != compose::PlantedFault::kNone)
+        os << " fault=" << compose::toString(scenario.compose.fault);
       break;
     case Family::kSvc:
       os << " engine=" << scenario.svc.engine;

@@ -1,36 +1,31 @@
 // Family-independent view of a scenario run, so exploration strategies,
-// invariants and the shrinker can treat Ben-Or, Phase-King and Raft runs
-// uniformly. A Scenario is a tagged union of the harness configurations; a
-// RunReport is the least common denominator of the harness results that the
-// invariant monitors consume.
+// invariants and the shrinker can treat every run uniformly. A Scenario
+// holds one of three configurations: a Composition (any registered
+// detector × driver pairing — every template consensus), a Raft run, or a
+// replicated-log service run. A RunReport is the least common denominator
+// of the run results that the invariant monitors consume.
 #pragma once
 
 #include <string>
 
+#include "compose/composition.hpp"
 #include "harness/scenarios.hpp"
 #include "svc/run.hpp"
 
 namespace ooc::check {
 
-enum class Family { kBenOr, kPhaseKing, kRaft, kCompose, kFd, kSvc };
+enum class Family { kCompose, kRaft, kSvc };
 
 const char* toString(Family family) noexcept;
+/// The wire names compose | raft | svc; anything else throws.
 Family parseFamily(const std::string& name);
 
-/// One fully specified run configuration of any scenario family. Only the
-/// member selected by `family` is meaningful. kCompose covers any
-/// registered detector × driver pairing directly (the legacy families are
-/// the pairings that predate the registry, kept for their serialized
-/// counterexamples and monolithic baselines). kFd shares the compose
-/// member — it is the oracle-guided corner of the composition space, split
-/// out as its own family so the oracle-quality strategy and the FD-axiom
-/// invariants have a home of their own.
+/// One fully specified run configuration. Only the member selected by
+/// `family` is meaningful.
 struct Scenario {
-  Family family = Family::kBenOr;
-  harness::BenOrConfig benOr;
-  harness::PhaseKingConfig phaseKing;
-  harness::RaftScenarioConfig raft;
+  Family family = Family::kCompose;
   compose::Composition compose;
+  harness::RaftScenarioConfig raft;
   svc::SvcConfig svc;
 
   std::uint64_t seed() const noexcept;
@@ -47,7 +42,7 @@ struct RunReport {
   Value decidedValue = kNoValue;
   std::uint64_t messages = 0;
 
-  /// Per-round object audits (empty for monolithic Ben-Or and Raft).
+  /// Per-round object audits (compose family only).
   std::vector<RoundAudit> audits;
   bool allAuditsOk = true;
 
@@ -55,7 +50,7 @@ struct RunReport {
   std::size_t adoptOutcomesTotal = 0;
   std::size_t adoptMismatchWitnesses = 0;
 
-  /// Scheduling-policy observations (compose/fd families; zero elsewhere).
+  /// Scheduling-policy observations (compose family; zero elsewhere).
   /// Overlap witnesses and deferred activations are structural to their
   /// policy — lockstep pins both to zero, event-driven produces no
   /// overlaps, the ooo-driver policy no deferrals — which is what the
@@ -100,10 +95,20 @@ struct RunReport {
 /// Runs the scenario to completion (one deterministic Simulator per call;
 /// safe to invoke concurrently from many threads).
 RunReport runScenario(const Scenario& scenario,
-                      const harness::RunHooks& hooks = {});
+                      const compose::RunHooks& hooks = {});
 
 /// Text round-trip: a `family=...` line followed by the family config's
-/// key=value serialization (harness/serialize.hpp).
+/// key=value serialization. serialize() writes family=compose|raft|svc.
+/// parseScenario() also reads the spellings that predate the registry as
+/// aliases of family=compose with the same schedule:
+///   family=benor      mode=decomposed|vac-from-two-ac|decentralized-vac,
+///                     reconciliator=<driver name> (the legacy Ben-Or keys)
+///   family=phaseking  algorithm=king|queen (the legacy Phase-King keys and
+///                     defaults: n=7, byzantine=2, max-rounds=300,
+///                     max-ticks=100000)
+///   family=fd         the compose key set
+/// A monolithic legacy scenario (mode=monolithic, monolithic=1) has no
+/// composition and is rejected with a diagnostic.
 std::string serialize(const Scenario& scenario);
 Scenario parseScenario(const std::string& text);
 

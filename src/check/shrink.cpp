@@ -38,16 +38,14 @@ void eachCrashReduction(const Scenario& base, const Config& config,
 }
 
 void eachAdversaryReduction(const Scenario& base,
-                            const harness::AdversaryOptions& adversary,
+                            const compose::AdversaryOptions& adversary,
                             std::vector<Scenario>& out, Family family) {
   if (!adversary.enabled()) return;
   const auto set = [&](Tick budget) {
     Scenario candidate = base;
-    auto& target = family == Family::kRaft ? candidate.raft.adversary
+    auto& target = family == Family::kRaft  ? candidate.raft.adversary
                    : family == Family::kSvc ? candidate.svc.adversary
-                   : family == Family::kCompose || family == Family::kFd
-                       ? candidate.compose.adversary
-                       : candidate.benOr.adversary;
+                                            : candidate.compose.adversary;
     target.extraDelayMax = budget;
     out.push_back(std::move(candidate));
   };
@@ -63,11 +61,8 @@ void eachInputSimplification(const Scenario& base,
     Scenario candidate = base;
     std::vector<Value>* target = nullptr;
     switch (family) {
-      case Family::kBenOr: target = &candidate.benOr.inputs; break;
-      case Family::kPhaseKing: target = &candidate.phaseKing.inputs; break;
       case Family::kRaft: target = &candidate.raft.inputs; break;
-      case Family::kCompose:
-      case Family::kFd: target = &candidate.compose.inputs; break;
+      case Family::kCompose: target = &candidate.compose.inputs; break;
       case Family::kSvc: return;  // the service has no input vector
     }
     std::fill(target->begin(), target->end(), v);
@@ -79,54 +74,6 @@ void eachInputSimplification(const Scenario& base,
 std::vector<Scenario> reductions(const Scenario& base) {
   std::vector<Scenario> out;
   switch (base.family) {
-    case Family::kBenOr: {
-      const auto& config = base.benOr;
-      eachCrashReduction(base, config, &Scenario::benOr, out);
-      if (config.n > 3) {
-        Scenario candidate = base;
-        auto& c = candidate.benOr;
-        --c.n;
-        c.t.reset();
-        c.inputs.resize(c.n);
-        dropCrashesAbove(c.crashes, c.n);
-        out.push_back(std::move(candidate));
-      }
-      if (config.maxDelay > config.minDelay) {
-        Scenario candidate = base;
-        candidate.benOr.maxDelay = config.minDelay;
-        out.push_back(std::move(candidate));
-        const Tick mid = (config.minDelay + config.maxDelay) / 2;
-        if (mid != config.minDelay && mid != config.maxDelay) {
-          candidate = base;
-          candidate.benOr.maxDelay = mid;
-          out.push_back(std::move(candidate));
-        }
-      }
-      eachAdversaryReduction(base, config.adversary, out, Family::kBenOr);
-      eachInputSimplification(base, config.inputs, out, Family::kBenOr);
-      break;
-    }
-    case Family::kPhaseKing: {
-      const auto& config = base.phaseKing;
-      if (config.byzantineCount > 0) {
-        Scenario candidate = base;
-        --candidate.phaseKing.byzantineCount;
-        out.push_back(std::move(candidate));
-      }
-      if (config.n > 4) {
-        Scenario candidate = base;
-        auto& c = candidate.phaseKing;
-        --c.n;
-        c.t.reset();
-        const std::size_t divisor =
-            c.algorithm == harness::PhaseKingConfig::Algorithm::kKing ? 3 : 4;
-        c.byzantineCount =
-            std::min(c.byzantineCount, (c.n - 1) / divisor);
-        out.push_back(std::move(candidate));
-      }
-      eachInputSimplification(base, config.inputs, out, Family::kPhaseKing);
-      break;
-    }
     case Family::kRaft: {
       const auto& config = base.raft;
       eachCrashReduction(base, config, &Scenario::raft, out);
@@ -190,8 +137,7 @@ std::vector<Scenario> reductions(const Scenario& base) {
       eachInputSimplification(base, config.inputs, out, Family::kRaft);
       break;
     }
-    case Family::kCompose:
-    case Family::kFd: {
+    case Family::kCompose: {
       const auto& config = base.compose;
       eachCrashReduction(base, config, &Scenario::compose, out);
       // Scheduler reduction: a counterexample that survives under the

@@ -51,42 +51,6 @@ Scenario RandomWalkStrategy::generate(std::size_t index) const {
   };
 
   switch (scenario.family) {
-    case Family::kBenOr: {
-      auto& config = scenario.benOr;
-      if (options_.randomizeCrashes || options_.randomizeInputs) {
-        config.n = pickCount();
-        config.t.reset();  // recompute the default budget for the new n
-      }
-      if (options_.randomizeInputs) {
-        config.inputs = randomBinaryInputs(config.n, meta);
-      } else if (config.inputs.size() != config.n) {
-        config.inputs.resize(config.n);
-        for (std::size_t i = 0; i < config.n; ++i)
-          config.inputs[i] = static_cast<Value>(i % 2);
-      }
-      if (options_.randomizeCrashes) {
-        config.crashes = randomCrashes(config.n, (config.n - 1) / 2,
-                                       options_.crashTickMax, meta);
-      }
-      if (options_.randomizeDelays)
-        config.maxDelay = config.minDelay + meta.below(30);
-      break;
-    }
-    case Family::kPhaseKing: {
-      auto& config = scenario.phaseKing;
-      const std::size_t t =
-          config.t.value_or(config.n == 0 ? 0 : (config.n - 1) / 3);
-      if (options_.randomizeCrashes)  // fault-schedule freedom: the attackers
-        config.byzantineCount = meta.below(t + 1);
-      config.strategy =
-          static_cast<phaseking::ByzantineStrategy>(meta.below(5));
-      config.placement =
-          static_cast<harness::PhaseKingConfig::Placement>(meta.below(3));
-      if (options_.randomizeInputs)
-        config.inputs = randomBinaryInputs(
-            config.n - config.byzantineCount, meta);
-      break;
-    }
     case Family::kRaft: {
       auto& config = scenario.raft;
       if (options_.randomizeCrashes || options_.randomizeInputs)
@@ -103,8 +67,7 @@ Scenario RandomWalkStrategy::generate(std::size_t index) const {
         config.maxDelay = config.minDelay + meta.below(8);
       break;
     }
-    case Family::kCompose:
-    case Family::kFd: {
+    case Family::kCompose: {
       auto& config = scenario.compose;
       const auto& capability =
           compose::registry().detector(config.detector).capability;
@@ -155,15 +118,33 @@ Scenario RandomWalkStrategy::generate(std::size_t index) const {
   return scenario;
 }
 
+std::unique_ptr<ExplorationStrategy> strategyWalks(
+    const Scenario& base, RandomWalkStrategy::Options options,
+    const std::vector<std::string>& strategies) {
+  if (strategies.empty())
+    throw std::invalid_argument("strategy walks need at least one strategy");
+  const std::size_t total = options.runs;
+  std::vector<std::unique_ptr<ExplorationStrategy>> parts;
+  for (std::size_t k = 0; k < strategies.size(); ++k) {
+    Scenario scenario = base;
+    scenario.compose.byzantineStrategy = strategies[k];
+    options.runs = total / strategies.size() +
+                   (k < total % strategies.size() ? 1 : 0);
+    parts.push_back(std::make_unique<RandomWalkStrategy>(scenario, options));
+    options.seedBase += options.runs;
+  }
+  return std::make_unique<CompositeStrategy>("strategy-walks",
+                                             std::move(parts));
+}
+
 // ---------------------------------------------------------------------------
 // DelayBoundStrategy
 
 DelayBoundStrategy::DelayBoundStrategy(Scenario base, Options options)
     : base_(std::move(base)), options_(std::move(options)) {
-  if (base_.family == Family::kPhaseKing ||
-      ((base_.family == Family::kCompose || base_.family == Family::kFd) &&
-       compose::registry().detector(base_.compose.detector).capability.mode ==
-           compose::InvocationMode::kLockstep))
+  if (base_.family == Family::kCompose &&
+      compose::registry().detector(base_.compose.detector).capability.mode ==
+          compose::InvocationMode::kLockstep)
     throw std::invalid_argument(
         "delay-bound exploration needs an asynchronous family");
   if (options_.budgets.empty() || options_.adversarySeedsPerBudget == 0)
@@ -172,16 +153,13 @@ DelayBoundStrategy::DelayBoundStrategy(Scenario base, Options options)
 
 Scenario DelayBoundStrategy::generate(std::size_t index) const {
   Scenario scenario = base_;
-  harness::AdversaryOptions adversary;
+  compose::AdversaryOptions adversary;
   adversary.extraDelayMax =
       options_.budgets[index / options_.adversarySeedsPerBudget];
   adversary.seed = options_.adversarySeedBase +
                    index % options_.adversarySeedsPerBudget;
   adversary.perturbProbability = options_.perturbProbability;
-  if (scenario.family == Family::kBenOr)
-    scenario.benOr.adversary = adversary;
-  else if (scenario.family == Family::kCompose ||
-           scenario.family == Family::kFd)
+  if (scenario.family == Family::kCompose)
     scenario.compose.adversary = adversary;
   else if (scenario.family == Family::kSvc)
     scenario.svc.adversary = adversary;
@@ -195,11 +173,10 @@ Scenario DelayBoundStrategy::generate(std::size_t index) const {
 
 CrashScheduleStrategy::CrashScheduleStrategy(Scenario base, Options options)
     : base_(std::move(base)), options_(std::move(options)) {
-  if (base_.family == Family::kPhaseKing ||
-      ((base_.family == Family::kCompose || base_.family == Family::kFd) &&
-       compose::registry()
-               .detector(base_.compose.detector)
-               .capability.faultModel == compose::FaultModel::kByzantine))
+  if (base_.family == Family::kCompose &&
+      compose::registry()
+              .detector(base_.compose.detector)
+              .capability.faultModel == compose::FaultModel::kByzantine)
     throw std::invalid_argument(
         "crash-schedule enumeration applies to crash-fault families");
   if (options_.tickGrid.empty())
@@ -254,10 +231,7 @@ Scenario CrashScheduleStrategy::generate(std::size_t index) const {
   }
 
   Scenario scenario = base_;
-  if (scenario.family == Family::kBenOr)
-    scenario.benOr.crashes = std::move(crashes);
-  else if (scenario.family == Family::kCompose ||
-           scenario.family == Family::kFd)
+  if (scenario.family == Family::kCompose)
     scenario.compose.crashes = std::move(crashes);
   else if (scenario.family == Family::kSvc)
     scenario.svc.crashes = std::move(crashes);
@@ -343,9 +317,9 @@ Scenario RestartScheduleStrategy::generate(std::size_t index) const {
 
 OracleQualityStrategy::OracleQualityStrategy(Scenario base, Options options)
     : base_(std::move(base)), options_(std::move(options)) {
-  if (base_.family != Family::kFd && base_.family != Family::kCompose)
+  if (base_.family != Family::kCompose)
     throw std::invalid_argument(
-        "oracle-quality exploration needs the fd (or compose) family");
+        "oracle-quality exploration needs the compose family");
   const auto& registry = compose::registry();
   if (registry.driver(base_.compose.driver).capability.oracle ==
       compose::OracleRequirement::kNone)
@@ -396,9 +370,9 @@ Scenario OracleQualityStrategy::generate(std::size_t index) const {
 
 RoundSkewStrategy::RoundSkewStrategy(Scenario base, Options options)
     : base_(std::move(base)), options_(std::move(options)) {
-  if (base_.family != Family::kCompose && base_.family != Family::kFd)
+  if (base_.family != Family::kCompose)
     throw std::invalid_argument(
-        "round-skew exploration needs the compose (or fd) family");
+        "round-skew exploration needs the compose family");
   if (options_.policies.empty() || options_.maxDelays.empty() ||
       options_.adversaryBudgets.empty() || options_.seedsPerCell == 0)
     throw std::invalid_argument("round-skew strategy needs a grid");
@@ -431,7 +405,7 @@ Scenario RoundSkewStrategy::generate(std::size_t index) const {
   scenario.compose.maxDelay =
       std::max(scenario.compose.minDelay, cell.maxDelay);
   if (cell.adversaryBudget > 0) {
-    harness::AdversaryOptions adversary;
+    compose::AdversaryOptions adversary;
     adversary.extraDelayMax = cell.adversaryBudget;
     adversary.seed = options_.seedBase + index;
     scenario.compose.adversary = adversary;

@@ -39,10 +39,12 @@ class RandomWalkStrategy final : public ExplorationStrategy {
     std::uint64_t seedBase = 1;
     std::size_t runs = 1000;
     bool randomizeInputs = true;
-    /// Ben-Or / Raft only (Phase-King faults are Byzantine, not crashes).
+    /// Crash schedules for crash-model runs; for Byzantine-model
+    /// compositions, the planted attacker count and placement instead.
     bool randomizeCrashes = true;
     bool randomizeDelays = true;
-    /// Ben-Or / Raft process-count range; Phase-King keeps the base n.
+    /// Process-count range of crash-model runs; Byzantine-model
+    /// compositions keep the base n.
     std::size_t minProcesses = 3;
     std::size_t maxProcesses = 9;
     /// Crash ticks are drawn from [1, crashTickMax].
@@ -60,6 +62,16 @@ class RandomWalkStrategy final : public ExplorationStrategy {
   Options options_;
 };
 
+/// One random walk per attacker strategy over a Byzantine-model base
+/// composition, concatenated. The walk varies the attacker count and
+/// placement but keeps the base strategy, so this is how a sweep covers the
+/// strategy axis. `options.runs` is the total, split over the strategies in
+/// order (earlier ones take the remainder) on consecutive seed ranges from
+/// `options.seedBase`, so the sweep's seeds are those of one plain walk.
+std::unique_ptr<ExplorationStrategy> strategyWalks(
+    const Scenario& base, RandomWalkStrategy::Options options,
+    const std::vector<std::string>& strategies);
+
 /// Delay-bounded reordering: sweeps the message-reordering adversary over a
 /// grid of delay budgets x adversary seeds while the protocol configuration
 /// (including its run seed) stays fixed — systematic exploration of bounded
@@ -73,8 +85,8 @@ class DelayBoundStrategy final : public ExplorationStrategy {
     double perturbProbability = 1.0;
   };
 
-  /// Throws std::invalid_argument for Phase-King (synchronous lockstep has
-  /// no delay freedom to explore).
+  /// Throws std::invalid_argument for lockstep compositions (a synchronous
+  /// run has no delay freedom to explore).
   DelayBoundStrategy(Scenario base, Options options);
 
   const char* name() const noexcept override { return "delay-bound"; }
@@ -90,17 +102,17 @@ class DelayBoundStrategy final : public ExplorationStrategy {
 
 /// Targeted crash-schedule enumeration: every crash set of up to
 /// `maxCrashes` distinct processes, each crashing at every combination of
-/// ticks from `tickGrid` (plus the crash-free schedule). Ben-Or / Raft only.
+/// ticks from `tickGrid` (plus the crash-free schedule). Crash-model
+/// families only.
 class CrashScheduleStrategy final : public ExplorationStrategy {
  public:
   struct Options {
-    /// Defaults to the family's fault budget: floor((n-1)/2) for Ben-Or,
-    /// minority for Raft.
+    /// Defaults to the fault budget floor((n-1)/2).
     std::size_t maxCrashes = 0;
     std::vector<Tick> tickGrid = {1, 5, 10, 25, 50, 100, 200};
   };
 
-  /// Throws std::invalid_argument for Phase-King (its faults are Byzantine).
+  /// Throws std::invalid_argument for Byzantine-model compositions.
   CrashScheduleStrategy(Scenario base, Options options);
 
   const char* name() const noexcept override { return "crash-schedule"; }
@@ -157,13 +169,14 @@ class RestartScheduleStrategy final : public ExplorationStrategy {
   std::size_t total_ = 0;
 };
 
-/// Oracle-quality sweep for the fd family: every registered oracle ×
-/// a grid of (stabilization time, false-suspicion noise, completeness
-/// lag) quality points × a set of crash schedules × run seeds, on a fixed
-/// oracle-consuming base composition. Cells the registry rejects (noisy
-/// perfect-p, eventual-accuracy oracles under a P-requiring driver) are
-/// skipped at construction — the sweep enumerates algorithms only; the
-/// rejections themselves are covered by the E22 matrix and compose tests.
+/// Oracle-quality sweep for oracle-guided compositions: every registered
+/// oracle × a grid of (stabilization time, false-suspicion noise,
+/// completeness lag) quality points × a set of crash schedules × run seeds,
+/// on a fixed oracle-consuming base composition. Cells the registry
+/// rejects (noisy perfect-p, eventual-accuracy oracles under a P-requiring
+/// driver) are skipped at construction — the sweep enumerates algorithms
+/// only; the rejections themselves are covered by the E22 matrix and
+/// compose tests.
 class OracleQualityStrategy final : public ExplorationStrategy {
  public:
   struct Options {
@@ -200,7 +213,7 @@ class OracleQualityStrategy final : public ExplorationStrategy {
   std::vector<Cell> cells_;  // registry-valid cells only
 };
 
-/// Round-skew sweep for the compose/fd families: every round-scheduling
+/// Round-skew sweep for the compose family: every round-scheduling
 /// policy the registry admits for the base pairing × a grid of network
 /// delay bounds × delay-adversary budgets × run seeds. The point is to
 /// drive the per-process round frontiers apart — skewed schedules are

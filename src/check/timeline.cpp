@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "check/scenario.hpp"
+#include "compose/kv.hpp"
 #include "core/properties.hpp"
-#include "harness/serialize.hpp"
 
 namespace ooc::check {
 namespace {
@@ -29,7 +29,7 @@ struct Entry {
 // Re-executes the scenario, collecting scheduler events (verified against
 // the recorded trace) and protocol-level telemetry into one stream.
 class TimelineCollector final : public ScheduleObserver,
-                                public harness::TelemetrySink {
+                                public compose::TelemetrySink {
  public:
   explicit TimelineCollector(const Trace& expected) : verifier_(expected) {}
 
@@ -143,13 +143,13 @@ class TimelineCollector final : public ScheduleObserver,
 std::string renderTimeline(const CounterexampleFile& file,
                            const TimelineOptions& options) {
   TimelineCollector collector(file.trace);
-  harness::RunHooks hooks;
+  compose::RunHooks hooks;
   hooks.observer = &collector;
   hooks.telemetry = &collector;
   runScenario(file.scenario, hooks);
 
   const std::string runId =
-      file.runId.empty() ? harness::configRunId(serialize(file.scenario))
+      file.runId.empty() ? compose::configRunId(serialize(file.scenario))
                          : file.runId;
 
   std::ostringstream os;

@@ -7,8 +7,7 @@
 // Three interchange forms, all strict (malformed input throws):
 //   * CLI spec strings:  "benor-vac+local-coin"
 //   * key=value blocks:  the scenario/counterexample wire format
-//     (family=compose in src/check/), sharing compose/kv.hpp with the
-//     legacy config serializers
+//     (family=compose in src/check/), over compose/kv.hpp
 //   * JSON objects:      for tooling that already speaks ooc.*.v1 schemas
 //
 // Every parse path re-validates the pairing against the registry, so a

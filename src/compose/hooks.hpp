@@ -1,9 +1,8 @@
-// Run instrumentation shared by every composition runner: the telemetry
-// sink and schedule-observer hooks, the delay adversary options, and the
-// Byzantine placement policy. These used to live in src/harness/ next to
-// the per-protocol runners; they sit here now because the generic
-// runComposition() engine is the lower layer — the harness adapters alias
-// them back for source compatibility.
+// Run instrumentation shared by every scenario runner: the telemetry sink
+// and schedule-observer hooks, the delay adversary options, and the
+// Byzantine placement policy. They sit with the generic runComposition()
+// engine, the lowest runner layer; the harness baselines, Raft and the
+// replicated-log service use the same types.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +56,6 @@ class TelemetrySink {
 struct RunHooks {
   ScheduleObserver* observer = nullptr;
   TelemetrySink* telemetry = nullptr;
-  /// Base label set for the run's metric flush. Legacy adapters set this to
-  /// keep their historical series names ({family=benor, mode=...}); when
-  /// empty, runComposition() labels by {family=compose, detector, driver}.
-  obs::Labels telemetryLabels;
 };
 
 /// Delay-bounded adversarial rescheduling for asynchronous scenarios: when

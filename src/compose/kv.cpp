@@ -1,5 +1,7 @@
 #include "compose/kv.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/run_id.hpp"
@@ -22,6 +24,43 @@ std::string configRunId(const std::string& serialized) {
 
 std::string stampRunId(const std::string& body) {
   return "# run-id=" + configRunId(body) + "\n" + body;
+}
+
+namespace {
+
+[[noreturn]] void badNumber(const std::string& what, const char* expected,
+                            const std::string& token) {
+  throw std::runtime_error("config: '" + what + "' expects " + expected +
+                           ", got '" + token + "'");
+}
+
+template <typename Int>
+Int parseWhole(const std::string& token, const std::string& what,
+               const char* expected) {
+  Int value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) badNumber(what, expected, token);
+  return value;
+}
+
+}  // namespace
+
+std::uint64_t parseU64(const std::string& token, const std::string& what) {
+  // from_chars rejects a leading '-' for unsigned types, so "-1" cannot
+  // wrap around to 2^64-1.
+  return parseWhole<std::uint64_t>(token, what, "an unsigned integer");
+}
+
+double KvReader::getDouble(const std::string& key, double fallback) const {
+  if (!has(key)) return fallback;
+  const std::string token = get(key);
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value))
+    badNumber(key, "a finite number", token);
+  return value;
 }
 
 KvReader::KvReader(const std::string& text) {
@@ -55,7 +94,8 @@ std::vector<Value> KvReader::getValues(const std::string& key) const {
   std::istringstream in(joined);
   std::string token;
   while (std::getline(in, token, ','))
-    if (!token.empty()) values.push_back(std::stoll(token));
+    if (!token.empty())
+      values.push_back(parseWhole<Value>(token, key, "an integer"));
   return values;
 }
 
@@ -63,12 +103,36 @@ std::string crashEntry(const std::pair<ProcessId, Tick>& crash) {
   return std::to_string(crash.first) + "@" + std::to_string(crash.second);
 }
 
+namespace {
+
+ProcessId parseProcessId(const std::string& token, const std::string& what) {
+  const std::uint64_t id = parseU64(token, what);
+  if (id > std::numeric_limits<ProcessId>::max())
+    throw std::runtime_error("config: '" + what + "' process id " + token +
+                             " is out of range");
+  return static_cast<ProcessId>(id);
+}
+
+}  // namespace
+
 std::pair<ProcessId, Tick> parseCrash(const std::string& entry) {
   const auto at = entry.find('@');
   if (at == std::string::npos)
     throw std::runtime_error("config: malformed crash '" + entry + "'");
-  return {static_cast<ProcessId>(std::stoul(entry.substr(0, at))),
-          static_cast<Tick>(std::stoull(entry.substr(at + 1)))};
+  return {parseProcessId(entry.substr(0, at), "crash"),
+          parseU64(entry.substr(at + 1), "crash")};
+}
+
+RestartEntry parseRestart(const std::string& entry) {
+  const auto at = entry.find('@');
+  const auto plus = entry.find('+', at == std::string::npos ? 0 : at);
+  if (at == std::string::npos || plus == std::string::npos)
+    throw std::runtime_error("config: malformed restart '" + entry + "'");
+  RestartEntry restart;
+  restart.id = parseProcessId(entry.substr(0, at), "restart");
+  restart.at = parseU64(entry.substr(at + 1, plus - at - 1), "restart");
+  restart.downtime = parseU64(entry.substr(plus + 1), "restart");
+  return restart;
 }
 
 void putAdversary(KvWriter& kv, const AdversaryOptions& adversary) {

@@ -1,11 +1,10 @@
 // The key=value wire format shared by every serializable configuration
-// (compositions, legacy scenario configs, counterexample files): one
+// (compositions, Raft and service scenarios, counterexample files): one
 // `key=value` pair per line, repeated keys for lists of structured entries
-// (crash=pid@tick). Parsing is strict — malformed lines throw — because a
-// counterexample that silently loses a field reproduces nothing.
-//
-// Hoisted out of src/harness/serialize.cpp so the composition layer and the
-// legacy config serializers share one writer/reader and one run-id rule.
+// (crash=pid@tick). Parsing is strict — malformed lines and malformed
+// numbers throw — because a counterexample that silently loses a field
+// reproduces nothing. One writer/reader and one run-id rule for all of
+// them.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +62,12 @@ class KvWriter {
   std::ostringstream os_;
 };
 
+/// Strict unsigned number token: the whole token must be the number — no
+/// sign, no leading blanks, no trailing bytes, no overflow. Anything else
+/// throws std::runtime_error naming `what` (the key). KvReader's getters
+/// apply the same rule (signed for consensus values, finite for doubles).
+std::uint64_t parseU64(const std::string& token, const std::string& what);
+
 class KvReader {
  public:
   explicit KvReader(const std::string& text);
@@ -74,11 +79,9 @@ class KvReader {
     return has(key) ? get(key) : fallback;
   }
   std::uint64_t getU64(const std::string& key, std::uint64_t fallback) const {
-    return has(key) ? std::stoull(get(key)) : fallback;
+    return has(key) ? parseU64(get(key), key) : fallback;
   }
-  double getDouble(const std::string& key, double fallback) const {
-    return has(key) ? std::stod(get(key)) : fallback;
-  }
+  double getDouble(const std::string& key, double fallback) const;
   const std::vector<std::string>& getAll(const std::string& key) const;
   std::vector<Value> getValues(const std::string& key) const;
 
@@ -89,6 +92,14 @@ class KvReader {
 /// `pid@tick` crash-schedule entries.
 std::string crashEntry(const std::pair<ProcessId, Tick>& crash);
 std::pair<ProcessId, Tick> parseCrash(const std::string& entry);
+
+/// `pid@tick+downtime` crash-restart entries.
+struct RestartEntry {
+  ProcessId id = 0;
+  Tick at = 0;
+  Tick downtime = 0;
+};
+RestartEntry parseRestart(const std::string& entry);
 
 /// Delay-adversary triple (`adversary-budget/-prob/-seed`), shared by every
 /// asynchronous family's serializer.

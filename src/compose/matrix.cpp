@@ -34,8 +34,7 @@ Composition cellBase(const std::string& detectorName,
       composition.byzantineCount = 2;
       composition.placement = Placement::kFront;
     } else {
-      // Byzantine Ben-Or: n > 5t with t = f = 2 attackers at the back,
-      // like the legacy ByzantineBenOrConfig default.
+      // Byzantine Ben-Or: n > 5t with t = f = 2 attackers at the back.
       composition.n = 11;
       composition.byzantineCount = 2;
       composition.placement = Placement::kBack;

@@ -1,13 +1,12 @@
 // The central object registry (the composition engine's name service).
 //
 // Every agreement detector, driver, and failure-detector oracle in the
-// library registers here under a stable string name — the same names the
-// legacy config serializers already put on the wire ("local-coin",
-// "vac-from-two-ac", ...) — together with a capability descriptor
-// (capability.hpp; OracleCapability below for the oracle family). A
-// Composition references objects purely by name; the registry resolves the
-// names, validates the pairing against the capability rules, and hands
-// runComposition() the factories.
+// library registers here under a stable string name — the names scenario
+// files put on the wire ("local-coin", "vac-from-two-ac", ...) — together
+// with a capability descriptor (capability.hpp; OracleCapability below for
+// the oracle family). A Composition references objects purely by name;
+// the registry resolves the names, validates the pairing against the
+// capability rules, and hands runComposition() the factories.
 //
 // Registration is open: extensions can add objects at startup (tests
 // exercise this), and duplicate names are rejected so two objects can

@@ -238,12 +238,9 @@ CompositionResult runComposition(const Composition& composition,
     result.meanDecisionRound = decisionRounds.mean();
 
   if (obs::enabled()) {
-    const obs::Labels base =
-        hooks.telemetryLabels.empty()
-            ? obs::Labels{{"family", "compose"},
-                          {"detector", composition.detector},
-                          {"driver", composition.driver}}
-            : hooks.telemetryLabels;
+    const obs::Labels base = {{"family", "compose"},
+                              {"detector", composition.detector},
+                              {"driver", composition.driver}};
     publishSimMetrics(sim, base);
     publishDecisionTicks(sim, base);
     publishTemplateMetrics(templated, base);

@@ -1,9 +1,10 @@
-// The generic composition runner: one harness for every registered
-// detector × driver pairing. This replaces the per-protocol run loops that
-// used to be copy-pasted across src/harness/scenarios.cpp — the legacy
-// runBenOr/runByzantineBenOr/runPhaseKing entry points are now thin
-// adapters that lower their config structs into a Composition and call
-// runComposition(), reproducing the old schedules byte-for-byte.
+// The generic composition runner: one engine for every registered
+// detector × driver pairing, and the only way a template consensus runs.
+// Ben-Or, Byzantine Ben-Or, Phase-King, Phase-Queen and every mixed
+// pairing are Compositions; the tests, benches, examples and the model
+// checker all call runComposition(). Only the runs with no detector/driver
+// split — the monolithic baselines and Raft — keep bespoke loops
+// (src/harness/).
 #pragma once
 
 #include <cstdint>

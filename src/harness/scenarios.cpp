@@ -6,11 +6,8 @@
 #include <string>
 #include <unordered_map>
 
-#include "benor/async_byzantine.hpp"
 #include "benor/monolithic.hpp"
-#include "compose/run.hpp"
 #include "compose/telemetry.hpp"
-#include "harness/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "phaseking/monolithic.hpp"
 #include "raft/consensus.hpp"
@@ -18,71 +15,21 @@
 #include "util/stats.hpp"
 
 namespace ooc::harness {
-namespace {
 
-// The per-protocol run loops that used to live here merged into
-// compose::runComposition(); the entry points below lower their configs
-// into a Composition and delegate. Only the monolithic baselines (no
-// detector/driver split to compose) and Raft (leader-driven, with
-// restarts/partitions/WAL instrumentation) keep bespoke loops, built on
-// the shared telemetry helpers re-exported by compose/telemetry.hpp.
+// The bespoke loops below are the runs with no detector/driver split to
+// compose: the monolithic baselines and Raft (leader-driven, with
+// restarts/partitions/WAL instrumentation). They share the telemetry
+// helpers of compose/telemetry.hpp with compose::runComposition().
 using compose::publishDecisionTicks;
 using compose::publishSimMetrics;
-using compose::publishTemplateMetrics;
 using compose::roundLabel;
 using compose::withLabel;
 using compose::wrapAdversary;
 
-const char* detectorName(BenOrConfig::Mode mode) {
-  switch (mode) {
-    case BenOrConfig::Mode::kDecomposed: return "benor-vac";
-    case BenOrConfig::Mode::kVacFromTwoAc: return "vac-from-two-ac";
-    case BenOrConfig::Mode::kDecentralizedVac: return "decentralized-vac";
-    case BenOrConfig::Mode::kMonolithic:
-      throw std::logic_error("monolithic mode has no detector");
-  }
-  throw std::logic_error("unknown mode");
-}
-
-const char* driverName(BenOrConfig::Reconciliator reconciliator) {
-  switch (reconciliator) {
-    case BenOrConfig::Reconciliator::kLocalCoin: return "local-coin";
-    case BenOrConfig::Reconciliator::kCommonCoin: return "common-coin";
-    case BenOrConfig::Reconciliator::kBiasedCoin: return "biased-coin";
-    case BenOrConfig::Reconciliator::kKeepValue: return "keep-value";
-    case BenOrConfig::Reconciliator::kLottery: return "lottery";
-  }
-  throw std::logic_error("unknown reconciliator");
-}
-
-compose::PlantedFault lowerFault(BenOrConfig::Fault fault) {
-  return fault == BenOrConfig::Fault::kVacAdoptFlip
-             ? compose::PlantedFault::kVacAdoptFlip
-             : compose::PlantedFault::kNone;
-}
-
-BenOrResult fromComposition(const compose::CompositionResult& run) {
-  BenOrResult result;
-  result.allDecided = run.allDecided;
-  result.agreementViolated = run.agreementViolated;
-  result.validityViolated = run.validityViolated;
-  result.decidedValue = run.decidedValue;
-  result.maxDecisionRound = run.maxDecisionRound;
-  result.meanDecisionRound = run.meanDecisionRound;
-  result.lastDecisionTick = run.lastDecisionTick;
-  result.messagesByCorrect = run.messagesByCorrect;
-  result.eventsProcessed = run.eventsProcessed;
-  result.audits = run.audits;
-  result.allAuditsOk = run.allAuditsOk;
-  result.adoptOutcomesTotal = run.adoptOutcomesTotal;
-  result.adoptMismatchWitnesses = run.adoptMismatchWitnesses;
-  return result;
-}
-
-/// Classic monolithic Ben-Or: no detector/driver split, so no Composition —
-/// the baseline keeps its own loop.
-BenOrResult runMonolithicBenOr(const BenOrConfig& config,
-                               const RunHooks& hooks) {
+compose::CompositionResult runMonolithicBenOr(
+    const MonolithicBenOrConfig& config, const compose::RunHooks& hooks) {
+  if (config.inputs.size() != config.n)
+    throw std::invalid_argument("inputs must have size n");
   const std::size_t t =
       config.t.value_or(config.n == 0 ? 0 : (config.n - 1) / 2);
 
@@ -92,9 +39,7 @@ BenOrResult runMonolithicBenOr(const BenOrConfig& config,
   UniformDelayNetwork::Options net;
   net.minDelay = config.minDelay;
   net.maxDelay = config.maxDelay;
-  Simulator sim(simConfig,
-                wrapAdversary(std::make_unique<UniformDelayNetwork>(net),
-                              config.adversary));
+  Simulator sim(simConfig, std::make_unique<UniformDelayNetwork>(net));
   if (hooks.observer) sim.setScheduleObserver(hooks.observer);
 
   std::vector<benor::MonolithicBenOr*> classic;
@@ -110,7 +55,7 @@ BenOrResult runMonolithicBenOr(const BenOrConfig& config,
   sim.stopWhenAllCorrectDecided();
   sim.run();
 
-  BenOrResult result;
+  compose::CompositionResult result;
   result.allDecided = sim.allCorrectDecided();
   result.agreementViolated = sim.agreementViolated();
   result.validityViolated = sim.validityViolated();
@@ -131,8 +76,7 @@ BenOrResult runMonolithicBenOr(const BenOrConfig& config,
     result.meanDecisionRound = decisionRounds.mean();
 
   if (obs::enabled()) {
-    const obs::Labels base = {{"family", "benor"},
-                              {"mode", toString(config.mode)}};
+    const obs::Labels base = {{"family", "benor"}, {"mode", "monolithic"}};
     publishSimMetrics(sim, base);
     publishDecisionTicks(sim, base);
     for (const benor::MonolithicBenOr* process : classic)
@@ -144,10 +88,8 @@ BenOrResult runMonolithicBenOr(const BenOrConfig& config,
   return result;
 }
 
-/// Classic monolithic Phase-King baseline (Byzantine peers speak the
-/// classic wire format).
-PhaseKingResult runMonolithicPhaseKing(const PhaseKingConfig& config,
-                                       const RunHooks& hooks) {
+compose::CompositionResult runMonolithicPhaseKing(
+    const MonolithicPhaseKingConfig& config, const compose::RunHooks& hooks) {
   const std::size_t n = config.n;
   const std::size_t f = config.byzantineCount;
   const std::size_t t = config.t.value_or(n == 0 ? 0 : (n - 1) / 3);
@@ -155,13 +97,13 @@ PhaseKingResult runMonolithicPhaseKing(const PhaseKingConfig& config,
 
   std::vector<bool> isByz(n, false);
   switch (config.placement) {
-    case PhaseKingConfig::Placement::kFront:
+    case compose::Placement::kFront:
       for (std::size_t i = 0; i < f; ++i) isByz[i] = true;
       break;
-    case PhaseKingConfig::Placement::kBack:
+    case compose::Placement::kBack:
       for (std::size_t i = 0; i < f; ++i) isByz[n - 1 - i] = true;
       break;
-    case PhaseKingConfig::Placement::kSpread:
+    case compose::Placement::kSpread:
       for (std::size_t i = 0; i < f; ++i) isByz[(i * n) / f] = true;
       break;
   }
@@ -196,7 +138,7 @@ PhaseKingResult runMonolithicPhaseKing(const PhaseKingConfig& config,
   sim.stopWhenAllCorrectDecided();
   sim.run();
 
-  PhaseKingResult result;
+  compose::CompositionResult result;
   result.allDecided = sim.allCorrectDecided();
   result.agreementViolated = sim.agreementViolated();
   result.validityViolated = sim.validityViolated();
@@ -220,131 +162,10 @@ PhaseKingResult runMonolithicPhaseKing(const PhaseKingConfig& config,
   return result;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Legacy-config lowering
-
-compose::Composition toComposition(const BenOrConfig& config) {
-  if (config.inputs.size() != config.n)
-    throw std::invalid_argument("inputs must have size n");
-  compose::Composition composition;
-  composition.detector = detectorName(config.mode);
-  composition.driver = driverName(config.reconciliator);
-  composition.n = config.n;
-  composition.t = config.t;
-  composition.inputs = config.inputs;
-  composition.seed = config.seed;
-  composition.bias = config.bias;
-  composition.crashes = config.crashes;
-  composition.minDelay = config.minDelay;
-  composition.maxDelay = config.maxDelay;
-  composition.maxRounds = config.maxRounds;
-  composition.maxTicks = config.maxTicks;
-  composition.adversary = config.adversary;
-  composition.fault = lowerFault(config.fault);
-  return composition;
-}
-
-compose::Composition toComposition(const ByzantineBenOrConfig& config) {
-  compose::Composition composition;
-  composition.detector = "byzantine-benor-vac";
-  composition.driver = "local-coin";
-  composition.n = config.n;
-  composition.t = config.t;
-  composition.byzantineCount = config.byzantineCount;
-  composition.byzantineStrategy = benor::toString(
-      static_cast<benor::AsyncByzantineStrategy>(config.strategy));
-  composition.placement = compose::Placement::kBack;
-  composition.inputs = config.inputs;
-  composition.seed = config.seed;
-  composition.minDelay = config.minDelay;
-  composition.maxDelay = config.maxDelay;
-  composition.maxRounds = config.maxRounds;
-  composition.maxTicks = config.maxTicks;
-  return composition;
-}
-
-compose::Composition toComposition(const PhaseKingConfig& config) {
-  const bool queen = config.algorithm == PhaseKingConfig::Algorithm::kQueen;
-  if (config.monolithic)
-    throw std::invalid_argument(
-        "monolithic Phase-King has no detector/driver decomposition");
-  compose::Composition composition;
-  composition.detector = queen ? "phasequeen-ac" : "phaseking-ac";
-  composition.driver = queen ? "queen-conciliator" : "king-conciliator";
-  composition.n = config.n;
-  composition.t = config.t;
-  composition.byzantineCount = config.byzantineCount;
-  composition.byzantineStrategy = phaseking::toString(config.strategy);
-  composition.placement = config.placement;
-  composition.inputs = config.inputs;
-  composition.earlyCommitDecision = config.earlyCommitDecision;
-  composition.seed = config.seed;
-  composition.maxRounds = config.maxRounds;
-  composition.maxTicks = config.maxTicks;
-  return composition;
-}
-
-// ---------------------------------------------------------------------------
-
-BenOrResult runBenOr(const BenOrConfig& config, const RunHooks& hooks) {
-  if (config.mode == BenOrConfig::Mode::kMonolithic) {
-    if (config.inputs.size() != config.n)
-      throw std::invalid_argument("inputs must have size n");
-    return runMonolithicBenOr(config, hooks);
-  }
-  const compose::Composition composition = toComposition(config);
-  RunHooks lowered = hooks;
-  if (lowered.telemetryLabels.empty())
-    lowered.telemetryLabels = {{"family", "benor"},
-                               {"mode", toString(config.mode)}};
-  return fromComposition(compose::runComposition(composition, lowered));
-}
-
-BenOrResult runByzantineBenOr(const ByzantineBenOrConfig& config) {
-  RunHooks hooks;
-  hooks.telemetryLabels = {{"family", "benor-byzantine"}};
-  return fromComposition(
-      compose::runComposition(toComposition(config), hooks));
-}
-
-// ---------------------------------------------------------------------------
-
-PhaseKingResult runPhaseKing(const PhaseKingConfig& config,
-                             const RunHooks& hooks) {
-  const bool queen = config.algorithm == PhaseKingConfig::Algorithm::kQueen;
-  if (queen && config.monolithic)
-    throw std::invalid_argument("Phase-Queen has no monolithic baseline");
-  if (config.monolithic) return runMonolithicPhaseKing(config, hooks);
-
-  const compose::Composition composition = toComposition(config);
-  RunHooks lowered = hooks;
-  if (lowered.telemetryLabels.empty())
-    lowered.telemetryLabels = {{"family", "phaseking"},
-                               {"algorithm", queen ? "queen" : "king"},
-                               {"mode", "decomposed"}};
-  const compose::CompositionResult run =
-      compose::runComposition(composition, lowered);
-
-  PhaseKingResult result;
-  result.allDecided = run.allDecided;
-  result.agreementViolated = run.agreementViolated;
-  result.validityViolated = run.validityViolated;
-  result.decidedValue = run.decidedValue;
-  result.maxDecisionRound = run.maxDecisionRound;
-  result.lastDecisionTick = run.lastDecisionTick;
-  result.messagesByCorrect = run.messagesByCorrect;
-  result.eventsProcessed = run.eventsProcessed;
-  result.audits = run.audits;
-  result.allAuditsOk = run.allAuditsOk;
-  return result;
-}
-
 // ---------------------------------------------------------------------------
 
 RaftScenarioResult runRaft(const RaftScenarioConfig& config,
-                           const RunHooks& hooks) {
+                           const compose::RunHooks& hooks) {
   SimConfig simConfig;
   simConfig.seed = config.seed;
   simConfig.maxTicks = config.maxTicks;

@@ -1,7 +1,8 @@
-// Scenario runners shared by the test suite, the bench binaries and the
-// examples: each configures a simulation, runs it to the stop condition and
-// distills the observations every consumer wants (decisions, rounds,
-// messages, audits).
+// Scenario runners that are not compositions: the two monolithic baselines
+// (classic Ben-Or and classic Phase-King, the reference implementations the
+// tests and the E-tables compare the template runs against) and Raft. Every
+// template run — any registered detector × driver pairing — goes through
+// compose::runComposition() instead.
 //
 // Everything is deterministic in (config, seed).
 #pragma once
@@ -12,191 +13,59 @@
 #include <utility>
 #include <vector>
 
-#include "compose/composition.hpp"
 #include "compose/hooks.hpp"
-#include "core/properties.hpp"
+#include "compose/run.hpp"
 #include "phaseking/byzantine.hpp"
 #include "raft/types.hpp"
 #include "util/types.hpp"
 
 namespace ooc::harness {
 
-// The instrumentation vocabulary (telemetry sink, run hooks, adversary
-// options) moved down into src/compose/ with the generic composition
-// runner; these aliases keep every existing harness consumer compiling
-// against the same types.
-using TelemetrySink = compose::TelemetrySink;
-using RunHooks = compose::RunHooks;
-using AdversaryOptions = compose::AdversaryOptions;
-
 // ---------------------------------------------------------------------------
-// Ben-Or family (asynchronous, crash faults, t < n/2)
+// Monolithic baselines. They have no detector/driver split, so they return
+// the composition result shape with the object-level fields (audits, adopt
+// witnesses, scheduling observations) left empty.
 
-struct BenOrConfig {
+/// Classic monolithic Ben-Or (asynchronous, crash faults, t < n/2).
+struct MonolithicBenOrConfig {
   std::size_t n = 5;
   /// Protocol parameter t (quorums of n - t). Defaults to floor((n-1)/2).
   std::optional<std::size_t> t;
   /// Inputs per process id; must have size n.
   std::vector<Value> inputs;
   std::uint64_t seed = 1;
-
-  enum class Mode {
-    /// BenOrVac + reconciliator under the consensus template (Alg. 1).
-    kDecomposed,
-    /// Classic monolithic Ben-Or (baseline).
-    kMonolithic,
-    /// VAC synthesized from two ACs (paper §5 construction) + reconciliator.
-    kVacFromTwoAc,
-    /// Decentralized-Raft VAC (paper §4.3 remark) + reconciliator.
-    kDecentralizedVac,
-  };
-  Mode mode = Mode::kDecomposed;
-
-  enum class Reconciliator {
-    kLocalCoin,
-    kCommonCoin,
-    kBiasedCoin,
-    kKeepValue,
-    /// Multivalued: shared per-round lottery over the invokers' values.
-    kLottery,
-  };
-  Reconciliator reconciliator = Reconciliator::kLocalCoin;
-  double bias = 0.5;  // for kBiasedCoin
-
   /// (process, tick) crash schedule.
   std::vector<std::pair<ProcessId, Tick>> crashes;
-
   Tick minDelay = 1;
   Tick maxDelay = 10;
   Round maxRounds = 5000;
   Tick maxTicks = 5'000'000;
-
-  /// Message-reordering adversary (model checker strategies).
-  AdversaryOptions adversary;
-
-  /// Deliberately planted bugs, behind a test-only hook: the model checker
-  /// must be able to prove it catches real violations. Template modes only
-  /// (the monolithic baseline has no detector to corrupt).
-  enum class Fault {
-    kNone,
-    /// Odd-id processes flip the value of every adopt-level detector
-    /// outcome, violating VAC coherence over vacillate & adopt.
-    kVacAdoptFlip,
-  };
-  Fault fault = Fault::kNone;
 };
 
-struct BenOrResult {
-  bool allDecided = false;
-  bool agreementViolated = false;
-  bool validityViolated = false;
-  Value decidedValue = kNoValue;
-  /// Highest decision round among deciders; 0 if nobody decided.
-  Round maxDecisionRound = 0;
-  double meanDecisionRound = 0.0;
-  Tick lastDecisionTick = 0;
-  std::uint64_t messagesByCorrect = 0;
-  /// Scheduler events executed by the run (bench_simcore's work unit).
-  std::uint64_t eventsProcessed = 0;
+compose::CompositionResult runMonolithicBenOr(
+    const MonolithicBenOrConfig& config, const compose::RunHooks& hooks = {});
 
-  /// Per-round object audits (template modes only; empty for monolithic).
-  std::vector<RoundAudit> audits;
-  bool allAuditsOk = true;
-
-  /// §5 witnesses: completed adopt outcomes whose value differs from the
-  /// run's decided value (decide-on-adopt would have broken agreement).
-  std::size_t adoptOutcomesTotal = 0;
-  std::size_t adoptMismatchWitnesses = 0;
-};
-
-BenOrResult runBenOr(const BenOrConfig& config, const RunHooks& hooks = {});
-
-/// Byzantine Ben-Or (extension): asynchronous binary consensus with f
-/// planted Byzantine processes, n > 5t detector thresholds.
-struct ByzantineBenOrConfig {
-  std::size_t n = 11;
-  /// Planted attackers (ids at the back).
-  std::size_t byzantineCount = 2;
-  /// Protocol parameter t; defaults to floor((n-1)/5).
-  std::optional<std::size_t> t;
-  int strategy = 1;  // benor::AsyncByzantineStrategy as int (header cycle)
-  /// Inputs for correct processes (pattern repeats).
-  std::vector<Value> inputs = {0, 1};
-  std::uint64_t seed = 1;
-  Tick minDelay = 1;
-  Tick maxDelay = 10;
-  Round maxRounds = 4000;
-  Tick maxTicks = 5'000'000;
-};
-
-BenOrResult runByzantineBenOr(const ByzantineBenOrConfig& config);
-
-// ---------------------------------------------------------------------------
-// Phase-King (synchronous lockstep, Byzantine faults, 3t < n)
-
-struct PhaseKingConfig {
-  /// Which royal algorithm: Phase-King (3t < n, 3 ticks/round) or the
-  /// Phase-Queen extension (4t < n, 2 ticks/round). Queen runs have no
-  /// monolithic baseline.
-  enum class Algorithm { kKing, kQueen };
-  Algorithm algorithm = Algorithm::kKing;
-
+/// Classic monolithic Phase-King (synchronous lockstep, Byzantine faults,
+/// 3t < n). Byzantine peers speak the classic wire format.
+struct MonolithicPhaseKingConfig {
   std::size_t n = 7;
   /// Actual number of Byzantine processes planted.
   std::size_t byzantineCount = 2;
-  /// Protocol parameter t. Defaults to floor((n-1)/3) for the king,
-  /// floor((n-1)/4) for the queen.
+  /// Protocol parameter t. Defaults to floor((n-1)/3).
   std::optional<std::size_t> t;
   phaseking::ByzantineStrategy strategy =
       phaseking::ByzantineStrategy::kEquivocate;
-
-  /// Where the Byzantine ids sit. Kings rotate from id 0, so front
-  /// placement gives the adversary the first reigns (the hard case).
-  using Placement = compose::Placement;
-  Placement placement = Placement::kFront;
-
-  /// Inputs for correct processes, by their order among correct ids; if
-  /// smaller than the correct count, the pattern repeats.
+  compose::Placement placement = compose::Placement::kFront;
+  /// Inputs for correct processes, by their order among correct ids; the
+  /// pattern repeats, and an empty vector means alternating 0,1.
   std::vector<Value> inputs = {0, 1};
-  bool monolithic = false;
-  /// Decision rule for the decomposed variant. The paper's template decides
-  /// on commit (Algorithm 2); that rule is UNSOUND for Phase-King when a
-  /// Byzantine king reigns right after an early commit (the conciliator
-  /// lacks validity under a hostile king — see EXPERIMENTS.md). The sound
-  /// default decides after t+1 completed rounds, like classic Phase-King.
-  bool earlyCommitDecision = false;
   std::uint64_t seed = 1;
-  Round maxRounds = 300;
   Tick maxTicks = 100000;
 };
 
-struct PhaseKingResult {
-  bool allDecided = false;
-  bool agreementViolated = false;
-  bool validityViolated = false;
-  Value decidedValue = kNoValue;
-  Round maxDecisionRound = 0;
-  Tick lastDecisionTick = 0;
-  std::uint64_t messagesByCorrect = 0;
-  /// Scheduler events executed by the run (bench_simcore's work unit).
-  std::uint64_t eventsProcessed = 0;
-  std::vector<RoundAudit> audits;  // decomposed runs only
-  bool allAuditsOk = true;
-};
-
-PhaseKingResult runPhaseKing(const PhaseKingConfig& config,
-                             const RunHooks& hooks = {});
-
-// ---------------------------------------------------------------------------
-// Legacy-config lowering. Each template-mode config maps onto a registry
-// Composition; the run* entry points above are thin adapters over
-// compose::runComposition() and reproduce the historical schedules
-// byte-for-byte. Monolithic modes have no detector/driver decomposition
-// and throw std::invalid_argument here (they keep bespoke run loops).
-
-compose::Composition toComposition(const BenOrConfig& config);
-compose::Composition toComposition(const ByzantineBenOrConfig& config);
-compose::Composition toComposition(const PhaseKingConfig& config);
+compose::CompositionResult runMonolithicPhaseKing(
+    const MonolithicPhaseKingConfig& config,
+    const compose::RunHooks& hooks = {});
 
 // ---------------------------------------------------------------------------
 // Raft (asynchronous with timeouts; crashes, loss, partitions)
@@ -233,7 +102,7 @@ struct RaftScenarioConfig {
   std::vector<PartitionEvent> partitions;
 
   /// Message-reordering adversary (model checker strategies).
-  AdversaryOptions adversary;
+  compose::AdversaryOptions adversary;
 
   Tick maxTicks = 300000;
 };
@@ -283,6 +152,6 @@ struct RaftScenarioResult {
 };
 
 RaftScenarioResult runRaft(const RaftScenarioConfig& config,
-                           const RunHooks& hooks = {});
+                           const compose::RunHooks& hooks = {});
 
 }  // namespace ooc::harness

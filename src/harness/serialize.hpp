@@ -1,9 +1,11 @@
-// Text (de)serialization of the scenario configurations, so that a hostile
-// schedule found by the model checker travels as a standalone file: one
-// `key=value` pair per line, repeated keys for lists of structured entries
-// (crash=pid@tick, partition=tick:g0,g1,...). Parsing is strict — unknown
-// keys or malformed values throw — because a counterexample that silently
-// loses a field reproduces nothing.
+// Text (de)serialization of the Raft scenario configuration, so that a
+// hostile schedule found by the model checker travels as a standalone
+// file: one `key=value` pair per line, repeated keys for lists of
+// structured entries (crash=pid@tick, partition=tick:g0,g1,...,
+// restart=pid@tick+downtime). Parsing is strict — malformed values throw —
+// because a counterexample that silently loses a field reproduces nothing.
+// Compositions serialize through compose/composition.hpp, over the same
+// compose/kv.hpp machinery.
 #pragma once
 
 #include <string>
@@ -12,41 +14,11 @@
 
 namespace ooc::harness {
 
-/// Deterministic run identifier for a serialized configuration: a 64-bit
-/// FNV-1a hash of the key=value body (which includes the seed), rendered as
-/// 16 lowercase hex characters. The same (config, seed) always maps to the
-/// same id, so counterexample files, BENCH_*.json metrics and trace_view
-/// output can be correlated. Stamp lines (`# run-id=...`) are excluded from
-/// the hash, making the id stable under re-serialization.
-std::string configRunId(const std::string& serialized);
-
-/// Serialized configs open with a `# run-id=<hex>` stamp line; parsers
-/// (old and new) skip `#` comments, so stamped files remain backward and
-/// forward compatible.
-std::string serialize(const BenOrConfig& config);
-std::string serialize(const PhaseKingConfig& config);
+/// The serialized config opens with a `# run-id=<hex>` stamp line
+/// (compose::configRunId); parsers skip `#` comments.
 std::string serialize(const RaftScenarioConfig& config);
 
-/// All parsers throw std::runtime_error with a line-level message on
-/// malformed input.
-BenOrConfig parseBenOrConfig(const std::string& text);
-PhaseKingConfig parsePhaseKingConfig(const std::string& text);
+/// Throws std::runtime_error with a line-level message on malformed input.
 RaftScenarioConfig parseRaftConfig(const std::string& text);
-
-// Enum <-> string helpers (shared with the check CLI's flag parsing).
-// PhaseKingConfig::Placement now aliases compose::Placement, whose
-// (to|parse)String helpers live in compose/hooks.hpp; the using-declarations
-// keep harness::toString/harness::parsePlacement spelling working.
-using compose::toString;
-using compose::parsePlacement;
-const char* toString(BenOrConfig::Mode mode) noexcept;
-const char* toString(BenOrConfig::Reconciliator reconciliator) noexcept;
-const char* toString(BenOrConfig::Fault fault) noexcept;
-const char* toString(PhaseKingConfig::Algorithm algorithm) noexcept;
-BenOrConfig::Mode parseBenOrMode(const std::string& name);
-BenOrConfig::Reconciliator parseReconciliator(const std::string& name);
-BenOrConfig::Fault parseFault(const std::string& name);
-PhaseKingConfig::Algorithm parseAlgorithm(const std::string& name);
-phaseking::ByzantineStrategy parseByzantineStrategy(const std::string& name);
 
 }  // namespace ooc::harness

@@ -1,5 +1,6 @@
 #include "sim/trace.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -81,7 +82,9 @@ Trace parseTrace(std::istream& in) {
     throw std::runtime_error("trace: expected 'events' header");
   std::size_t count = 0;
   if (!(in >> count)) throw std::runtime_error("trace: bad event count");
-  trace.events.reserve(count);
+  // The count is untrusted input: reserve at most a bounded prefix and let
+  // the event lines themselves prove the rest.
+  trace.events.reserve(std::min<std::size_t>(count, 1u << 16));
   for (std::size_t i = 0; i < count; ++i) {
     char code = 0;
     TraceEvent event;

@@ -344,10 +344,7 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   }
 
   if (obs::enabled()) {
-    const obs::Labels base =
-        hooks.telemetryLabels.empty()
-            ? obs::Labels{{"engine", config.engine}, {"family", "svc"}}
-            : hooks.telemetryLabels;
+    const obs::Labels base = {{"engine", config.engine}, {"family", "svc"}};
     obs::metrics().addCounter("svc_commands_committed",
                               result.commandsCommitted, base);
     obs::metrics().addCounter("svc_decrees_committed",
@@ -487,15 +484,8 @@ SvcConfig parseSvcConfig(const std::string& text) {
   for (const std::string& entry : kv.getAll("crash"))
     config.crashes.push_back(compose::parseCrash(entry));
   for (const std::string& entry : kv.getAll("restart")) {
-    const auto at = entry.find('@');
-    const auto plus = entry.find('+', at == std::string::npos ? 0 : at);
-    if (at == std::string::npos || plus == std::string::npos)
-      throw std::runtime_error("svc: malformed restart '" + entry + "'");
-    RestartEvent event;
-    event.id = static_cast<ProcessId>(std::stoul(entry.substr(0, at)));
-    event.at = std::stoull(entry.substr(at + 1, plus - at - 1));
-    event.downtime = std::stoull(entry.substr(plus + 1));
-    config.restarts.push_back(event);
+    const compose::RestartEntry restart = compose::parseRestart(entry);
+    config.restarts.push_back({restart.id, restart.at, restart.downtime});
   }
   config.adversary = compose::getAdversary(kv);
   config.maxRoundsPerDecree = static_cast<Round>(

@@ -1,18 +1,23 @@
 // Ben-Or tests: the decomposed algorithm (paper Algorithms 5-6 under the
-// template), the monolithic baseline, object-contract property sweeps, crash
-// tolerance, and the §5 decide-on-adopt witnesses.
+// template, the benor-vac+local-coin composition and its §4.3/§5 detector
+// substitutes), the monolithic baseline, object-contract property sweeps,
+// crash tolerance, and the §5 decide-on-adopt witnesses.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "check/strategy.hpp"
+#include "compose/run.hpp"
 #include "harness/scenarios.hpp"
 
 namespace ooc {
 namespace {
 
-using harness::BenOrConfig;
-using harness::BenOrResult;
-using harness::runBenOr;
+using compose::Composition;
+using compose::CompositionResult;
+using compose::runComposition;
+using harness::MonolithicBenOrConfig;
+using harness::runMonolithicBenOr;
 
 std::vector<Value> splitInputs(std::size_t n) {
   std::vector<Value> inputs(n);
@@ -20,17 +25,25 @@ std::vector<Value> splitInputs(std::size_t n) {
   return inputs;
 }
 
-BenOrConfig baseConfig(std::size_t n, std::uint64_t seed,
-                       BenOrConfig::Mode mode) {
-  BenOrConfig config;
+Composition baseConfig(std::size_t n, std::uint64_t seed,
+                       const char* detector = "benor-vac") {
+  Composition config;
+  config.detector = detector;
   config.n = n;
   config.inputs = splitInputs(n);
   config.seed = seed;
-  config.mode = mode;
   return config;
 }
 
-void expectCleanRun(const BenOrResult& result) {
+MonolithicBenOrConfig monolithicConfig(std::size_t n, std::uint64_t seed) {
+  MonolithicBenOrConfig config;
+  config.n = n;
+  config.inputs = splitInputs(n);
+  config.seed = seed;
+  return config;
+}
+
+void expectCleanRun(const CompositionResult& result) {
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);
@@ -39,9 +52,9 @@ void expectCleanRun(const BenOrResult& result) {
 
 TEST(BenOrDecomposed, UnanimousDecidesInOneRound) {
   for (Value v : {0, 1}) {
-    BenOrConfig config = baseConfig(5, 11, BenOrConfig::Mode::kDecomposed);
+    Composition config = baseConfig(5, 11);
     config.inputs.assign(5, v);
-    const BenOrResult result = runBenOr(config);
+    const CompositionResult result = runComposition(config);
     expectCleanRun(result);
     EXPECT_EQ(result.decidedValue, v);
     EXPECT_EQ(result.maxDecisionRound, 1u);
@@ -49,15 +62,13 @@ TEST(BenOrDecomposed, UnanimousDecidesInOneRound) {
 }
 
 TEST(BenOrDecomposed, SplitInputsTerminate) {
-  const BenOrResult result =
-      runBenOr(baseConfig(5, 12, BenOrConfig::Mode::kDecomposed));
+  const CompositionResult result = runComposition(baseConfig(5, 12));
   expectCleanRun(result);
   EXPECT_TRUE(result.decidedValue == 0 || result.decidedValue == 1);
 }
 
 TEST(BenOrMonolithic, SplitInputsTerminate) {
-  const BenOrResult result =
-      runBenOr(baseConfig(5, 12, BenOrConfig::Mode::kMonolithic));
+  const CompositionResult result = runMonolithicBenOr(monolithicConfig(5, 12));
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);
@@ -71,15 +82,13 @@ class BenOrSweep
 
 TEST_P(BenOrSweep, DecomposedContractsHold) {
   const auto [n, seed] = GetParam();
-  const BenOrResult result =
-      runBenOr(baseConfig(n, seed, BenOrConfig::Mode::kDecomposed));
-  expectCleanRun(result);
+  expectCleanRun(runComposition(baseConfig(n, seed)));
 }
 
 TEST_P(BenOrSweep, MonolithicAgrees) {
   const auto [n, seed] = GetParam();
-  const BenOrResult result =
-      runBenOr(baseConfig(n, seed, BenOrConfig::Mode::kMonolithic));
+  const CompositionResult result =
+      runMonolithicBenOr(monolithicConfig(n, seed));
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);
@@ -87,16 +96,12 @@ TEST_P(BenOrSweep, MonolithicAgrees) {
 
 TEST_P(BenOrSweep, VacFromTwoAcContractsHold) {
   const auto [n, seed] = GetParam();
-  const BenOrResult result =
-      runBenOr(baseConfig(n, seed, BenOrConfig::Mode::kVacFromTwoAc));
-  expectCleanRun(result);
+  expectCleanRun(runComposition(baseConfig(n, seed, "vac-from-two-ac")));
 }
 
 TEST_P(BenOrSweep, DecentralizedVacContractsHold) {
   const auto [n, seed] = GetParam();
-  const BenOrResult result =
-      runBenOr(baseConfig(n, seed, BenOrConfig::Mode::kDecentralizedVac));
-  expectCleanRun(result);
+  expectCleanRun(runComposition(baseConfig(n, seed, "decentralized-vac")));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -108,23 +113,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BenOrCrashes, ToleratesUpToTMinusOneCrashes) {
   // n = 7, t = 3: crash 3 processes at staggered times.
-  BenOrConfig config = baseConfig(7, 21, BenOrConfig::Mode::kDecomposed);
+  Composition config = baseConfig(7, 21);
   config.crashes = {{0, 5}, {3, 40}, {6, 100}};
-  const BenOrResult result = runBenOr(config);
-  expectCleanRun(result);
+  expectCleanRun(runComposition(config));
 }
 
 TEST(BenOrCrashes, CrashAtStartLooksLikeSmallerNetwork) {
-  BenOrConfig config = baseConfig(5, 22, BenOrConfig::Mode::kDecomposed);
+  Composition config = baseConfig(5, 22);
   config.crashes = {{1, 0}, {2, 0}};  // t = 2 crashes before sending anything
-  const BenOrResult result = runBenOr(config);
-  expectCleanRun(result);
+  expectCleanRun(runComposition(config));
 }
 
 TEST(BenOrCrashes, MonolithicToleratesCrashes) {
-  BenOrConfig config = baseConfig(7, 23, BenOrConfig::Mode::kMonolithic);
+  MonolithicBenOrConfig config = monolithicConfig(7, 23);
   config.crashes = {{2, 10}, {5, 60}};
-  const BenOrResult result = runBenOr(config);
+  const CompositionResult result = runMonolithicBenOr(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
 }
@@ -133,12 +136,10 @@ TEST(BenOrCrashes, SweepCrashSchedules) {
   // Crash a full quorum minus one at varied ticks across seeds; everything
   // must still decide and agree.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    BenOrConfig config =
-        baseConfig(5, 100 + seed, BenOrConfig::Mode::kDecomposed);
+    Composition config = baseConfig(5, 100 + seed);
     config.crashes = {{static_cast<ProcessId>(seed % 5), seed * 7},
                       {static_cast<ProcessId>((seed + 2) % 5), seed * 13}};
-    const BenOrResult result = runBenOr(config);
-    expectCleanRun(result);
+    expectCleanRun(runComposition(config));
   }
 }
 
@@ -146,10 +147,9 @@ TEST(BenOrReconciliators, CommonCoinDecidesFast) {
   // With a common coin the first vacillating round flips everyone to the
   // same preference: decision within a few rounds, across seeds.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    BenOrConfig config =
-        baseConfig(8, 200 + seed, BenOrConfig::Mode::kDecomposed);
-    config.reconciliator = BenOrConfig::Reconciliator::kCommonCoin;
-    const BenOrResult result = runBenOr(config);
+    Composition config = baseConfig(8, 200 + seed);
+    config.driver = "common-coin";
+    const CompositionResult result = runComposition(config);
     expectCleanRun(result);
     // Expected ~2-3 rounds; each extra round needs another coin mismatch
     // (probability 1/2), so 8 gives a wide deterministic margin.
@@ -161,11 +161,11 @@ TEST(BenOrReconciliators, KeepValueStallsOnBalancedInputs) {
   // Negative control: without reconciliation a perfectly balanced network
   // can never commit. With deterministic keep-value drivers it provably
   // spins (preferences never change), hitting the round cap.
-  BenOrConfig config = baseConfig(4, 31, BenOrConfig::Mode::kDecomposed);
-  config.reconciliator = BenOrConfig::Reconciliator::kKeepValue;
+  Composition config = baseConfig(4, 31);
+  config.driver = "keep-value";
   config.maxRounds = 30;
   config.maxTicks = 400000;
-  const BenOrResult result = runBenOr(config);
+  const CompositionResult result = runComposition(config);
   // The run must NOT decide (it may also simply run out of rounds).
   EXPECT_FALSE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
@@ -173,11 +173,10 @@ TEST(BenOrReconciliators, KeepValueStallsOnBalancedInputs) {
 
 TEST(BenOrReconciliators, BiasedCoinStillCorrect) {
   for (double bias : {0.1, 0.9}) {
-    BenOrConfig config = baseConfig(6, 41, BenOrConfig::Mode::kDecomposed);
-    config.reconciliator = BenOrConfig::Reconciliator::kBiasedCoin;
+    Composition config = baseConfig(6, 41);
+    config.driver = "biased-coin";
     config.bias = bias;
-    const BenOrResult result = runBenOr(config);
-    expectCleanRun(result);
+    expectCleanRun(runComposition(config));
   }
 }
 
@@ -190,10 +189,9 @@ TEST(BenOrSection5, AdoptWitnessesExistAcrossSeeds) {
   std::size_t witnesses = 0;
   std::size_t adoptOutcomes = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    BenOrConfig config =
-        baseConfig(4, 300 + seed, BenOrConfig::Mode::kDecomposed);
+    Composition config = baseConfig(4, 300 + seed);
     config.maxDelay = 25;  // heavy skew makes mixed rounds likelier
-    const BenOrResult result = runBenOr(config);
+    const CompositionResult result = runComposition(config);
     expectCleanRun(result);
     witnesses += result.adoptMismatchWitnesses;
     adoptOutcomes += result.adoptOutcomesTotal;
@@ -204,9 +202,9 @@ TEST(BenOrSection5, AdoptWitnessesExistAcrossSeeds) {
 }
 
 TEST(BenOrDeterminism, SameSeedSameResult) {
-  const BenOrConfig config = baseConfig(6, 77, BenOrConfig::Mode::kDecomposed);
-  const BenOrResult a = runBenOr(config);
-  const BenOrResult b = runBenOr(config);
+  const Composition config = baseConfig(6, 77);
+  const CompositionResult a = runComposition(config);
+  const CompositionResult b = runComposition(config);
   EXPECT_EQ(a.decidedValue, b.decidedValue);
   EXPECT_EQ(a.maxDecisionRound, b.maxDecisionRound);
   EXPECT_EQ(a.lastDecisionTick, b.lastDecisionTick);
@@ -214,16 +212,44 @@ TEST(BenOrDeterminism, SameSeedSameResult) {
 }
 
 TEST(BenOrConfigValidation, RejectsBadInputSizes) {
-  BenOrConfig config;
+  MonolithicBenOrConfig config;
   config.n = 4;
   config.inputs = {0, 1};  // wrong size
-  EXPECT_THROW(runBenOr(config), std::invalid_argument);
+  EXPECT_THROW(runMonolithicBenOr(config), std::invalid_argument);
 }
 
 TEST(BenOrVacObject, RequiresMinorityFaults) {
-  BenOrConfig config = baseConfig(4, 1, BenOrConfig::Mode::kDecomposed);
+  Composition config = baseConfig(4, 1);
   config.t = 2;  // t >= n/2: illegal
-  EXPECT_THROW(runBenOr(config), std::invalid_argument);
+  EXPECT_THROW(runComposition(config), std::invalid_argument);
+}
+
+TEST(BenOrMonolithic, RandomWalkShapesAgreeValidAndTerminate) {
+  // The baseline over the checker's random-walk shapes (process count,
+  // inputs, crash schedule, delay bound) of the benor-vac+local-coin
+  // sweep: the classic loop must decide, agree and stay valid on every
+  // configuration the decomposed algorithm is checked on.
+  check::Scenario base;
+  base.compose.n = 5;
+  base.compose.inputs = {0, 1, 0, 1, 1};
+  check::RandomWalkStrategy::Options options;
+  options.runs = 20;
+  options.seedBase = 7000;
+  const check::RandomWalkStrategy walk(base, options);
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    const Composition shape = walk.generate(i).compose;
+    MonolithicBenOrConfig config;
+    config.n = shape.n;
+    config.inputs = shape.inputs;
+    config.seed = shape.seed;
+    config.crashes = shape.crashes;
+    config.minDelay = shape.minDelay;
+    config.maxDelay = shape.maxDelay;
+    const CompositionResult result = runMonolithicBenOr(config);
+    EXPECT_TRUE(result.allDecided) << "shape " << i;
+    EXPECT_FALSE(result.agreementViolated) << "shape " << i;
+    EXPECT_FALSE(result.validityViolated) << "shape " << i;
+  }
 }
 
 }  // namespace

@@ -20,18 +20,16 @@ namespace {
 
 check::Scenario benorScenario() {
   check::Scenario scenario;
-  scenario.family = check::Family::kBenOr;
-  scenario.benOr.n = 4;
-  scenario.benOr.t = 1;
-  scenario.benOr.inputs = {0, 1, 1, 1};
-  scenario.benOr.seed = 3;
-  scenario.benOr.maxDelay = 2;
+  scenario.compose.n = 4;
+  scenario.compose.t = 1;
+  scenario.compose.inputs = {0, 1, 1, 1};
+  scenario.compose.seed = 3;
+  scenario.compose.maxDelay = 2;
   return scenario;
 }
 
 check::Scenario fdScenario() {
   check::Scenario scenario;
-  scenario.family = check::Family::kFd;
   auto& config = scenario.compose;
   config.detector = "benor-vac";
   config.driver = "ct-coordinator";

@@ -27,44 +27,54 @@ std::size_t sweepSize() {
       GTEST_SKIP() << "set OOC_RUN_SLOW=1 to run big sweeps";    \
   } while (0)
 
-Scenario familyBase(Family family) {
-  Scenario scenario;
-  scenario.family = family;
-  if (family == Family::kBenOr) {
-    auto& config = scenario.benOr;
-    config.inputs.resize(config.n);
-    for (std::size_t i = 0; i < config.n; ++i)
-      config.inputs[i] = static_cast<Value>(i % 2);
-  }
-  return scenario;
-}
-
-void sweep(Family family) {
-  RandomWalkStrategy::Options options;
-  options.runs = sweepSize();
-  const RandomWalkStrategy strategy(familyBase(family), options);
+void sweep(const ExplorationStrategy& strategy, std::size_t runs) {
   const auto suite = safetySuite();
   const CheckReport report = explore(strategy, view(suite), {});
-  EXPECT_EQ(report.configsExplored, options.runs);
+  EXPECT_EQ(report.configsExplored, runs);
   EXPECT_TRUE(report.ok())
       << report.findings.front().violation.invariant << " at index "
       << report.findings.front().configIndex << ": "
       << report.findings.front().violation.detail;
 }
 
+RandomWalkStrategy::Options walkOptions() {
+  RandomWalkStrategy::Options options;
+  options.runs = sweepSize();
+  return options;
+}
+
 TEST(SlowSweep, BenOrTenThousandSeedsClean) {
   OOC_REQUIRE_SLOW();
-  sweep(Family::kBenOr);
+  Scenario base;  // benor-vac + local-coin
+  base.compose.inputs = {0, 1, 0, 1, 1};
+  sweep(RandomWalkStrategy(base, walkOptions()), sweepSize());
 }
 
 TEST(SlowSweep, PhaseKingTenThousandSeedsClean) {
   OOC_REQUIRE_SLOW();
-  sweep(Family::kPhaseKing);
+  // The walk varies the attacker count and placement; the strategy axis is
+  // covered by one walk per attacker strategy.
+  Scenario base;
+  auto& config = base.compose;
+  config.detector = "phaseking-ac";
+  config.driver = "king-conciliator";
+  config.n = 7;
+  config.byzantineCount = 2;
+  config.inputs = {0, 1};
+  config.maxRounds = 300;
+  config.maxTicks = 100000;
+  const auto walks =
+      strategyWalks(base, walkOptions(),
+                    {"silent", "random", "equivocate", "lying-king",
+                     "anti-king"});
+  sweep(*walks, sweepSize());
 }
 
 TEST(SlowSweep, RaftTenThousandSeedsClean) {
   OOC_REQUIRE_SLOW();
-  sweep(Family::kRaft);
+  Scenario base;
+  base.family = Family::kRaft;
+  sweep(RandomWalkStrategy(base, walkOptions()), sweepSize());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Model-checker tests: strategy enumeration is deterministic and complete,
-// healthy property sweeps over every Ben-Or mode x reconciliator find no
+// healthy property sweeps over every VAC detector x reconciliator find no
 // violations, and a deliberately planted VAC coherence bug is caught,
 // shrunk to a small configuration, serialized, and reproduced by replay.
 #include <gtest/gtest.h>
@@ -20,37 +20,35 @@
 namespace ooc::check {
 namespace {
 
-using harness::BenOrConfig;
-
-Scenario benOrBase(BenOrConfig::Mode mode,
-                   BenOrConfig::Reconciliator reconciliator) {
+Scenario benOrBase(const char* detector = "benor-vac",
+                   const char* driver = "local-coin") {
   Scenario scenario;
-  scenario.family = Family::kBenOr;
-  auto& config = scenario.benOr;
+  auto& config = scenario.compose;
+  config.detector = detector;
+  config.driver = driver;
   config.n = 5;
   config.inputs = {0, 1, 0, 1, 1};
-  config.mode = mode;
-  config.reconciliator = reconciliator;
   return scenario;
 }
 
 // ---------------------------------------------------------------------------
-// Property sweeps: every mode x reconciliator stays clean under random
-// exploration. keep-value is the paper's negative control — it provably
-// stalls on balanced inputs — so its sweep checks safety only.
+// Property sweeps: every VAC detector x reconciliator stays clean under
+// random exploration. keep-value is the paper's negative control — it
+// provably stalls on balanced inputs — so its sweep checks safety only.
+// (The monolithic baseline's sweep over the same shapes lives in
+// benor_test.)
 
 class ModeReconciliatorSweep
-    : public ::testing::TestWithParam<
-          std::tuple<BenOrConfig::Mode, BenOrConfig::Reconciliator>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
+};
 
 TEST_P(ModeReconciliatorSweep, RandomWalkFindsNoViolation) {
-  const auto [mode, reconciliator] = GetParam();
-  Scenario base = benOrBase(mode, reconciliator);
-  const bool keepValue =
-      reconciliator == BenOrConfig::Reconciliator::kKeepValue;
+  const auto [detector, driver] = GetParam();
+  Scenario base = benOrBase(detector.c_str(), driver.c_str());
+  const bool keepValue = driver == "keep-value";
   if (keepValue) {
-    base.benOr.maxRounds = 30;
-    base.benOr.maxTicks = 400000;
+    base.compose.maxRounds = 30;
+    base.compose.maxTicks = 400000;
   }
 
   RandomWalkStrategy::Options options;
@@ -68,25 +66,17 @@ TEST_P(ModeReconciliatorSweep, RandomWalkFindsNoViolation) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, ModeReconciliatorSweep,
-    ::testing::Combine(
-        ::testing::Values(BenOrConfig::Mode::kDecomposed,
-                          BenOrConfig::Mode::kMonolithic,
-                          BenOrConfig::Mode::kVacFromTwoAc,
-                          BenOrConfig::Mode::kDecentralizedVac),
-        ::testing::Values(BenOrConfig::Reconciliator::kLocalCoin,
-                          BenOrConfig::Reconciliator::kCommonCoin,
-                          BenOrConfig::Reconciliator::kBiasedCoin,
-                          BenOrConfig::Reconciliator::kKeepValue,
-                          BenOrConfig::Reconciliator::kLottery)));
+    ::testing::Combine(::testing::Values("benor-vac", "vac-from-two-ac",
+                                         "decentralized-vac"),
+                       ::testing::Values("local-coin", "common-coin",
+                                         "biased-coin", "keep-value",
+                                         "lottery")));
 
 TEST(CheckerSweep, DelayAdversaryKeepsBenOrSafe) {
   DelayBoundStrategy::Options options;
   options.budgets = {2, 8};
   options.adversarySeedsPerBudget = 10;
-  const DelayBoundStrategy strategy(
-      benOrBase(BenOrConfig::Mode::kDecomposed,
-                BenOrConfig::Reconciliator::kLocalCoin),
-      options);
+  const DelayBoundStrategy strategy(benOrBase(), options);
   const auto suite = safetySuite();
   const CheckReport report = explore(strategy, view(suite), {});
   EXPECT_EQ(report.configsExplored, 20u);
@@ -97,10 +87,7 @@ TEST(CheckerSweep, CrashEnumerationKeepsBenOrSafe) {
   CrashScheduleStrategy::Options options;
   options.maxCrashes = 2;
   options.tickGrid = {1, 20};
-  const CrashScheduleStrategy strategy(
-      benOrBase(BenOrConfig::Mode::kDecomposed,
-                BenOrConfig::Reconciliator::kLocalCoin),
-      options);
+  const CrashScheduleStrategy strategy(benOrBase(), options);
   // n=5, <=2 crashes: 1 + 5*2 + 10*4 = 51 schedules.
   EXPECT_EQ(strategy.size(), 51u);
   const auto suite = safetySuite();
@@ -115,10 +102,7 @@ TEST(CheckerSweep, CrashEnumerationKeepsBenOrSafe) {
 TEST(Strategies, GenerateIsDeterministic) {
   RandomWalkStrategy::Options options;
   options.runs = 10;
-  const RandomWalkStrategy strategy(
-      benOrBase(BenOrConfig::Mode::kDecomposed,
-                BenOrConfig::Reconciliator::kLocalCoin),
-      options);
+  const RandomWalkStrategy strategy(benOrBase(), options);
   for (std::size_t i = 0; i < strategy.size(); ++i)
     EXPECT_EQ(serialize(strategy.generate(i)),
               serialize(strategy.generate(i)));
@@ -128,17 +112,14 @@ TEST(Strategies, DelayBoundCoversTheBudgetGrid) {
   DelayBoundStrategy::Options options;
   options.budgets = {1, 4, 16};
   options.adversarySeedsPerBudget = 5;
-  const DelayBoundStrategy strategy(
-      benOrBase(BenOrConfig::Mode::kDecomposed,
-                BenOrConfig::Reconciliator::kLocalCoin),
-      options);
+  const DelayBoundStrategy strategy(benOrBase(), options);
   ASSERT_EQ(strategy.size(), 15u);
   std::set<std::pair<Tick, std::uint64_t>> seen;
   for (std::size_t i = 0; i < strategy.size(); ++i) {
     const Scenario scenario = strategy.generate(i);
-    EXPECT_TRUE(scenario.benOr.adversary.enabled());
-    seen.emplace(scenario.benOr.adversary.extraDelayMax,
-                 scenario.benOr.adversary.seed);
+    EXPECT_TRUE(scenario.compose.adversary.enabled());
+    seen.emplace(scenario.compose.adversary.extraDelayMax,
+                 scenario.compose.adversary.seed);
   }
   EXPECT_EQ(seen.size(), 15u);  // every (budget, seed) pair, no duplicates
 }
@@ -147,35 +128,30 @@ TEST(Strategies, CrashEnumerationCoversEverySchedule) {
   CrashScheduleStrategy::Options options;
   options.maxCrashes = 2;
   options.tickGrid = {1, 9};
-  const CrashScheduleStrategy strategy(
-      benOrBase(BenOrConfig::Mode::kDecomposed,
-                BenOrConfig::Reconciliator::kLocalCoin),
-      options);
+  const CrashScheduleStrategy strategy(benOrBase(), options);
   std::set<std::string> seen;
   for (std::size_t i = 0; i < strategy.size(); ++i) {
     const Scenario scenario = strategy.generate(i);
-    EXPECT_LE(scenario.benOr.crashes.size(), 2u);
+    EXPECT_LE(scenario.compose.crashes.size(), 2u);
     std::set<ProcessId> ids;
-    for (const auto& [id, tick] : scenario.benOr.crashes) {
+    for (const auto& [id, tick] : scenario.compose.crashes) {
       ids.insert(id);
       EXPECT_TRUE(tick == 1 || tick == 9);
     }
-    EXPECT_EQ(ids.size(), scenario.benOr.crashes.size());  // distinct pids
+    EXPECT_EQ(ids.size(), scenario.compose.crashes.size());  // distinct pids
     seen.insert(serialize(scenario));
   }
   EXPECT_EQ(seen.size(), strategy.size());  // exhaustive, no duplicates
 }
 
 TEST(Strategies, SynchronousFamilyRejectsScheduleAdversaries) {
-  Scenario phaseKing;
-  phaseKing.family = Family::kPhaseKing;
+  const Scenario phaseKing = benOrBase("phaseking-ac", "king-conciliator");
   EXPECT_THROW(DelayBoundStrategy(phaseKing, {}), std::invalid_argument);
   EXPECT_THROW(CrashScheduleStrategy(phaseKing, {}), std::invalid_argument);
 }
 
 TEST(Strategies, CompositeConcatenatesParts) {
-  const Scenario base = benOrBase(BenOrConfig::Mode::kDecomposed,
-                                  BenOrConfig::Reconciliator::kLocalCoin);
+  const Scenario base = benOrBase();
   RandomWalkStrategy::Options rw;
   rw.runs = 3;
   DelayBoundStrategy::Options db;
@@ -186,8 +162,8 @@ TEST(Strategies, CompositeConcatenatesParts) {
   parts.push_back(std::make_unique<DelayBoundStrategy>(base, db));
   const CompositeStrategy composite("combo", std::move(parts));
   ASSERT_EQ(composite.size(), 5u);
-  EXPECT_FALSE(composite.generate(2).benOr.adversary.enabled());
-  EXPECT_TRUE(composite.generate(3).benOr.adversary.enabled());
+  EXPECT_FALSE(composite.generate(2).compose.adversary.enabled());
+  EXPECT_TRUE(composite.generate(3).compose.adversary.enabled());
   EXPECT_THROW(composite.generate(5), std::out_of_range);
 }
 
@@ -197,9 +173,8 @@ TEST(Strategies, CompositeConcatenatesParts) {
 // and emit a counterexample that replays bit-identically.
 
 Scenario plantedBugBase() {
-  Scenario base = benOrBase(BenOrConfig::Mode::kDecomposed,
-                            BenOrConfig::Reconciliator::kLocalCoin);
-  base.benOr.fault = BenOrConfig::Fault::kVacAdoptFlip;
+  Scenario base = benOrBase();
+  base.compose.fault = compose::PlantedFault::kVacAdoptFlip;
   return base;
 }
 
@@ -222,10 +197,11 @@ TEST(PlantedBug, IsCaughtShrunkAndReplayable) {
 
   // Shrinking ran and kept the violation on a no-larger configuration.
   ASSERT_TRUE(finding.shrunk.has_value());
-  EXPECT_LE(finding.shrunk->benOr.n, finding.scenario.benOr.n);
-  EXPECT_LE(finding.shrunk->benOr.crashes.size(),
-            finding.scenario.benOr.crashes.size());
-  EXPECT_EQ(finding.shrunk->benOr.fault, BenOrConfig::Fault::kVacAdoptFlip);
+  EXPECT_LE(finding.shrunk->compose.n, finding.scenario.compose.n);
+  EXPECT_LE(finding.shrunk->compose.crashes.size(),
+            finding.scenario.compose.crashes.size());
+  EXPECT_EQ(finding.shrunk->compose.fault,
+            compose::PlantedFault::kVacAdoptFlip);
 
   // The counterexample file exists, parses, and replays bit-identically,
   // reproducing the violation from disk alone.
@@ -269,8 +245,8 @@ TEST(PlantedBug, ShrinkReachesASmallConfiguration) {
 
   const ShrinkResult shrunk = shrinkCounterexample(*violating, *fired, {});
   EXPECT_GT(shrunk.attempts, 0u);
-  EXPECT_LE(shrunk.scenario.benOr.n, 6u);
-  EXPECT_TRUE(shrunk.scenario.benOr.crashes.empty());
+  EXPECT_LE(shrunk.scenario.compose.n, 6u);
+  EXPECT_TRUE(shrunk.scenario.compose.crashes.empty());
   // Still a genuine counterexample.
   EXPECT_TRUE(fired
                   ->check(shrunk.scenario, runScenario(shrunk.scenario))
@@ -282,10 +258,7 @@ TEST(PlantedBug, HealthySweepWithSameSeedsStaysClean) {
   // detection above is attributable to the planted bug alone.
   RandomWalkStrategy::Options options;
   options.runs = 50;
-  const RandomWalkStrategy strategy(
-      benOrBase(BenOrConfig::Mode::kDecomposed,
-                BenOrConfig::Reconciliator::kLocalCoin),
-      options);
+  const RandomWalkStrategy strategy(benOrBase(), options);
   const auto suite = safetySuite();
   const CheckReport report = explore(strategy, view(suite), {});
   EXPECT_TRUE(report.ok());
@@ -299,10 +272,7 @@ TEST(PlantedBug, HealthySweepWithSameSeedsStaysClean) {
 TEST(WitnessHunt, FindsAdoptMismatchSchedules) {
   RandomWalkStrategy::Options options;
   options.runs = 200;
-  const RandomWalkStrategy strategy(
-      benOrBase(BenOrConfig::Mode::kDecomposed,
-                BenOrConfig::Reconciliator::kLocalCoin),
-      options);
+  const RandomWalkStrategy strategy(benOrBase(), options);
   const AdoptWitnessInvariant witness;
   CheckerOptions checker;
   checker.maxFindings = 1;

@@ -1,14 +1,15 @@
 // The composition engine: registry semantics (lookup, open registration,
 // duplicate rejection), capability validation with the paper's §5
 // diagnostics, the three Composition interchange forms (spec string,
-// key=value, JSON), and the guarantee the whole refactor rests on — the
-// legacy per-protocol entry points lower onto runComposition() without
-// moving a single scheduler event.
+// key=value, JSON), and the guarantee the legacy scenario spellings rest
+// on — family=benor/phaseking/fd parse into the composition that ran
+// them without moving a single scheduler event.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "benor/reconciliators.hpp"
 #include "check/replay.hpp"
@@ -18,7 +19,6 @@
 #include "compose/registry.hpp"
 #include "compose/run.hpp"
 #include "fd/oracle.hpp"
-#include "harness/scenarios.hpp"
 #include "sim/trace.hpp"
 
 namespace ooc {
@@ -378,71 +378,106 @@ TEST(ComposeOracle, E22MatrixReportsRejectedCellsWithDiagnostics) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy adapters: byte-identical lowering
+// Legacy family spellings: parse-time aliases of family=compose. Each alias
+// must lower to the composition that ran it, with an identical trace.
 
-TEST(ComposeAdapters, BenOrTraceIsByteIdenticalThroughTheAdapter) {
-  check::Scenario legacy;
-  legacy.family = check::Family::kBenOr;
-  legacy.benOr.n = 5;
-  legacy.benOr.inputs = {0, 1, 0, 1, 1};
-  legacy.benOr.seed = 33;
-  legacy.benOr.mode = harness::BenOrConfig::Mode::kDecomposed;
-
-  check::Scenario direct;
-  direct.family = check::Family::kCompose;
-  direct.compose = harness::toComposition(legacy.benOr);
-
-  const auto legacyRun = check::recordRun(legacy);
-  const auto directRun = check::recordRun(direct);
-  EXPECT_TRUE(legacyRun.trace == directRun.trace)
-      << "adapter lowering moved a scheduler event";
-  EXPECT_EQ(legacyRun.report.decidedValue, directRun.report.decidedValue);
+void expectAliasLowersTo(const std::string& legacyText,
+                         const Composition& direct) {
+  const check::Scenario alias = check::parseScenario(legacyText);
+  ASSERT_EQ(alias.family, check::Family::kCompose);
+  check::Scenario expected;
+  expected.compose = direct;
+  EXPECT_EQ(check::serialize(alias), check::serialize(expected));
+  const auto aliasRun = check::recordRun(alias);
+  const auto directRun = check::recordRun(expected);
+  EXPECT_FALSE(directRun.trace.events.empty());
+  EXPECT_TRUE(aliasRun.trace == directRun.trace)
+      << "alias moved a scheduler event:\n"
+      << legacyText;
 }
 
-TEST(ComposeAdapters, PhaseKingTraceIsByteIdenticalThroughTheAdapter) {
-  check::Scenario legacy;
-  legacy.family = check::Family::kPhaseKing;
-  legacy.phaseKing.n = 7;
-  legacy.phaseKing.byzantineCount = 2;
-  legacy.phaseKing.seed = 11;
+class BenOrAlias
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
+};
 
-  check::Scenario direct;
-  direct.family = check::Family::kCompose;
-  direct.compose = harness::toComposition(legacy.phaseKing);
-
-  const auto legacyRun = check::recordRun(legacy);
-  const auto directRun = check::recordRun(direct);
-  EXPECT_TRUE(legacyRun.trace == directRun.trace)
-      << "adapter lowering moved a scheduler event";
-  EXPECT_EQ(legacyRun.report.allDecided, directRun.report.allDecided);
+TEST_P(BenOrAlias, LowersToItsComposition) {
+  const auto [mode, reconciliator] = GetParam();
+  // Capped rounds keep the keep-value negative control (which stalls on
+  // split inputs) short; every other pairing decides well inside them.
+  const std::string text = std::string("family=benor\n") +
+                           "n=5\ninputs=0,1,0,1,1\nseed=33\n" +
+                           "mode=" + mode + "\nreconciliator=" +
+                           reconciliator + "\nmax-rounds=30\n";
+  Composition direct;
+  direct.detector = mode == "decomposed" ? "benor-vac" : mode;
+  direct.driver = reconciliator;
+  direct.n = 5;
+  direct.inputs = {0, 1, 0, 1, 1};
+  direct.seed = 33;
+  direct.maxRounds = 30;
+  expectAliasLowersTo(text, direct);
 }
 
-TEST(ComposeAdapters, ByzantineBenOrMatchesItsComposition) {
-  // runByzantineBenOr takes no hooks, so equivalence is asserted on the
-  // full result instead of the trace: same deterministic engine, same
-  // numbers, down to the event count.
-  harness::ByzantineBenOrConfig config;
-  config.seed = 77;
-  const auto legacy = harness::runByzantineBenOr(config);
-  const auto direct = compose::runComposition(harness::toComposition(config));
-  EXPECT_EQ(legacy.allDecided, direct.allDecided);
-  EXPECT_EQ(legacy.decidedValue, direct.decidedValue);
-  EXPECT_EQ(legacy.maxDecisionRound, direct.maxDecisionRound);
-  EXPECT_EQ(legacy.lastDecisionTick, direct.lastDecisionTick);
-  EXPECT_EQ(legacy.messagesByCorrect, direct.messagesByCorrect);
-  EXPECT_EQ(legacy.eventsProcessed, direct.eventsProcessed);
+INSTANTIATE_TEST_SUITE_P(
+    ModesByReconciliators, BenOrAlias,
+    ::testing::Combine(::testing::Values("decomposed", "vac-from-two-ac",
+                                         "decentralized-vac"),
+                       ::testing::Values("local-coin", "common-coin",
+                                         "biased-coin", "keep-value",
+                                         "lottery")));
+
+class PhaseKingAlias
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(PhaseKingAlias, LowersToItsComposition) {
+  const auto [queen, earlyCommit] = GetParam();
+  const std::string text =
+      std::string("family=phaseking\nalgorithm=") +
+      (queen ? "queen\nn=9\n" : "king\n") +
+      "seed=11\nearly-commit=" + (earlyCommit ? "1" : "0") + "\n";
+  // The legacy Phase-King defaults: n = 7, two equivocators at the front,
+  // 300 rounds, 100000 ticks.
+  Composition direct;
+  direct.detector = queen ? "phasequeen-ac" : "phaseking-ac";
+  direct.driver = queen ? "queen-conciliator" : "king-conciliator";
+  direct.n = queen ? 9 : 7;
+  direct.byzantineCount = 2;
+  direct.earlyCommitDecision = earlyCommit;
+  direct.seed = 11;
+  direct.maxRounds = 300;
+  direct.maxTicks = 100000;
+  expectAliasLowersTo(text, direct);
 }
 
-TEST(ComposeAdapters, MonolithicModesHaveNoComposition) {
-  harness::BenOrConfig benOr;
-  benOr.n = 5;
-  benOr.inputs = {0, 1, 0, 1, 1};
-  benOr.mode = harness::BenOrConfig::Mode::kMonolithic;
-  EXPECT_THROW(harness::toComposition(benOr), std::logic_error);
+INSTANTIATE_TEST_SUITE_P(RoyalsByDecisionRule, PhaseKingAlias,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Bool()));
 
-  harness::PhaseKingConfig phaseKing;
-  phaseKing.monolithic = true;
-  EXPECT_THROW(harness::toComposition(phaseKing), std::invalid_argument);
+TEST(LegacyAlias, FdIsTheComposeKeySet) {
+  Composition direct;
+  direct.driver = "ct-coordinator";
+  direct.oracle = "omega";
+  direct.oracleKnobs.stabilizeAt = 40;
+  direct.oracleKnobs.noise = 0.25;
+  direct.inputs = {0, 1, 0, 1, 1};
+  direct.crashes = {{4, 30}};
+  direct.seed = 23;
+  expectAliasLowersTo("family=fd\n" + compose::serialize(direct), direct);
+}
+
+TEST(LegacyAlias, MonolithicBaselinesAreRejected) {
+  for (const char* text :
+       {"family=benor\nmode=monolithic\nn=3\ninputs=0,1,0\n",
+        "family=phaseking\nmonolithic=1\n"}) {
+    try {
+      check::parseScenario(text);
+      FAIL() << "monolithic scenario parsed: " << text;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("monolithic"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

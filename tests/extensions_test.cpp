@@ -1,7 +1,7 @@
 // Tests for the framework extensions beyond the paper's three case studies:
 // Byzantine Ben-Or (async, n > 5t), Phase-Queen (sync, 4t < n), the
-// multivalued lottery reconciliator, and the multi-slot replicated log
-// built from template instances.
+// multivalued lottery reconciliator — each a composition — and the
+// multi-slot replicated log built from template instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,16 +12,41 @@
 #include "benor/async_byzantine.hpp"
 #include "benor/reconciliators.hpp"
 #include "benor/vac.hpp"
-#include "harness/scenarios.hpp"
+#include "compose/run.hpp"
 #include "log/replicated_log.hpp"
+#include "phaseking/byzantine.hpp"
 #include "sim/simulator.hpp"
 
 namespace ooc {
 namespace {
 
-using harness::BenOrConfig;
-using harness::ByzantineBenOrConfig;
-using harness::PhaseKingConfig;
+using compose::Composition;
+using compose::runComposition;
+
+/// Byzantine Ben-Or: the hardened VAC (n > 5t) with the local coin, f = 2
+/// attackers at the back of n = 11, alternating correct inputs.
+Composition byzantineBenOr() {
+  Composition config;
+  config.detector = "byzantine-benor-vac";
+  config.n = 11;
+  config.byzantineCount = 2;
+  config.byzantineStrategy =
+      toString(benor::AsyncByzantineStrategy::kEquivocate);
+  config.placement = compose::Placement::kBack;
+  config.inputs = {0, 1};
+  return config;
+}
+
+/// Phase-Queen (4t < n): n = 9, f = 2 equivocators at the front.
+Composition phaseQueen() {
+  Composition config;
+  config.detector = "phasequeen-ac";
+  config.driver = "queen-conciliator";
+  config.n = 9;
+  config.byzantineCount = 2;
+  config.inputs = {0, 1};
+  return config;
+}
 
 // ---------------------------------------------------------------------------
 // Byzantine Ben-Or
@@ -32,12 +57,12 @@ class ByzantineBenOrSweep
 
 TEST_P(ByzantineBenOrSweep, SurvivesMaxAttackersAtEveryStrategy) {
   const auto [strategy, seed] = GetParam();
-  ByzantineBenOrConfig config;
+  Composition config = byzantineBenOr();
   config.n = 11;  // t = 2
   config.byzantineCount = 2;
-  config.strategy = static_cast<int>(strategy);
+  config.byzantineStrategy = toString(strategy);
   config.seed = seed;
-  const auto result = runByzantineBenOr(config);
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);
@@ -60,13 +85,13 @@ TEST(ByzantineBenOr, UnanimousCorrectInputsCannotBeFlipped) {
                         benor::AsyncByzantineStrategy::kRandom,
                         benor::AsyncByzantineStrategy::kContrarian}) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      ByzantineBenOrConfig config;
+      Composition config = byzantineBenOr();
       config.n = 11;
       config.byzantineCount = 2;
-      config.strategy = static_cast<int>(strategy);
+      config.byzantineStrategy = toString(strategy);
       config.inputs = {1};
       config.seed = seed;
-      const auto result = runByzantineBenOr(config);
+      const auto result = runComposition(config);
       ASSERT_TRUE(result.allDecided);
       EXPECT_EQ(result.decidedValue, 1)
           << toString(strategy) << " seed " << seed;
@@ -79,13 +104,11 @@ TEST(ByzantineBenOr, UnanimousCorrectInputsCannotBeFlipped) {
 
 TEST(ByzantineBenOr, LargerNetworks) {
   for (std::size_t n : {6, 16, 26}) {
-    ByzantineBenOrConfig config;
+    Composition config = byzantineBenOr();
     config.n = n;
     config.byzantineCount = (n - 1) / 5;
-    config.strategy =
-        static_cast<int>(benor::AsyncByzantineStrategy::kEquivocate);
     config.seed = 7;
-    const auto result = runByzantineBenOr(config);
+    const auto result = runComposition(config);
     EXPECT_TRUE(result.allDecided) << "n=" << n;
     EXPECT_FALSE(result.agreementViolated);
     EXPECT_TRUE(result.allAuditsOk);
@@ -93,22 +116,22 @@ TEST(ByzantineBenOr, LargerNetworks) {
 }
 
 TEST(ByzantineBenOr, RejectsTooManyDeclaredFaults) {
-  ByzantineBenOrConfig config;
+  Composition config = byzantineBenOr();
   config.n = 10;
   config.t = 2;  // 5t = 10 >= n
   config.byzantineCount = 0;
-  EXPECT_THROW(runByzantineBenOr(config), std::invalid_argument);
+  EXPECT_THROW(runComposition(config), std::invalid_argument);
 }
 
 TEST(ByzantineBenOr, CrashToleranceSubsumed) {
   // Silent Byzantine processes are crashes; the hardened thresholds must
   // still terminate without them.
-  ByzantineBenOrConfig config;
+  Composition config = byzantineBenOr();
   config.n = 11;
   config.byzantineCount = 2;
-  config.strategy = static_cast<int>(benor::AsyncByzantineStrategy::kSilent);
+  config.byzantineStrategy = toString(benor::AsyncByzantineStrategy::kSilent);
   config.seed = 11;
-  const auto result = runByzantineBenOr(config);
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
 }
@@ -122,14 +145,10 @@ class PhaseQueenSweep
 
 TEST_P(PhaseQueenSweep, SurvivesMaxAttackers) {
   const auto [strategy, seed] = GetParam();
-  PhaseKingConfig config;
-  config.algorithm = PhaseKingConfig::Algorithm::kQueen;
-  config.n = 9;  // queen: t = 2
-  config.byzantineCount = 2;
-  config.strategy = strategy;
-  config.placement = PhaseKingConfig::Placement::kFront;
+  Composition config = phaseQueen();  // n = 9, queen: t = 2
+  config.byzantineStrategy = toString(strategy);
   config.seed = seed;
-  const auto result = runPhaseKing(config);
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);
@@ -151,16 +170,16 @@ TEST(PhaseQueen, FasterThanKingPerRound) {
   // Same n, same adversary count within both bounds: queen rounds are 2
   // ticks vs the king's 3, so total ticks to decide are lower even though
   // the queen needs its own t+1 rounds.
-  PhaseKingConfig king;
-  king.n = 13;
-  king.byzantineCount = 3;  // within both n/4 and n/3
-  king.t = 3;
-  king.strategy = phaseking::ByzantineStrategy::kEquivocate;
-  PhaseKingConfig queen = king;
-  queen.algorithm = PhaseKingConfig::Algorithm::kQueen;
+  Composition queen = phaseQueen();
+  queen.n = 13;
+  queen.byzantineCount = 3;  // within both n/4 and n/3
+  queen.t = 3;
+  Composition king = queen;
+  king.detector = "phaseking-ac";
+  king.driver = "king-conciliator";
 
-  const auto kingResult = runPhaseKing(king);
-  const auto queenResult = runPhaseKing(queen);
+  const auto kingResult = runComposition(king);
+  const auto queenResult = runComposition(queen);
   ASSERT_TRUE(kingResult.allDecided);
   ASSERT_TRUE(queenResult.allDecided);
   EXPECT_LT(queenResult.lastDecisionTick, kingResult.lastDecisionTick);
@@ -168,13 +187,10 @@ TEST(PhaseQueen, FasterThanKingPerRound) {
 
 TEST(PhaseQueen, ScaleSweepAtMaxTolerance) {
   for (std::size_t n : {5, 9, 13, 21}) {
-    PhaseKingConfig config;
-    config.algorithm = PhaseKingConfig::Algorithm::kQueen;
+    Composition config = phaseQueen();
     config.n = n;
     config.byzantineCount = (n - 1) / 4;
-    config.strategy = phaseking::ByzantineStrategy::kEquivocate;
-    config.placement = PhaseKingConfig::Placement::kFront;
-    const auto result = runPhaseKing(config);
+    const auto result = runComposition(config);
     EXPECT_TRUE(result.allDecided) << "n=" << n;
     EXPECT_FALSE(result.agreementViolated) << "n=" << n;
     EXPECT_TRUE(result.allAuditsOk) << "n=" << n;
@@ -182,19 +198,10 @@ TEST(PhaseQueen, ScaleSweepAtMaxTolerance) {
 }
 
 TEST(PhaseQueen, RejectsKingToleranceLevels) {
-  PhaseKingConfig config;
-  config.algorithm = PhaseKingConfig::Algorithm::kQueen;
-  config.n = 9;
+  Composition config = phaseQueen();
   config.t = 3;  // fine for the king (3t < n fails: 9 !> 9) — also bad here
   config.byzantineCount = 0;
-  EXPECT_THROW(runPhaseKing(config), std::invalid_argument);
-}
-
-TEST(PhaseQueen, NoMonolithicBaseline) {
-  PhaseKingConfig config;
-  config.algorithm = PhaseKingConfig::Algorithm::kQueen;
-  config.monolithic = true;
-  EXPECT_THROW(runPhaseKing(config), std::invalid_argument);
+  EXPECT_THROW(runComposition(config), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -204,12 +211,12 @@ TEST(LotteryReconciliator, MultivaluedConsensus) {
   // Five processes, five distinct values: binary coins cannot express this
   // (their output 0/1 may be nobody's input); the lottery can.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    BenOrConfig config;
+    Composition config;
     config.n = 5;
     config.inputs = {10, 20, 30, 40, 50};
     config.seed = 600 + seed;
-    config.reconciliator = BenOrConfig::Reconciliator::kLottery;
-    const auto result = runBenOr(config);
+    config.driver = "lottery";
+    const auto result = runComposition(config);
     EXPECT_TRUE(result.allDecided) << "seed " << seed;
     EXPECT_FALSE(result.agreementViolated);
     EXPECT_FALSE(result.validityViolated);
@@ -219,25 +226,25 @@ TEST(LotteryReconciliator, MultivaluedConsensus) {
 }
 
 TEST(LotteryReconciliator, BinaryStillWorks) {
-  BenOrConfig config;
+  Composition config;
   config.n = 8;
   config.inputs = {0, 1, 0, 1, 0, 1, 0, 1};
   config.seed = 77;
-  config.reconciliator = BenOrConfig::Reconciliator::kLottery;
-  const auto result = runBenOr(config);
+  config.driver = "lottery";
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_TRUE(result.allAuditsOk);
 }
 
 TEST(LotteryReconciliator, WithCrashes) {
-  BenOrConfig config;
+  Composition config;
   config.n = 7;
   config.inputs = {11, 22, 33, 44, 55, 66, 77};
   config.seed = 5;
-  config.reconciliator = BenOrConfig::Reconciliator::kLottery;
+  config.driver = "lottery";
   config.crashes = {{1, 10}, {4, 50}, {6, 5}};
-  const auto result = runBenOr(config);
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);

@@ -275,11 +275,11 @@ TEST(Coordinator, OracleFreePairingsCarryNoAudit) {
 }
 
 // ---------------------------------------------------------------------------
-// The checker surface: fd family, invariants, oracle-quality strategy
+// The checker surface: oracle-guided scenarios, invariants, oracle-quality
+// strategy
 
 check::Scenario fdScenario() {
   check::Scenario scenario;
-  scenario.family = check::Family::kFd;
   scenario.compose = coordinatorComposition("ct-coordinator", "omega");
   scenario.compose.oracleKnobs.stabilizeAt = 40;
   scenario.compose.oracleKnobs.noise = 0.25;
@@ -298,10 +298,10 @@ TEST(FdFamily, RunScenarioFillsTheFdReportFields) {
 TEST(FdFamily, ScenarioSerializationRoundTripsTheOracle) {
   const auto scenario = fdScenario();
   const std::string text = check::serialize(scenario);
-  EXPECT_NE(text.find("family=fd"), std::string::npos);
+  EXPECT_NE(text.find("family=compose"), std::string::npos);
   EXPECT_NE(text.find("oracle=omega"), std::string::npos);
   const auto parsed = check::parseScenario(text);
-  EXPECT_EQ(parsed.family, check::Family::kFd);
+  EXPECT_EQ(parsed.family, check::Family::kCompose);
   EXPECT_EQ(parsed.compose.oracle, "omega");
   EXPECT_EQ(parsed.compose.oracleKnobs.stabilizeAt, Tick{40});
   EXPECT_EQ(check::serialize(parsed), text);
@@ -363,7 +363,7 @@ TEST(OracleQualityStrategy, EnumeratesOnlyRegistryValidCells) {
   std::set<std::string> oracles;
   for (std::size_t i = 0; i < strategy.size(); ++i) {
     const auto scenario = strategy.generate(i);
-    EXPECT_EQ(scenario.family, check::Family::kFd);
+    EXPECT_EQ(scenario.family, check::Family::kCompose);
     oracles.insert(scenario.compose.oracle);
     // Every enumerated cell must resolve — rejected quality points (noisy
     // perfect-p) were dropped at construction.
@@ -376,7 +376,6 @@ TEST(OracleQualityStrategy, EnumeratesOnlyRegistryValidCells) {
 
 TEST(OracleQualityStrategy, RejectsAnOracleFreeBase) {
   check::Scenario base;
-  base.family = check::Family::kFd;
   base.compose.driver = "timer";
   EXPECT_THROW(
       check::OracleQualityStrategy(base, check::OracleQualityStrategy::Options{}),

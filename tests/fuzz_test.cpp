@@ -1,15 +1,22 @@
 // Randomized robustness suite: determinism fuzzing, hostile-junk injection,
-// chaotic fault schedules, and deep Raft log-divergence repair. Everything
-// is seed-driven — failures reproduce exactly.
+// hostile bytes in scenario and counterexample files, chaotic fault
+// schedules, and deep Raft log-divergence repair. Everything is
+// seed-driven — failures reproduce exactly.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "benor/messages.hpp"
 #include "benor/reconciliators.hpp"
 #include "benor/vac.hpp"
+#include "check/golden.hpp"
+#include "check/replay.hpp"
+#include "compose/run.hpp"
 #include "core/consensus_process.hpp"
 #include "core/vac_from_ac.hpp"
 #include "core/properties.hpp"
@@ -21,7 +28,6 @@
 namespace ooc {
 namespace {
 
-using harness::BenOrConfig;
 using harness::RaftScenarioConfig;
 
 // ---------------------------------------------------------------------------
@@ -30,7 +36,7 @@ using harness::RaftScenarioConfig;
 TEST(Fuzz, BenOrRunsAreReproducibleAcrossRandomConfigs) {
   Rng meta(0xF00D);
   for (int trial = 0; trial < 25; ++trial) {
-    BenOrConfig config;
+    compose::Composition config;
     config.n = 3 + static_cast<std::size_t>(meta.below(10));
     config.inputs.resize(config.n);
     for (auto& v : config.inputs) v = meta.coin();
@@ -42,8 +48,8 @@ TEST(Fuzz, BenOrRunsAreReproducibleAcrossRandomConfigs) {
           static_cast<ProcessId>(meta.below(config.n)),
           static_cast<Tick>(meta.below(300)));
     }
-    const auto a = runBenOr(config);
-    const auto b = runBenOr(config);
+    const auto a = compose::runComposition(config);
+    const auto b = compose::runComposition(config);
     EXPECT_EQ(a.decidedValue, b.decidedValue) << "trial " << trial;
     EXPECT_EQ(a.lastDecisionTick, b.lastDecisionTick) << "trial " << trial;
     EXPECT_EQ(a.messagesByCorrect, b.messagesByCorrect) << "trial " << trial;
@@ -53,6 +59,106 @@ TEST(Fuzz, BenOrRunsAreReproducibleAcrossRandomConfigs) {
     EXPECT_FALSE(a.agreementViolated) << "trial " << trial;
     EXPECT_TRUE(a.allAuditsOk) << "trial " << trial;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile bytes: every committed golden (the legacy family spellings
+// included) mutated by bit flips, truncation, duplicated, dropped and
+// garbled lines. Each mutant must either parse or throw a std::exception —
+// never crash, hang or trip a sanitizer.
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::vector<std::string> splitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+std::string mutate(const std::string& text, Rng& rng) {
+  if (text.empty()) return text;
+  std::string out = text;
+  switch (rng.below(5)) {
+    case 0:  // flip one to three bits
+      for (std::uint64_t k = 0, flips = 1 + rng.below(3); k < flips; ++k)
+        out[rng.below(out.size())] ^= static_cast<char>(1u << rng.below(8));
+      return out;
+    case 1:  // truncate
+      return out.substr(0, rng.below(out.size()));
+    default: break;
+  }
+  std::vector<std::string> lines = splitLines(text);
+  const std::size_t at = rng.below(lines.size());
+  switch (rng.below(3)) {
+    case 0:  // duplicate a line
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                   lines[at]);
+      break;
+    case 1:  // drop a line
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      break;
+    default:  // garble a line with arbitrary bytes
+      for (char& c : lines[at])
+        if (rng.below(3) == 0) c = static_cast<char>(rng.below(256));
+      break;
+  }
+  std::string joined;
+  for (const std::string& line : lines) joined += line + "\n";
+  return joined;
+}
+
+std::string scenarioSection(const std::string& golden) {
+  const auto begin = golden.find("\nscenario\n");
+  const auto end = golden.find("\ntrace\n");
+  if (begin == std::string::npos || end == std::string::npos) return "";
+  return golden.substr(begin + 10, end - begin - 9);
+}
+
+template <typename Parse>
+void expectParsesOrThrows(const std::string& input, Parse&& parse,
+                          const std::string& what) {
+  try {
+    parse(input);
+  } catch (const std::exception&) {
+    // Rejected with a diagnostic: fine.
+  } catch (...) {
+    ADD_FAILURE() << what << ": non-std exception";
+  }
+}
+
+TEST(Fuzz, HostileBytesInScenarioFilesParseOrThrow) {
+  constexpr int kMutantsPerGolden = 60;
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "ooc-fuzz.golden")
+          .string();
+  Rng rng(0xBADF11E);
+  for (const auto& fixture : check::goldenFixtures()) {
+    const std::string golden = readFile(std::string(OOC_GOLDEN_DIR "/") +
+                                        fixture.name + ".golden");
+    const std::string scenario = scenarioSection(golden);
+    ASSERT_FALSE(scenario.empty()) << fixture.name;
+    ASSERT_NO_THROW(check::parseScenario(scenario)) << fixture.name;
+    for (int i = 0; i < kMutantsPerGolden; ++i) {
+      const std::string tag = fixture.name + " mutant " + std::to_string(i);
+      expectParsesOrThrows(
+          mutate(scenario, rng),
+          [](const std::string& text) { check::parseScenario(text); }, tag);
+      const std::string file = mutate(golden, rng);
+      std::ofstream(path, std::ios::binary) << file;
+      expectParsesOrThrows(
+          path,
+          [](const std::string& p) { check::loadCounterexampleFile(p); },
+          tag);
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@
 
 #include <tuple>
 
+#include "compose/run.hpp"
 #include "harness/scenarios.hpp"
 
 namespace ooc {
 namespace {
 
-using harness::BenOrConfig;
-using harness::runBenOr;
+using compose::Composition;
+using compose::runComposition;
 
 std::vector<Value> splitInputs(std::size_t n) {
   std::vector<Value> inputs(n);
@@ -19,23 +20,22 @@ std::vector<Value> splitInputs(std::size_t n) {
   return inputs;
 }
 
-// Every detector mode x every reconciliator: all 12 combinations must
+// Every VAC detector x every coin reconciliator: all combinations must
 // satisfy consensus and the object contracts. This is the paper's central
 // engineering claim — the objects are interchangeable building blocks.
 class MixAndMatch
     : public ::testing::TestWithParam<
-          std::tuple<BenOrConfig::Mode, BenOrConfig::Reconciliator,
-                     std::uint64_t>> {};
+          std::tuple<std::string, std::string, std::uint64_t>> {};
 
 TEST_P(MixAndMatch, EveryCombinationReachesConsensus) {
-  const auto [mode, reconciliator, seed] = GetParam();
-  BenOrConfig config;
+  const auto [detector, driver, seed] = GetParam();
+  Composition config;
+  config.detector = detector;
+  config.driver = driver;
   config.n = 6;
   config.inputs = splitInputs(6);
   config.seed = seed;
-  config.mode = mode;
-  config.reconciliator = reconciliator;
-  const auto result = runBenOr(config);
+  const auto result = runComposition(config);
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);
@@ -45,28 +45,24 @@ TEST_P(MixAndMatch, EveryCombinationReachesConsensus) {
 INSTANTIATE_TEST_SUITE_P(
     Combos, MixAndMatch,
     ::testing::Combine(
-        ::testing::Values(BenOrConfig::Mode::kDecomposed,
-                          BenOrConfig::Mode::kVacFromTwoAc,
-                          BenOrConfig::Mode::kDecentralizedVac),
-        ::testing::Values(BenOrConfig::Reconciliator::kLocalCoin,
-                          BenOrConfig::Reconciliator::kCommonCoin,
-                          BenOrConfig::Reconciliator::kBiasedCoin),
+        ::testing::Values("benor-vac", "vac-from-two-ac",
+                          "decentralized-vac"),
+        ::testing::Values("local-coin", "common-coin", "biased-coin"),
         ::testing::Values(1u, 2u)));
 
 TEST(Integration, VacFromTwoAcUsesTwiceTheMessages) {
   // The §5 construction costs two AC invocations per round: roughly double
   // the per-round traffic of the native VAC. Compare unanimous runs (both
   // decide in round 1, so traffic is exactly one detector invocation each).
-  BenOrConfig native;
+  Composition native;
   native.n = 6;
   native.inputs.assign(6, 1);
   native.seed = 5;
-  native.mode = BenOrConfig::Mode::kDecomposed;
-  BenOrConfig synthesized = native;
-  synthesized.mode = BenOrConfig::Mode::kVacFromTwoAc;
+  Composition synthesized = native;
+  synthesized.detector = "vac-from-two-ac";
 
-  const auto nativeResult = runBenOr(native);
-  const auto synthResult = runBenOr(synthesized);
+  const auto nativeResult = runComposition(native);
+  const auto synthResult = runComposition(synthesized);
   ASSERT_TRUE(nativeResult.allDecided);
   ASSERT_TRUE(synthResult.allDecided);
   EXPECT_EQ(nativeResult.maxDecisionRound, 1u);
@@ -88,14 +84,13 @@ TEST(Integration, DecentralizedRaftMatchesBenOrRoundShape) {
   double benorTotal = 0, decTotal = 0;
   constexpr int kRuns = 30;
   for (std::uint64_t seed = 1; seed <= kRuns; ++seed) {
-    BenOrConfig config;
+    Composition config;
     config.n = 6;
     config.inputs = splitInputs(6);
     config.seed = 900 + seed;
-    config.mode = BenOrConfig::Mode::kDecomposed;
-    const auto benor = runBenOr(config);
-    config.mode = BenOrConfig::Mode::kDecentralizedVac;
-    const auto dec = runBenOr(config);
+    const auto benor = runComposition(config);
+    config.detector = "decentralized-vac";
+    const auto dec = runComposition(config);
     EXPECT_TRUE(benor.allDecided);
     EXPECT_TRUE(dec.allDecided);
     benorTotal += benor.meanDecisionRound;
@@ -112,14 +107,17 @@ TEST(Integration, DecomposedAndMonolithicBenOrAgreeOnShape) {
   double decomposedTotal = 0, monolithicTotal = 0;
   constexpr int kRuns = 40;
   for (std::uint64_t seed = 1; seed <= kRuns; ++seed) {
-    BenOrConfig config;
+    Composition config;
     config.n = 5;
     config.inputs = splitInputs(5);
     config.seed = 7000 + seed;
-    config.mode = BenOrConfig::Mode::kDecomposed;
-    decomposedTotal += runBenOr(config).meanDecisionRound;
-    config.mode = BenOrConfig::Mode::kMonolithic;
-    monolithicTotal += runBenOr(config).meanDecisionRound;
+    decomposedTotal += runComposition(config).meanDecisionRound;
+    harness::MonolithicBenOrConfig monolithic;
+    monolithic.n = 5;
+    monolithic.inputs = splitInputs(5);
+    monolithic.seed = 7000 + seed;
+    monolithicTotal +=
+        harness::runMonolithicBenOr(monolithic).meanDecisionRound;
   }
   const double ratio = decomposedTotal / monolithicTotal;
   EXPECT_GT(ratio, 0.66) << decomposedTotal << " vs " << monolithicTotal;
@@ -133,15 +131,13 @@ TEST(Integration, CommonCoinBeatsLocalCoinAtScale) {
   double localTotal = 0, commonTotal = 0;
   constexpr int kRuns = 25;
   for (std::uint64_t seed = 1; seed <= kRuns; ++seed) {
-    BenOrConfig config;
+    Composition config;
     config.n = 12;
     config.inputs = splitInputs(12);
     config.seed = 4000 + seed;
-    config.mode = BenOrConfig::Mode::kDecomposed;
-    config.reconciliator = BenOrConfig::Reconciliator::kLocalCoin;
-    localTotal += runBenOr(config).meanDecisionRound;
-    config.reconciliator = BenOrConfig::Reconciliator::kCommonCoin;
-    commonTotal += runBenOr(config).meanDecisionRound;
+    localTotal += runComposition(config).meanDecisionRound;
+    config.driver = "common-coin";
+    commonTotal += runComposition(config).meanDecisionRound;
   }
   EXPECT_LT(commonTotal, localTotal);
 }
@@ -150,16 +146,15 @@ TEST(Integration, CrashesDuringDriveStageAreHarmless) {
   // Crash processes at ticks chosen to land inside the reconciliator step
   // of early rounds; agreement and audits must hold in every run.
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-    BenOrConfig config;
+    Composition config;
     config.n = 7;
     config.inputs = splitInputs(7);
     config.seed = 500 + seed;
-    config.mode = BenOrConfig::Mode::kDecomposed;
     config.crashes = {{static_cast<ProcessId>(seed % 7), 15 + seed * 3},
                       {static_cast<ProcessId>((seed * 3) % 7), 30 + seed},
                       {static_cast<ProcessId>((seed * 5 + 1) % 7), 2}};
     // Ensure distinct victims; duplicates just crash once, still <= t = 3.
-    const auto result = runBenOr(config);
+    const auto result = runComposition(config);
     EXPECT_TRUE(result.allDecided) << "seed " << seed;
     EXPECT_FALSE(result.agreementViolated);
     EXPECT_TRUE(result.allAuditsOk);

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "check/replay.hpp"
-#include "harness/scenarios.hpp"
-#include "harness/serialize.hpp"
+#include "compose/composition.hpp"
+#include "compose/kv.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_id.hpp"
@@ -205,32 +205,32 @@ TEST(RunId, DeterministicAndSensitiveToInput) {
 }
 
 TEST(RunId, SerializedConfigsCarryAStableStamp) {
-  harness::BenOrConfig config;
+  compose::Composition config;
   config.n = 4;
   config.inputs = {0, 1, 0, 1};
   config.seed = 99;
-  const std::string text = harness::serialize(config);
+  const std::string text = compose::serialize(config);
   ASSERT_EQ(text.rfind("# run-id=", 0), 0u) << text;
 
   // The stamp is the hash of the payload, so re-serializing the parsed
   // config — and hashing the stamped text itself — reproduce it.
   const std::string stamp = text.substr(9, 16);
-  EXPECT_EQ(harness::configRunId(text), stamp);
-  const std::string again = harness::serialize(harness::parseBenOrConfig(text));
+  EXPECT_EQ(compose::configRunId(text), stamp);
+  const std::string again =
+      compose::serialize(compose::parseComposition(text));
   EXPECT_EQ(again, text);
 
   // Different seed, different id.
   config.seed = 100;
-  EXPECT_NE(harness::serialize(config).substr(9, 16), stamp);
+  EXPECT_NE(compose::serialize(config).substr(9, 16), stamp);
 }
 
 TEST(RunId, CounterexampleRoundTripPreservesRunId) {
   check::Scenario scenario;
-  scenario.family = check::Family::kBenOr;
-  scenario.benOr.n = 4;
-  scenario.benOr.inputs = {0, 1, 0, 1};
-  scenario.benOr.seed = 7;
-  scenario.benOr.maxDelay = 2;
+  scenario.compose.n = 4;
+  scenario.compose.inputs = {0, 1, 0, 1};
+  scenario.compose.seed = 7;
+  scenario.compose.maxDelay = 2;
 
   const check::RecordedRun run = check::recordRun(scenario);
   check::CounterexampleFile file;
@@ -245,7 +245,7 @@ TEST(RunId, CounterexampleRoundTripPreservesRunId) {
   const check::CounterexampleFile parsed = check::parseCounterexample(text);
   EXPECT_FALSE(parsed.runId.empty());
   EXPECT_EQ(parsed.runId,
-            harness::configRunId(check::serialize(parsed.scenario)));
+            compose::configRunId(check::serialize(parsed.scenario)));
   EXPECT_EQ(check::serializeCounterexample(parsed), text);
 
   // Pre-runid files (the v1 format before stamping) still parse, and the

@@ -1,22 +1,38 @@
 // Phase-King tests: the decomposed AC + conciliator under the template
-// (paper Algorithms 3-4), the monolithic baseline, Byzantine strategy
-// sweeps up to the 3t < n bound, and the object-contract audits.
+// (paper Algorithms 3-4, the phaseking-ac+king-conciliator composition),
+// the monolithic baseline, Byzantine strategy sweeps up to the 3t < n
+// bound, and the object-contract audits.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "compose/run.hpp"
 #include "harness/scenarios.hpp"
 #include "phaseking/conciliator.hpp"
 
 namespace ooc {
 namespace {
 
-using harness::PhaseKingConfig;
-using harness::PhaseKingResult;
-using harness::runPhaseKing;
+using compose::CompositionResult;
+using compose::Placement;
+using compose::runComposition;
+using harness::MonolithicPhaseKingConfig;
+using harness::runMonolithicPhaseKing;
 using phaseking::ByzantineStrategy;
 
-void expectAgreementAndValidity(const PhaseKingResult& result) {
+/// Phase-King at n = 7 with f = t = 2 equivocators seated as the first
+/// kings (front placement), alternating correct inputs.
+compose::Composition kingConfig() {
+  compose::Composition config;
+  config.detector = "phaseking-ac";
+  config.driver = "king-conciliator";
+  config.n = 7;
+  config.byzantineCount = 2;
+  config.inputs = {0, 1};
+  return config;
+}
+
+void expectAgreementAndValidity(const CompositionResult& result) {
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);
@@ -25,30 +41,30 @@ void expectAgreementAndValidity(const PhaseKingResult& result) {
 TEST(PhaseKing, NoFaultsUnanimousCommitsImmediately) {
   // Early-commit rule (the paper's Algorithm 2): unanimity decides in
   // round 1. Classic rule: same value, but decided after t+1 rounds.
-  PhaseKingConfig config;
+  compose::Composition config = kingConfig();
   config.n = 4;
   config.byzantineCount = 0;
   config.inputs = {1};
   config.earlyCommitDecision = true;
-  const PhaseKingResult early = runPhaseKing(config);
+  const CompositionResult early = runComposition(config);
   expectAgreementAndValidity(early);
   EXPECT_EQ(early.decidedValue, 1);
   EXPECT_EQ(early.maxDecisionRound, 1u);
   EXPECT_TRUE(early.allAuditsOk);
 
   config.earlyCommitDecision = false;
-  const PhaseKingResult classic = runPhaseKing(config);
+  const CompositionResult classic = runComposition(config);
   expectAgreementAndValidity(classic);
   EXPECT_EQ(classic.decidedValue, 1);
   EXPECT_EQ(classic.maxDecisionRound, 2u);  // t + 1 = 2 completed rounds
 }
 
 TEST(PhaseKing, NoFaultsMixedInputsDecide) {
-  PhaseKingConfig config;
+  compose::Composition config = kingConfig();
   config.n = 5;
   config.byzantineCount = 0;
   config.inputs = {0, 1};
-  const PhaseKingResult result = runPhaseKing(config);
+  const CompositionResult result = runComposition(config);
   expectAgreementAndValidity(result);
   EXPECT_TRUE(result.allAuditsOk);
 }
@@ -57,17 +73,17 @@ TEST(PhaseKing, DecidesWithinTPlusOneHonestKingRounds) {
   // With f Byzantine processes at the front, kings 1..f are hostile; a
   // correct king reigns by round f+1. The classic rule decides after
   // exactly t+1 completed rounds; early commit within f+2.
-  PhaseKingConfig config;
+  compose::Composition config = kingConfig();
   config.n = 7;
   config.byzantineCount = 2;
-  config.placement = PhaseKingConfig::Placement::kFront;
-  config.strategy = ByzantineStrategy::kEquivocate;
-  const PhaseKingResult classic = runPhaseKing(config);
+  config.placement = Placement::kFront;
+  config.byzantineStrategy = toString(ByzantineStrategy::kEquivocate);
+  const CompositionResult classic = runComposition(config);
   expectAgreementAndValidity(classic);
   EXPECT_EQ(classic.maxDecisionRound, 3u);  // t + 1
 
   config.earlyCommitDecision = true;
-  const PhaseKingResult early = runPhaseKing(config);
+  const CompositionResult early = runComposition(config);
   expectAgreementAndValidity(early);
   EXPECT_LE(early.maxDecisionRound, 4u);
 }
@@ -82,19 +98,19 @@ TEST(PhaseKing, EarlyCommitDecisionGapIsReal) {
   // a 40-seed batch; the classic fixed-round rule never breaks.
   int earlyViolations = 0;
   for (std::uint64_t seed = 50'000; seed < 50'040; ++seed) {
-    PhaseKingConfig config;
+    compose::Composition config = kingConfig();
     config.n = 13;
     config.byzantineCount = 4;
-    config.strategy = ByzantineStrategy::kRandom;
-    config.placement = PhaseKingConfig::Placement::kFront;
+    config.byzantineStrategy = toString(ByzantineStrategy::kRandom);
+    config.placement = Placement::kFront;
     config.seed = seed;
 
     config.earlyCommitDecision = true;
-    const PhaseKingResult early = runPhaseKing(config);
+    const CompositionResult early = runComposition(config);
     earlyViolations += early.agreementViolated ? 1 : 0;
 
     config.earlyCommitDecision = false;
-    const PhaseKingResult classic = runPhaseKing(config);
+    const CompositionResult classic = runComposition(config);
     EXPECT_FALSE(classic.agreementViolated) << "seed " << seed;
     EXPECT_TRUE(classic.allDecided) << "seed " << seed;
   }
@@ -105,32 +121,30 @@ TEST(PhaseKing, EarlyCommitDecisionGapIsReal) {
 // Full strategy x seed x placement sweep at the maximum tolerated f = t.
 class PhaseKingSweep
     : public ::testing::TestWithParam<
-          std::tuple<ByzantineStrategy, PhaseKingConfig::Placement,
-                     std::uint64_t>> {};
+          std::tuple<ByzantineStrategy, Placement, std::uint64_t>> {};
 
 TEST_P(PhaseKingSweep, DecomposedSurvivesMaxByzantine) {
   const auto [strategy, placement, seed] = GetParam();
-  PhaseKingConfig config;
+  compose::Composition config = kingConfig();
   config.n = 7;  // t = 2
   config.byzantineCount = 2;
-  config.strategy = strategy;
+  config.byzantineStrategy = toString(strategy);
   config.placement = placement;
   config.seed = seed;
-  const PhaseKingResult result = runPhaseKing(config);
+  const CompositionResult result = runComposition(config);
   expectAgreementAndValidity(result);
   EXPECT_TRUE(result.allAuditsOk);
 }
 
 TEST_P(PhaseKingSweep, MonolithicSurvivesMaxByzantine) {
   const auto [strategy, placement, seed] = GetParam();
-  PhaseKingConfig config;
+  MonolithicPhaseKingConfig config;
   config.n = 7;
   config.byzantineCount = 2;
   config.strategy = strategy;
   config.placement = placement;
   config.seed = seed;
-  config.monolithic = true;
-  const PhaseKingResult result = runPhaseKing(config);
+  const CompositionResult result = runMonolithicPhaseKing(config);
   expectAgreementAndValidity(result);
 }
 
@@ -142,9 +156,8 @@ INSTANTIATE_TEST_SUITE_P(
                           ByzantineStrategy::kEquivocate,
                           ByzantineStrategy::kLyingKing,
                           ByzantineStrategy::kAntiKing),
-        ::testing::Values(PhaseKingConfig::Placement::kFront,
-                          PhaseKingConfig::Placement::kBack,
-                          PhaseKingConfig::Placement::kSpread),
+        ::testing::Values(Placement::kFront, Placement::kBack,
+                          Placement::kSpread),
         ::testing::Values(1u, 2u, 3u)));
 
 // Scaling sweep: larger networks at their maximum t.
@@ -152,12 +165,12 @@ class PhaseKingScale : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PhaseKingScale, MaxToleranceAtEverySize) {
   const std::size_t n = GetParam();
-  PhaseKingConfig config;
+  compose::Composition config = kingConfig();
   config.n = n;
   config.byzantineCount = (n - 1) / 3;
-  config.strategy = ByzantineStrategy::kEquivocate;
-  config.placement = PhaseKingConfig::Placement::kFront;
-  const PhaseKingResult result = runPhaseKing(config);
+  config.byzantineStrategy = toString(ByzantineStrategy::kEquivocate);
+  config.placement = Placement::kFront;
+  const CompositionResult result = runComposition(config);
   expectAgreementAndValidity(result);
   EXPECT_TRUE(result.allAuditsOk);
 }
@@ -173,23 +186,23 @@ TEST(PhaseKing, UnanimousCorrectInputsSurviveByzantine) {
   for (auto strategy :
        {ByzantineStrategy::kEquivocate, ByzantineStrategy::kRandom,
         ByzantineStrategy::kAntiKing}) {
-    PhaseKingConfig config;
+    compose::Composition config = kingConfig();
     config.n = 7;
     config.byzantineCount = 2;
-    config.strategy = strategy;
+    config.byzantineStrategy = toString(strategy);
     config.inputs = {1};
-    const PhaseKingResult result = runPhaseKing(config);
+    const CompositionResult result = runComposition(config);
     expectAgreementAndValidity(result);
     EXPECT_EQ(result.decidedValue, 1);
   }
 }
 
 TEST(PhaseKing, RejectsTooManyDeclaredFaults) {
-  PhaseKingConfig config;
+  compose::Composition config = kingConfig();
   config.n = 6;
   config.byzantineCount = 0;
   config.t = 2;  // 3t = 6 >= n: illegal
-  EXPECT_THROW(runPhaseKing(config), std::invalid_argument);
+  EXPECT_THROW(runComposition(config), std::invalid_argument);
 }
 
 TEST(PhaseKing, BeyondBoundAdversaryCanBreakRuns) {
@@ -200,14 +213,14 @@ TEST(PhaseKing, BeyondBoundAdversaryCanBreakRuns) {
   // decide within the round budget).
   int misbehaved = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    PhaseKingConfig config;
+    compose::Composition config = kingConfig();
     config.n = 7;
     config.byzantineCount = 3;  // t = 2, f = 3
-    config.strategy = ByzantineStrategy::kAntiKing;
-    config.placement = PhaseKingConfig::Placement::kFront;
+    config.byzantineStrategy = toString(ByzantineStrategy::kAntiKing);
+    config.placement = Placement::kFront;
     config.seed = seed;
     config.maxRounds = 40;
-    const PhaseKingResult result = runPhaseKing(config);
+    const CompositionResult result = runComposition(config);
     if (!result.allDecided || result.agreementViolated ||
         result.validityViolated || !result.allAuditsOk) {
       ++misbehaved;
@@ -219,13 +232,13 @@ TEST(PhaseKing, BeyondBoundAdversaryCanBreakRuns) {
 }
 
 TEST(PhaseKing, DeterministicAcrossRuns) {
-  PhaseKingConfig config;
+  compose::Composition config = kingConfig();
   config.n = 7;
   config.byzantineCount = 2;
-  config.strategy = ByzantineStrategy::kRandom;
+  config.byzantineStrategy = toString(ByzantineStrategy::kRandom);
   config.seed = 9;
-  const PhaseKingResult a = runPhaseKing(config);
-  const PhaseKingResult b = runPhaseKing(config);
+  const CompositionResult a = runComposition(config);
+  const CompositionResult b = runComposition(config);
   EXPECT_EQ(a.decidedValue, b.decidedValue);
   EXPECT_EQ(a.maxDecisionRound, b.maxDecisionRound);
   EXPECT_EQ(a.messagesByCorrect, b.messagesByCorrect);
@@ -238,11 +251,10 @@ TEST(KingConciliator, KingRotationCoversEveryone) {
 }
 
 TEST(PhaseKing, MonolithicDecidesAfterExactlyTPlusOnePhases) {
-  PhaseKingConfig config;
+  MonolithicPhaseKingConfig config;
   config.n = 7;  // t = 2 -> 3 phases, 3 ticks each
   config.byzantineCount = 2;
-  config.monolithic = true;
-  const PhaseKingResult result = runPhaseKing(config);
+  const CompositionResult result = runMonolithicPhaseKing(config);
   expectAgreementAndValidity(result);
   // Phases run 3 ticks each starting at tick 0; decision lands at the last
   // phase's king tick: 3 * (t+1) ticks total.

@@ -15,6 +15,7 @@
 #include "check/scenario.hpp"
 #include "check/strategy.hpp"
 #include "check/timeline.hpp"
+#include "compose/kv.hpp"
 #include "harness/scenarios.hpp"
 #include "harness/serialize.hpp"
 #include "paxos/paxos_node.hpp"
@@ -223,8 +224,8 @@ TEST(RecoverySerialize, RestartFieldsRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed.raft.storage.tornTailProbability, 0.25);
   EXPECT_DOUBLE_EQ(parsed.raft.storage.corruptProbability, 0.125);
   // The round trip is exact: re-serializing yields the same run-id.
-  EXPECT_EQ(harness::configRunId(harness::serialize(parsed)),
-            harness::configRunId(text));
+  EXPECT_EQ(compose::configRunId(harness::serialize(parsed)),
+            compose::configRunId(text));
 }
 
 TEST(RecoverySerialize, OldConfigsParseWithVolatileDefaults) {
@@ -266,8 +267,7 @@ TEST(RecoveryChecker, InvariantsFireOnlyOnRaftAmnesia) {
   EXPECT_FALSE(violation->detail.empty());
 
   // The same report attached to a non-raft scenario is ignored (guard).
-  check::Scenario benor;
-  benor.family = check::Family::kBenOr;
+  const check::Scenario benor;
   EXPECT_FALSE(amnesia.check(benor, report).has_value());
 
   const check::CommitRegressionInvariant regression;

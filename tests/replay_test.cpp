@@ -8,15 +8,13 @@
 
 #include "check/replay.hpp"
 #include "check/scenario.hpp"
-#include "harness/serialize.hpp"
 
 namespace ooc::check {
 namespace {
 
 Scenario benOrScenario() {
   Scenario scenario;
-  scenario.family = Family::kBenOr;
-  auto& config = scenario.benOr;
+  auto& config = scenario.compose;
   config.n = 5;
   config.inputs = {0, 1, 0, 1, 1};
   config.seed = 42;
@@ -27,8 +25,13 @@ Scenario benOrScenario() {
 
 Scenario phaseKingScenario() {
   Scenario scenario;
-  scenario.family = Family::kPhaseKing;
-  scenario.phaseKing.seed = 7;
+  auto& config = scenario.compose;
+  config.detector = "phaseking-ac";
+  config.driver = "king-conciliator";
+  config.n = 7;
+  config.byzantineCount = 2;
+  config.inputs = {0, 1};
+  config.seed = 7;
   return scenario;
 }
 
@@ -153,15 +156,51 @@ TEST(Replay, MalformedCounterexampleThrows) {
 
 TEST(Replay, AdversaryScheduleIsPartOfTheConfig) {
   Scenario scenario = benOrScenario();
-  scenario.benOr.adversary.extraDelayMax = 8;
-  scenario.benOr.adversary.seed = 3;
+  scenario.compose.adversary.extraDelayMax = 8;
+  scenario.compose.adversary.seed = 3;
   const RecordedRun recorded = recordRun(scenario);
 
   // Same adversary: bit-identical. Different adversary seed: diverges.
   EXPECT_TRUE(replayRun(scenario, recorded.trace).identical);
   Scenario other = scenario;
-  other.benOr.adversary.seed = 4;
+  other.compose.adversary.seed = 4;
   EXPECT_FALSE(replayRun(other, recorded.trace).identical);
+}
+
+TEST(Replay, NumbersMustBeWholeUnsignedTokens) {
+  // A trailing-garbage count used to read as its numeric prefix, and a
+  // negative one wrapped to 2^64-1 (and aborted the replay allocating the
+  // process table). Both must be parse errors naming the key.
+  Scenario scenario;
+  scenario.compose.driver = "timer";
+  scenario.compose.inputs = {0, 1, 0, 1, 1};
+  scenario.compose.seed = 17;
+  CounterexampleFile file;
+  file.scenario = scenario;
+  file.invariant = "golden-fixture";
+  file.detail = "strict numbers";
+  file.trace = recordRun(scenario).trace;
+  const std::string text = serializeCounterexample(file);
+  ASSERT_NO_THROW(parseCounterexample(text));
+
+  for (const char* bad : {"n=5abc", "n=-1", "n= 5", "n="}) {
+    std::string mutated = text;
+    const auto at = mutated.find("\nn=5\n");
+    ASSERT_NE(at, std::string::npos);
+    mutated.replace(at + 1, 3, bad);
+    try {
+      parseCounterexample(mutated);
+      FAIL() << bad << " parsed";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("'n'"), std::string::npos)
+          << error.what();
+    }
+  }
+  // The same rule covers crash entries and float fields.
+  EXPECT_THROW(parseScenario("family=compose\ncrash=1@-5\n"),
+               std::runtime_error);
+  EXPECT_THROW(parseScenario("family=compose\nbias=0.5x\n"),
+               std::runtime_error);
 }
 
 }  // namespace

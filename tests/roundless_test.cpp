@@ -357,9 +357,9 @@ TEST(SchedulerCoherence, FiresOnStructurallyImpossibleCounters) {
 TEST(SchedulerCoherence, OtherFamiliesAreOutOfScope) {
   const check::SchedulerCoherenceInvariant invariant;
   check::Scenario scenario;
-  scenario.family = check::Family::kBenOr;
-  // Even nonsense counters cannot fire outside compose/fd — the legacy
-  // families have no scheduler to be incoherent about.
+  scenario.family = check::Family::kRaft;
+  // Even nonsense counters cannot fire outside compose — Raft and the
+  // service have no round scheduler to be incoherent about.
   EXPECT_FALSE(invariant.check(scenario, skewReport(7, 7)).has_value());
 }
 

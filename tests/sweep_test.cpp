@@ -188,12 +188,9 @@ TEST(Determinism, ExploreIsByteIdenticalAcrossThreadCounts) {
   // intentionally thread-dependent behavior, so the byte-identity
   // guarantee is stated over complete sweeps.
   check::Scenario base;
-  base.family = check::Family::kBenOr;
-  base.benOr.n = 5;
-  base.benOr.inputs = {0, 1, 0, 1, 1};
-  base.benOr.mode = harness::BenOrConfig::Mode::kDecomposed;
-  base.benOr.reconciliator = harness::BenOrConfig::Reconciliator::kLocalCoin;
-  base.benOr.fault = harness::BenOrConfig::Fault::kVacAdoptFlip;
+  base.compose.n = 5;
+  base.compose.inputs = {0, 1, 0, 1, 1};
+  base.compose.fault = compose::PlantedFault::kVacAdoptFlip;
   check::RandomWalkStrategy::Options walk;
   walk.runs = 24;
   const check::RandomWalkStrategy strategy(base, walk);

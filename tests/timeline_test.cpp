@@ -15,12 +15,11 @@ namespace {
 
 check::CounterexampleFile goldenFixture() {
   check::Scenario scenario;
-  scenario.family = check::Family::kBenOr;
-  scenario.benOr.n = 4;
-  scenario.benOr.t = 1;
-  scenario.benOr.inputs = {0, 1, 1, 1};
-  scenario.benOr.seed = 3;
-  scenario.benOr.maxDelay = 2;
+  scenario.compose.n = 4;
+  scenario.compose.t = 1;
+  scenario.compose.inputs = {0, 1, 1, 1};
+  scenario.compose.seed = 3;
+  scenario.compose.maxDelay = 2;
   const check::RecordedRun run = check::recordRun(scenario);
   check::CounterexampleFile file;
   file.scenario = scenario;
@@ -34,9 +33,9 @@ check::CounterexampleFile goldenFixture() {
 // changes, either the renderer's format changed (update deliberately) or
 // run determinism broke (investigate: replay must be bit-identical).
 constexpr const char* kGolden =
-    "counterexample timeline  run-id=a1531b89d8b20b14\n"
-    "scenario:  benor n=4 seed=3 mode=decomposed reconciliator=local-coin "
-    "crashes=0 max-delay=2\n"
+    "counterexample timeline  run-id=2d2b484845912a81\n"
+    "scenario:  compose n=4 seed=3 detector=benor-vac driver=local-coin "
+    "byzantine=0 crashes=0\n"
     "invariant: agreement\n"
     "detail:    golden rendering fixture\n"
     "replay:    bit-identical to recorded trace\n"
@@ -103,7 +102,6 @@ TEST(Timeline, EventCapElidesSchedulerNoiseOnly) {
 
 check::CounterexampleFile oracleFixture() {
   check::Scenario scenario;
-  scenario.family = check::Family::kFd;
   auto& config = scenario.compose;
   config.detector = "benor-vac";
   config.driver = "ct-coordinator";
@@ -129,8 +127,8 @@ check::CounterexampleFile oracleFixture() {
 // elidable `oracle?` entries, suspicion *transitions* as non-elidable
 // ORACLE lines.
 constexpr const char* kOracleGolden =
-    "counterexample timeline  run-id=a785a1db33d596e3\n"
-    "scenario:  fd n=3 seed=1 detector=benor-vac driver=ct-coordinator "
+    "counterexample timeline  run-id=90d34c3fdce17d1d\n"
+    "scenario:  compose n=3 seed=1 detector=benor-vac driver=ct-coordinator "
     "oracle=omega stabilize-at=40 noise=0.6 byzantine=0 crashes=0\n"
     "invariant: agreement\n"
     "detail:    oracle rendering fixture\n"

@@ -1,10 +1,12 @@
 // `check` — schedule-exploration model checker CLI.
 //
 // Sweeps exploration strategies (multi-seed random walks, delay-bounded
-// message reordering, targeted crash-schedule enumeration) over the
-// consensus families, evaluates the safety invariant suite against every
-// run, shrinks each finding to a locally minimal configuration and writes
-// a standalone counterexample file that replays bit-identically.
+// message reordering, targeted crash-schedule enumeration) over scenario
+// presets, evaluates the safety invariant suite against every run, shrinks
+// each finding to a locally minimal configuration and writes a standalone
+// counterexample file that replays bit-identically. The benor, phaseking,
+// compose and fd presets are compositions (family=compose scenarios); raft
+// and svc are scenario families of their own.
 //
 //   check                                  # default sweep, all families
 //   check --family benor --seeds 10000     # big Ben-Or seed sweep
@@ -13,6 +15,7 @@
 //   check --replay FILE                    # re-execute a counterexample
 //
 // Exit status: 0 clean, 1 violations found (or replay diverged), 2 usage.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -29,9 +32,8 @@
 #include "check/strategy.hpp"
 #include "cli_args.hpp"
 #include "compose/composition.hpp"
+#include "compose/kv.hpp"
 #include "compose/registry.hpp"
-#include "harness/scenarios.hpp"
-#include "harness/serialize.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "svc/run.hpp"
@@ -43,8 +45,8 @@ using namespace ooc;
 using namespace ooc::check;
 
 struct CliOptions {
-  std::string family = "all";  // benor | phaseking | raft | compose | fd |
-                               // svc | all
+  std::string family = "all";  // preset: benor | phaseking | raft |
+                               // compose | fd | svc | all
   std::string detector;        // --family compose/fd/svc: registry names
   std::string driver;
   std::string engine;          // --family svc: compose | paxos | raft
@@ -79,7 +81,8 @@ void printUsage(std::ostream& os) {
   os << "usage: check [options]\n"
         "  --family F        benor | phaseking | raft | compose | fd | svc "
         "| all\n"
-        "                    (default all = the legacy families)\n"
+        "                    (default all = benor, phaseking, raft; benor,\n"
+        "                    phaseking and fd are preset compositions)\n"
         "  --detector D      compose/fd/svc only: registry detector name\n"
         "  --driver R        compose/fd/svc only: registry driver name\n"
         "  --engine E        svc only: compose | paxos | raft (default "
@@ -115,7 +118,9 @@ void printUsage(std::ostream& os) {
         "                    configurations (default: off)\n"
         "  --no-shrink       report findings without minimizing them\n"
         "  --no-termination  drop the termination invariant\n"
-        "  --plant-vac-bug   Ben-Or only: plant the vac-adopt-flip fault\n"
+        "  --plant-vac-bug   VAC-detector presets only (benor; compose/fd "
+        "with a VAC\n"
+        "                    detector): plant the vac-adopt-flip fault\n"
         "  --hunt-adopt-witness  hunt paper-style decide-on-adopt "
         "witnesses\n"
         "  --replay FILE     re-execute a counterexample file and verify "
@@ -125,88 +130,99 @@ void printUsage(std::ostream& os) {
         "  --help            this text\n";
 }
 
-Scenario baseScenario(Family family, const CliOptions& options) {
+// The --family presets. raft and svc are scenario families of their own;
+// every other preset is a base composition.
+constexpr const char* kPresets[] = {"benor",   "phaseking", "raft",
+                                    "compose", "fd",        "svc"};
+
+/// The Phase-King preset's attacker repertoire: the composition walk keeps
+/// the base strategy, so the preset sweeps one walk per strategy.
+const std::vector<std::string> kRoyalStrategies = {
+    "silent", "random", "equivocate", "lying-king", "anti-king"};
+
+bool composePreset(const std::string& preset) {
+  return preset != "raft" && preset != "svc";
+}
+
+Scenario baseScenario(const std::string& preset, const CliOptions& options) {
   Scenario scenario;
-  scenario.family = family;
-  switch (family) {
-    case Family::kBenOr: {
-      auto& config = scenario.benOr;
-      if (options.n > 0) config.n = options.n;
-      if (options.maxDelay > 0) config.maxDelay = options.maxDelay;
-      config.inputs.resize(config.n);
-      for (std::size_t i = 0; i < config.n; ++i)
-        config.inputs[i] = static_cast<Value>(i % 2);
-      if (options.plantVacBug)
-        config.fault = harness::BenOrConfig::Fault::kVacAdoptFlip;
-      break;
-    }
-    case Family::kPhaseKing:
-      if (options.n > 0) scenario.phaseKing.n = options.n;
-      break;
-    case Family::kRaft:
-      if (options.n > 0) scenario.raft.n = options.n;
-      if (options.maxDelay > 0) scenario.raft.maxDelay = options.maxDelay;
-      // Restart exploration exercises the durability subsystem: the clean
-      // direction journals with the safe sync discipline; --crash-before-sync
-      // drops the discipline so recovery can resurrect stale state.
-      scenario.raft.raft.durable = true;
-      scenario.raft.raft.syncBeforeReply = !options.crashBeforeSync;
-      break;
-    case Family::kCompose:
-    case Family::kFd: {
-      auto& config = scenario.compose;
-      if (family == Family::kFd) {
-        // The fd family's home base: rotating coordinator consuming Ω
-        // over a mildly imperfect oracle (noisy until tick 40).
-        config.driver = "ct-coordinator";
-        config.oracle = "omega";
-        config.oracleKnobs.completenessLag = 8;
-        config.oracleKnobs.stabilizeAt = 40;
-        config.oracleKnobs.noise = 0.25;
-        if (!options.oracle.empty()) config.oracle = options.oracle;
-        if (options.oracleNoise >= 0.0)
-          config.oracleKnobs.noise = options.oracleNoise;
-        if (options.oracleStabilize >= 0)
-          config.oracleKnobs.stabilizeAt =
-              static_cast<Tick>(options.oracleStabilize);
-        if (options.oracleLag >= 0)
-          config.oracleKnobs.completenessLag =
-              static_cast<Tick>(options.oracleLag);
-        config.oracleKnobs.lieAboutBound = options.oracleLie;
-      }
-      if (!options.detector.empty()) config.detector = options.detector;
-      if (!options.driver.empty()) config.driver = options.driver;
-      if (options.n > 0) config.n = options.n;
-      if (options.maxDelay > 0) config.maxDelay = options.maxDelay;
-      config.inputs.resize(config.n);
-      for (std::size_t i = 0; i < config.n; ++i)
-        config.inputs[i] = static_cast<Value>(i % 2);
-      break;
-    }
-    case Family::kSvc: {
-      auto& config = scenario.svc;
-      if (!options.engine.empty()) config.engine = options.engine;
-      if (!options.detector.empty()) config.detector = options.detector;
-      if (!options.driver.empty()) config.driver = options.driver;
-      if (options.n > 0) config.n = options.n;
-      if (options.maxDelay > 0) config.maxDelay = options.maxDelay;
-      // Checker-scale traffic: enough commands to fill the pipeline and
-      // survive a mid-run fault, small enough for thousands of cells.
-      config.workload.clients = 64;
-      config.workload.commandsPerNode = 8;
-      config.workload.thinkMin = 5;
-      config.workload.thinkMax = 40;
-      config.workload.startSpread = 16;
-      config.service.maxDecrees = 400;
-      break;
-    }
+  if (preset == "raft") {
+    scenario.family = Family::kRaft;
+    if (options.n > 0) scenario.raft.n = options.n;
+    if (options.maxDelay > 0) scenario.raft.maxDelay = options.maxDelay;
+    // Restart exploration exercises the durability subsystem: the clean
+    // direction journals with the safe sync discipline; --crash-before-sync
+    // drops the discipline so recovery can resurrect stale state.
+    scenario.raft.raft.durable = true;
+    scenario.raft.raft.syncBeforeReply = !options.crashBeforeSync;
+    return scenario;
   }
+  if (preset == "svc") {
+    scenario.family = Family::kSvc;
+    auto& config = scenario.svc;
+    if (!options.engine.empty()) config.engine = options.engine;
+    if (!options.detector.empty()) config.detector = options.detector;
+    if (!options.driver.empty()) config.driver = options.driver;
+    if (options.n > 0) config.n = options.n;
+    if (options.maxDelay > 0) config.maxDelay = options.maxDelay;
+    // Checker-scale traffic: enough commands to fill the pipeline and
+    // survive a mid-run fault, small enough for thousands of cells.
+    config.workload.clients = 64;
+    config.workload.commandsPerNode = 8;
+    config.workload.thinkMin = 5;
+    config.workload.thinkMax = 40;
+    config.workload.startSpread = 16;
+    config.service.maxDecrees = 400;
+    return scenario;
+  }
+
+  scenario.family = Family::kCompose;
+  auto& config = scenario.compose;
+  if (preset == "phaseking") {
+    // Phase-King at f = t = 2 equivocators seated as the first kings.
+    config.detector = "phaseking-ac";
+    config.driver = "king-conciliator";
+    config.n = options.n > 0 ? options.n : 7;
+    config.byzantineCount = 2;
+    config.inputs = {0, 1};
+    config.maxRounds = 300;
+    config.maxTicks = 100000;
+    return scenario;
+  }
+  if (preset == "fd") {
+    // The fd preset's home base: rotating coordinator consuming Ω over a
+    // mildly imperfect oracle (noisy until tick 40).
+    config.driver = "ct-coordinator";
+    config.oracle = "omega";
+    config.oracleKnobs.completenessLag = 8;
+    config.oracleKnobs.stabilizeAt = 40;
+    config.oracleKnobs.noise = 0.25;
+    if (!options.oracle.empty()) config.oracle = options.oracle;
+    if (options.oracleNoise >= 0.0)
+      config.oracleKnobs.noise = options.oracleNoise;
+    if (options.oracleStabilize >= 0)
+      config.oracleKnobs.stabilizeAt =
+          static_cast<Tick>(options.oracleStabilize);
+    if (options.oracleLag >= 0)
+      config.oracleKnobs.completenessLag =
+          static_cast<Tick>(options.oracleLag);
+    config.oracleKnobs.lieAboutBound = options.oracleLie;
+  }
+  // benor is the default pairing, benor-vac+local-coin.
+  if (!options.detector.empty()) config.detector = options.detector;
+  if (!options.driver.empty()) config.driver = options.driver;
+  if (options.n > 0) config.n = options.n;
+  if (options.maxDelay > 0) config.maxDelay = options.maxDelay;
+  config.inputs.resize(config.n);
+  for (std::size_t i = 0; i < config.n; ++i)
+    config.inputs[i] = static_cast<Value>(i % 2);
+  if (options.plantVacBug) config.fault = compose::PlantedFault::kVacAdoptFlip;
   return scenario;
 }
 
-std::unique_ptr<ExplorationStrategy> buildStrategy(
-    Family family, const CliOptions& options) {
-  const Scenario base = baseScenario(family, options);
+std::unique_ptr<ExplorationStrategy> buildStrategy(const std::string& preset,
+                                                   const CliOptions& options) {
+  const Scenario base = baseScenario(preset, options);
   std::vector<std::unique_ptr<ExplorationStrategy>> parts;
 
   const bool wantRandom =
@@ -224,13 +240,14 @@ std::unique_ptr<ExplorationStrategy> buildStrategy(
   const bool wantSkew =
       options.strategy == "all" || options.strategy == "skew";
 
-  // Compose scenarios carry their capability descriptor in the registry:
-  // delay adversaries need an asynchronous detector, crash enumeration a
-  // crash-model one. Skip silently on "all"; an explicit --strategy still
-  // reaches the strategy constructor, which throws the diagnostic.
+  // Compositions carry their capability descriptor in the registry: delay
+  // adversaries need an asynchronous detector, crash enumeration a
+  // crash-model one. Skip silently on "all" and on the named presets; an
+  // explicit --strategy over --family compose/fd still reaches the strategy
+  // constructor, which throws the diagnostic.
   bool composeAsync = true;
   bool composeCrashModel = true;
-  if (family == Family::kCompose || family == Family::kFd) {
+  if (base.family == Family::kCompose) {
     const auto& capability =
         compose::registry().detector(base.compose.detector).capability;
     composeAsync =
@@ -238,38 +255,43 @@ std::unique_ptr<ExplorationStrategy> buildStrategy(
     composeCrashModel =
         capability.faultModel == compose::FaultModel::kCrash;
   }
+  const bool openPairing = preset == "compose" || preset == "fd";
 
   if (wantRandom) {
     RandomWalkStrategy::Options rw;
     rw.seedBase = options.seedBase;
     rw.runs = options.seeds;
-    parts.push_back(std::make_unique<RandomWalkStrategy>(base, rw));
+    if (preset == "phaseking") {
+      parts.push_back(strategyWalks(base, rw, kRoyalStrategies));
+    } else {
+      parts.push_back(std::make_unique<RandomWalkStrategy>(base, rw));
+    }
   }
-  if (wantDelay && family != Family::kPhaseKing &&
-      (options.strategy == "delay" || composeAsync)) {
+  if (wantDelay &&
+      (composeAsync || (openPairing && options.strategy == "delay"))) {
     DelayBoundStrategy::Options db;
     if (options.budget > 0) db.budgets = {options.budget};
     db.adversarySeedBase = options.seedBase;
     parts.push_back(std::make_unique<DelayBoundStrategy>(base, db));
   }
-  if (wantCrash && family != Family::kPhaseKing &&
-      (options.strategy == "crash" || composeCrashModel)) {
+  if (wantCrash &&
+      (composeCrashModel || (openPairing && options.strategy == "crash"))) {
     CrashScheduleStrategy::Options cs;
     cs.maxCrashes = options.maxCrashes;
     parts.push_back(std::make_unique<CrashScheduleStrategy>(base, cs));
   }
-  if (wantRestart && family == Family::kRaft) {
+  if (wantRestart && preset == "raft") {
     RestartScheduleStrategy::Options rs;
     rs.maxRestarts = options.maxRestarts;
     rs.seedBase = options.seedBase;
     parts.push_back(std::make_unique<RestartScheduleStrategy>(base, rs));
   }
-  if (wantOracle && family == Family::kFd) {
+  if (wantOracle && preset == "fd") {
     OracleQualityStrategy::Options oq;
     oq.seedBase = options.seedBase;
     parts.push_back(std::make_unique<OracleQualityStrategy>(base, oq));
   }
-  if (wantPipeline && family == Family::kSvc) {
+  if (wantPipeline && preset == "svc") {
     SvcPipelineStrategy::Options sp;
     sp.seedBase = options.seedBase;
     parts.push_back(std::make_unique<SvcPipelineStrategy>(base, sp));
@@ -279,7 +301,7 @@ std::unique_ptr<ExplorationStrategy> buildStrategy(
   // lockstep column is the random walk's territory). An explicit
   // --strategy skew still constructs, sweeping whatever the registry
   // admits.
-  if (wantSkew && (family == Family::kCompose || family == Family::kFd) &&
+  if (wantSkew && openPairing &&
       (options.strategy == "skew" ||
        !compose::registry().validateScheduling(
            base.compose.detector, base.compose.driver,
@@ -290,8 +312,8 @@ std::unique_ptr<ExplorationStrategy> buildStrategy(
   }
   if (parts.empty()) return nullptr;
   if (parts.size() == 1) return std::move(parts.front());
-  return std::make_unique<CompositeStrategy>(
-      std::string(toString(family)) + "-sweep", std::move(parts));
+  return std::make_unique<CompositeStrategy>(preset + "-sweep",
+                                             std::move(parts));
 }
 
 void printFinding(const Finding& finding) {
@@ -311,41 +333,42 @@ void printFinding(const Finding& finding) {
 }
 
 int runReplay(const CliOptions& options) {
-  CounterexampleFile file;
   try {
-    file = loadCounterexampleFile(options.replayPath);
+    const CounterexampleFile file = loadCounterexampleFile(options.replayPath);
+    std::cout << "replaying " << options.replayPath << "\n"
+              << "  invariant: " << file.invariant << "\n"
+              << "  detail:    " << file.detail << "\n"
+              << "  config:    " << describe(file.scenario) << "\n";
+
+    const ReplayResult replay = replayRun(file.scenario, file.trace);
+    std::cout << "  schedule:  "
+              << (replay.identical ? "bit-identical to recorded trace"
+                                   : "DIVERGED")
+              << "\n";
+    if (!replay.identical && replay.divergence)
+      std::cout << "    " << *replay.divergence << "\n";
+
+    // Re-evaluate the recorded invariant against the replayed run.
+    auto suite = safetySuite(true);
+    suite.push_back(std::make_unique<AdoptWitnessInvariant>());
+    bool reproduced = false;
+    for (const auto& invariant : suite) {
+      if (file.invariant != invariant->name()) continue;
+      if (auto violation = invariant->check(file.scenario, replay.report)) {
+        reproduced = true;
+        std::cout << "  violation: reproduced (" << violation->detail
+                  << ")\n";
+      } else {
+        std::cout << "  violation: NOT reproduced\n";
+      }
+    }
+    return replay.identical && reproduced ? 0 : 1;
   } catch (const std::exception& error) {
+    // A file that loads but cannot run (an absurd process count, a
+    // composition the engine rejects) is a bad input, not a finding.
     std::cerr << "check: " << error.what() << "\n";
     return 2;
   }
-  std::cout << "replaying " << options.replayPath << "\n"
-            << "  invariant: " << file.invariant << "\n"
-            << "  detail:    " << file.detail << "\n"
-            << "  config:    " << describe(file.scenario) << "\n";
-
-  const ReplayResult replay = replayRun(file.scenario, file.trace);
-  std::cout << "  schedule:  "
-            << (replay.identical ? "bit-identical to recorded trace"
-                                 : "DIVERGED")
-            << "\n";
-  if (!replay.identical && replay.divergence)
-    std::cout << "    " << *replay.divergence << "\n";
-
-  // Re-evaluate the recorded invariant against the replayed run.
-  auto suite = safetySuite(true);
-  suite.push_back(std::make_unique<AdoptWitnessInvariant>());
-  bool reproduced = false;
-  for (const auto& invariant : suite) {
-    if (file.invariant != invariant->name()) continue;
-    if (auto violation = invariant->check(file.scenario, replay.report)) {
-      reproduced = true;
-      std::cout << "  violation: reproduced (" << violation->detail
-                << ")\n";
-    } else {
-      std::cout << "  violation: NOT reproduced\n";
-    }
-  }
-  return replay.identical && reproduced ? 0 : 1;
 }
 
 }  // namespace
@@ -406,26 +429,22 @@ int main(int argc, char** argv) {
 
   if (!options.replayPath.empty()) return runReplay(options);
 
-  std::vector<Family> families;
+  std::vector<std::string> presets;
   if (options.family == "all") {
-    families = {Family::kBenOr, Family::kPhaseKing, Family::kRaft};
+    presets = {"benor", "phaseking", "raft"};
+  } else if (std::find(std::begin(kPresets), std::end(kPresets),
+                       options.family) != std::end(kPresets)) {
+    presets = {options.family};
   } else {
-    try {
-      families = {parseFamily(options.family)};
-    } catch (const std::exception& error) {
-      std::cerr << "check: " << error.what() << "\n";
-      return 2;
-    }
+    std::cerr << "check: unknown family '" << options.family
+              << "'; known: benor, phaseking, raft, compose, fd, svc, all\n";
+    return 2;
   }
   if (options.strategy != "all" && options.strategy != "random" &&
       options.strategy != "delay" && options.strategy != "crash" &&
       options.strategy != "restart" && options.strategy != "oracle" &&
       options.strategy != "pipeline" && options.strategy != "skew") {
     std::cerr << "check: unknown strategy '" << options.strategy << "'\n";
-    return 2;
-  }
-  if (options.plantVacBug && options.family != "benor") {
-    std::cerr << "check: --plant-vac-bug needs --family benor\n";
     return 2;
   }
   if (options.crashBeforeSync && options.family != "raft") {
@@ -472,16 +491,32 @@ int main(int argc, char** argv) {
     // the sweep, with the same registry diagnostic a scenario-file load or
     // compose_cli would print.
     try {
-      compose::resolve(baseScenario(families.front(), options).compose);
+      compose::resolve(baseScenario(options.family, options).compose);
     } catch (const std::exception& error) {
       std::cerr << "check: " << error.what() << "\n";
+      return 2;
+    }
+  }
+  if (options.plantVacBug) {
+    // The planted fault flips adopt-level VAC outcomes, so it needs a
+    // preset whose detector is a VAC.
+    bool vac = false;
+    if (options.family != "all" && composePreset(options.family)) {
+      const std::string& detector =
+          baseScenario(options.family, options).compose.detector;
+      vac = compose::registry().detector(detector).capability.detectorClass ==
+            compose::DetectorClass::kVacillateAdoptCommit;
+    }
+    if (!vac) {
+      std::cerr << "check: --plant-vac-bug needs a VAC-detector preset "
+                   "(benor, or compose/fd with a VAC detector)\n";
       return 2;
     }
   }
   if (options.family == "svc") {
     // Same early rejection for the service's engine capability gate.
     try {
-      const Scenario base = baseScenario(families.front(), options);
+      const Scenario base = baseScenario(options.family, options);
       if (const auto rejected = svc::validateEngine(base.svc)) {
         std::cerr << "check: " << *rejected << "\n";
         return 2;
@@ -530,17 +565,15 @@ int main(int argc, char** argv) {
 
   std::size_t totalFindings = 0;
   std::size_t totalExplored = 0;
-  for (const Family family : families) {
-    const auto strategy = buildStrategy(family, options);
+  for (const std::string& familyName : presets) {
+    const auto strategy = buildStrategy(familyName, options);
     if (!strategy) {
-      std::cout << "== " << toString(family)
+      std::cout << "== " << familyName
                 << ": no applicable strategy, skipped\n";
       continue;
     }
-    std::cout << "== " << toString(family) << ": exploring "
-              << strategy->size() << " configurations (" << strategy->name()
-              << ")\n";
-    const std::string familyName = toString(family);
+    std::cout << "== " << familyName << ": exploring " << strategy->size()
+              << " configurations (" << strategy->name() << ")\n";
     checker.onProgress = [&familyName](std::size_t explored,
                                        std::size_t total,
                                        std::size_t findings) {
@@ -588,7 +621,7 @@ int main(int argc, char** argv) {
         w.key("invariant").value(finding.violation.invariant);
         w.key("detail").value(finding.violation.detail);
         w.key("config").value(describe(scenario));
-        w.key("run_id").value(harness::configRunId(serialize(scenario)));
+        w.key("run_id").value(compose::configRunId(serialize(scenario)));
         w.key("trace").value(finding.tracePath);
         w.endObject();
       }
