@@ -1,82 +1,40 @@
 // E16 — state-machine replication from template instances (extension).
 //
-// Every log slot is one run of the generic template (Ben-Or VAC + lottery
-// reconciliator). Reported: slots needed vs commands committed (no-op
-// overhead), ticks per committed command, and scaling in n — the shape to
-// compare against Raft's purpose-built log (bench_raft): generic
-// objects cost more rounds per slot but need no leader, no terms and no
-// log-repair machinery.
-#include <memory>
-#include <set>
-#include <vector>
-
+// Every decree of the replicated log is one run of the generic template
+// (Ben-Or VAC + lottery reconciliator), hosted by the svc service at
+// window 1 and batch 1: one command per decree, one decree at a time.
+// Reported: decrees needed vs commands committed (no-op share), ticks per
+// committed command, and scaling in n — the shape to compare against
+// Raft's purpose-built log (bench_raft): generic objects cost more rounds
+// per decree but need no leader, no terms and no log-repair machinery.
 #include "bench/bench_common.hpp"
-#include "benor/reconciliators.hpp"
-#include "benor/vac.hpp"
-#include "log/replicated_log.hpp"
-#include "sim/simulator.hpp"
+#include "svc/run.hpp"
 
 using namespace ooc;
 using namespace ooc::bench;
 
 namespace {
 
-struct LogOutcome {
-  bool consistent = true;
-  bool complete = true;
-  double slots = 0;
-  double ticks = 0;
-  double messages = 0;
-};
-
-LogOutcome runLog(std::size_t n, std::size_t commandsPerNode,
-                  std::uint64_t seed) {
-  SimConfig simConfig;
-  simConfig.seed = seed;
-  simConfig.maxTicks = 5'000'000;
-  UniformDelayNetwork::Options net;
-  net.minDelay = 1;
-  net.maxDelay = 8;
-  Simulator sim(simConfig, std::make_unique<UniformDelayNetwork>(net));
-
-  const std::size_t t = (n - 1) / 2;
-  std::vector<ooc::log::ReplicatedLogNode*> nodes;
-  std::size_t total = 0;
-  for (ProcessId id = 0; id < n; ++id) {
-    std::vector<Value> commands;
-    for (std::uint32_t k = 0; k < commandsPerNode; ++k)
-      commands.push_back(ooc::log::makeCommand(id, k));
-    total += commands.size();
-    auto node = std::make_unique<ooc::log::ReplicatedLogNode>(
-        std::move(commands),
-        [t](std::uint64_t) { return benor::BenOrVac::factory(t); },
-        [t, seed](std::uint64_t slot) {
-          return benor::LotteryReconciliator::factory(
-              t, seed ^ (slot * 0x9E3779B97F4A7C15ull));
-        },
-        ooc::log::ReplicatedLogNode::Options{});
-    nodes.push_back(node.get());
-    sim.addProcess(std::move(node));
-  }
-  sim.setStopPredicate([&nodes](const Simulator&) {
-    std::size_t length = nodes[0]->log().size();
-    for (const auto* node : nodes) {
-      if (!node->drained() || node->log().size() != length) return false;
-    }
-    return length > 0;
-  });
-  sim.run();
-
-  LogOutcome outcome;
-  outcome.ticks = static_cast<double>(sim.now());
-  outcome.messages = static_cast<double>(sim.messagesSent());
-  outcome.slots = static_cast<double>(nodes[0]->log().size());
-  const auto committed = nodes[0]->committedCommands();
-  outcome.complete = committed.size() == total && !sim.hitCap();
-  for (const auto* node : nodes)
-    outcome.consistent =
-        outcome.consistent && node->log() == nodes[0]->log();
-  return outcome;
+/// Every node's commands are queued at tick 1; the run ends when the
+/// drained cluster quiesces. The setup is spelled out rather than left to
+/// SvcConfig's defaults, so the recorded E16 table cannot drift with them.
+svc::SvcConfig logConfig(std::size_t n, std::uint64_t commandsPerNode,
+                         std::uint64_t seed) {
+  svc::SvcConfig config;
+  config.detector = "benor-vac";
+  config.driver = "lottery";
+  config.n = n;
+  config.seed = seed;
+  config.minDelay = 1;
+  config.maxDelay = 8;
+  config.maxTicks = 5'000'000;
+  config.service.window = 1;
+  config.service.batchMax = 1;
+  config.workload.clients = 100000;
+  config.workload.commandsPerNode = commandsPerNode;
+  config.workload.closedLoop = true;
+  config.workload.startSpread = 1;
+  return config;
 }
 
 }  // namespace
@@ -86,32 +44,35 @@ int main(int argc, char** argv) {
   const int kRuns = bench.trials(15);
 
   bench.banner("E16: replicated log from template instances (Ben-Or VAC + "
-         "lottery, one consensus per slot)",
-         "All logs identical, every command committed exactly once; "
-         "'slot overhead' counts no-op slots won by drained proposers.");
-  Table table({"n", "cmds total", "mean slots", "slot overhead %",
+               "lottery, one consensus per decree)",
+               "All logs prefix-agree, every command committed exactly once; "
+               "'no-op share' counts decrees won by drained proposers.");
+  Table table({"n", "cmds total", "mean decrees", "no-op share %",
                "ticks/cmd", "msgs/cmd", "all consistent"});
   struct Case {
     std::size_t n, commandsPerNode;
   };
   for (const Case c : {Case{3, 4}, Case{5, 4}, Case{5, 10}, Case{9, 4}}) {
-    Summary slots, ticksPer, messagesPer;
+    const auto results = runTrialsParallel(kRuns, [&c](int run) {
+      return svc::runSvc(logConfig(c.n, c.commandsPerNode,
+                                   250'000 + static_cast<std::uint64_t>(run)));
+    });
+    Summary decrees, ticksPer, messagesPer;
     bool consistent = true;
     const double total = static_cast<double>(c.n * c.commandsPerNode);
-    for (int run = 0; run < kRuns; ++run) {
-      const auto outcome =
-          runLog(c.n, c.commandsPerNode,
-                 250'000 + static_cast<std::uint64_t>(run));
-      bench.require(outcome.complete, "log completeness");
-      bench.require(outcome.consistent, "log consistency");
-      consistent = consistent && outcome.consistent;
-      slots.add(outcome.slots);
-      ticksPer.add(outcome.ticks / total);
-      messagesPer.add(outcome.messages / total);
+    for (const svc::SvcResult& result : results) {
+      bench.require(result.allApplied && !result.hitCap, "log completeness");
+      const bool ok = result.prefixOk && result.exactlyOnce;
+      bench.require(ok, "log consistency");
+      consistent = consistent && ok;
+      decrees.add(static_cast<double>(result.decreesCommitted));
+      ticksPer.add(static_cast<double>(result.lastCommitTick) / total);
+      messagesPer.add(static_cast<double>(result.messagesByCorrect) / total);
     }
     table.addRow({Table::cell(std::uint64_t{c.n}), Table::cell(total, 0),
-                  Table::cell(slots.mean(), 1),
-                  Table::cell(100.0 * (slots.mean() - total) / slots.mean(),
+                  Table::cell(decrees.mean(), 1),
+                  Table::cell(100.0 * (decrees.mean() - total) /
+                                  decrees.mean(),
                               1),
                   Table::cell(ticksPer.mean(), 1),
                   Table::cell(messagesPer.mean(), 0),
@@ -120,7 +81,7 @@ int main(int argc, char** argv) {
   bench.emit(table);
   std::printf("comparison point: bench_raft's purpose-built log commits a "
               "command in ~1 round trip once a leader exists; the generic "
-              "object log pays per-slot consensus instead of electing — no "
+              "object log pays per-decree consensus instead of electing — no "
               "leader, no terms, no repair machinery.\n");
   return bench.finish();
 }

@@ -1,80 +1,49 @@
-// Total-order broadcast from first principles: every log slot is one run of
-// the paper's consensus template. Four branch offices submit ledger
+// Total-order broadcast from first principles: every log decree is one run
+// of the paper's consensus template. Four branch offices submit ledger
 // transactions concurrently; all replicas end with the identical, totally
-// ordered ledger — no leader, no terms, just detector + reconciliator
-// objects per slot.
+// ordered ledger — no leader, no terms, just a detector + reconciliator
+// pair per decree, hosted by the replicated-log service one decree and one
+// transaction at a time.
 //
 //   $ ./total_order [seed]
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <vector>
 
-#include "benor/reconciliators.hpp"
-#include "benor/vac.hpp"
-#include "log/replicated_log.hpp"
-#include "sim/simulator.hpp"
+#include "svc/run.hpp"
 
 int main(int argc, char** argv) {
   using namespace ooc;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 3;
   constexpr std::size_t kBranches = 4;
-  constexpr std::uint32_t kTransfersPerBranch = 3;
-  constexpr std::size_t kT = (kBranches - 1) / 2;
+  constexpr std::uint64_t kTransfersPerBranch = 3;
 
-  SimConfig simConfig;
-  simConfig.seed = seed;
-  simConfig.maxTicks = 2'000'000;
-  UniformDelayNetwork::Options net;
-  net.minDelay = 1;
-  net.maxDelay = 8;
-  Simulator sim(simConfig, std::make_unique<UniformDelayNetwork>(net));
+  svc::SvcConfig config;
+  config.detector = "benor-vac";
+  config.driver = "lottery";
+  config.n = kBranches;
+  config.seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 3;
+  config.minDelay = 1;
+  config.maxDelay = 8;
+  config.service.window = 1;
+  config.service.batchMax = 1;
+  config.workload.commandsPerNode = kTransfersPerBranch;
+  config.workload.startSpread = 1;  // every branch's transfers queue at tick 1
+  const svc::SvcResult result = svc::runSvc(config);
 
-  std::vector<log::ReplicatedLogNode*> branches;
-  for (ProcessId id = 0; id < kBranches; ++id) {
-    std::vector<Value> transfers;
-    for (std::uint32_t k = 0; k < kTransfersPerBranch; ++k)
-      transfers.push_back(log::makeCommand(id, k));
-    auto node = std::make_unique<log::ReplicatedLogNode>(
-        std::move(transfers),
-        [](std::uint64_t) { return benor::BenOrVac::factory(kT); },
-        [seed](std::uint64_t slot) {
-          return benor::LotteryReconciliator::factory(
-              kT, seed ^ (slot * 0x9E3779B97F4A7C15ull));
-        },
-        log::ReplicatedLogNode::Options{});
-    branches.push_back(node.get());
-    sim.addProcess(std::move(node));
-  }
-
-  sim.setStopPredicate([&branches](const Simulator&) {
-    const std::size_t length = branches[0]->log().size();
-    for (const auto* branch : branches)
-      if (!branch->drained() || branch->log().size() != length) return false;
-    return length > 0;
-  });
-  sim.run();
-
-  std::printf("ledger after %llu ticks (%llu messages):\n\n",
-              static_cast<unsigned long long>(sim.now()),
-              static_cast<unsigned long long>(sim.messagesSent()));
-  const auto ledger = branches[0]->committedCommands();
-  for (std::size_t i = 0; i < ledger.size(); ++i) {
-    std::printf("  #%02zu transfer %u from branch %u\n", i + 1,
-                static_cast<unsigned>(ledger[i] & 0xffffffff),
-                log::commandNode(ledger[i]));
-  }
-
-  bool identical = true;
-  for (const auto* branch : branches)
-    identical = identical && branch->log() == branches[0]->log();
-  const std::size_t slots = branches[0]->log().size();
-  std::printf("\n%zu transfers in %zu slots (%zu no-op slots); all %zu "
-              "replica ledgers identical: %s\n",
-              ledger.size(), slots, slots - ledger.size(), kBranches,
-              identical ? "yes" : "NO");
-  return identical && ledger.size() == kBranches * kTransfersPerBranch ? 0
-                                                                       : 1;
+  std::printf("%s + %s per decree, %zu branches x %llu transfers\n",
+              config.detector.c_str(), config.driver.c_str(), kBranches,
+              static_cast<unsigned long long>(kTransfersPerBranch));
+  std::printf("%llu transfers in %llu decrees (%llu no-op decrees), last "
+              "commit at tick %llu, %llu messages\n",
+              static_cast<unsigned long long>(result.commandsCommitted),
+              static_cast<unsigned long long>(result.decreesCommitted),
+              static_cast<unsigned long long>(result.noopDecrees),
+              static_cast<unsigned long long>(result.lastCommitTick),
+              static_cast<unsigned long long>(result.messagesByCorrect));
+  const bool identical = result.prefixOk && result.exactlyOnce &&
+                         result.allApplied && !result.hitCap;
+  std::printf("every transfer applied exactly once, all %zu replica "
+              "ledgers identical: %s\n",
+              kBranches, identical ? "yes" : "NO");
+  return identical ? 0 : 1;
 }

@@ -27,9 +27,9 @@ void AsyncByzantine::onMessage(ProcessId, const Message& message) {
 
 void AsyncByzantine::attackRound(Round round) {
   const std::size_t n = ctx().processCount();
-  auto send = [&](ProcessId dest, std::unique_ptr<Message> inner) {
-    ctx().send(dest, std::make_unique<TaggedMessage>(round, Stage::kDetect,
-                                                     std::move(inner)));
+  auto send = [&](ProcessId dest, MessagePtr inner) {
+    ctx().post(dest, makeMessage<TaggedMessage>(round, Stage::kDetect,
+                                                std::move(inner)));
   };
 
   for (ProcessId dest = 0; dest < n; ++dest) {
@@ -38,25 +38,25 @@ void AsyncByzantine::attackRound(Round round) {
         return;
       case AsyncByzantineStrategy::kEquivocate: {
         const Value v = dest < n / 2 ? 0 : 1;
-        send(dest, std::make_unique<ProposalMessage>(v));
-        send(dest, std::make_unique<ReportMessage>(true, v));
+        send(dest, makeMessage<ProposalMessage>(v));
+        send(dest, makeMessage<ReportMessage>(true, v));
         break;
       }
       case AsyncByzantineStrategy::kRandom: {
         // Garbage values included: receivers must discard them.
         const Value proposal = static_cast<Value>(ctx().rng().below(4));
         const Value ratified = static_cast<Value>(ctx().rng().below(4));
-        send(dest, std::make_unique<ProposalMessage>(proposal));
-        send(dest, std::make_unique<ReportMessage>(ctx().rng().coin() == 1,
-                                                   ratified));
+        send(dest, makeMessage<ProposalMessage>(proposal));
+        send(dest, makeMessage<ReportMessage>(ctx().rng().coin() == 1,
+                                              ratified));
         break;
       }
       case AsyncByzantineStrategy::kContrarian: {
         // Push the bit opposite to the round parity (a cheap proxy for
         // "whatever the majority currently is not").
         const Value v = static_cast<Value>(round % 2);
-        send(dest, std::make_unique<ProposalMessage>(v));
-        send(dest, std::make_unique<ReportMessage>(true, v));
+        send(dest, makeMessage<ProposalMessage>(v));
+        send(dest, makeMessage<ReportMessage>(true, v));
         break;
       }
     }

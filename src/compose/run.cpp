@@ -137,8 +137,8 @@ CompositionResult runComposition(const Composition& composition,
     network = wrapAdversary(std::make_unique<UniformDelayNetwork>(net),
                             composition.adversary);
   }
-  // A fresh Simulator per run: every counter (messagesCloned included)
-  // starts at zero, so results never inherit a previous run's tallies.
+  // A fresh Simulator per run: every counter starts at zero, so results
+  // never inherit a previous run's tallies.
   Simulator sim(simConfig, std::move(network));
   if (hooks.observer) sim.setScheduleObserver(hooks.observer);
 
@@ -215,7 +215,6 @@ CompositionResult runComposition(const Composition& composition,
   result.validityViolated = sim.validityViolated();
   result.messagesByCorrect = sim.messagesSentByCorrect();
   result.eventsProcessed = sim.eventsProcessed();
-  result.messagesCloned = sim.messagesCloned();
   result.maxRoundSkew = skewProbe->maxSkew;
   for (const ConsensusProcess* process : templated) {
     if (process == nullptr) continue;

@@ -31,10 +31,6 @@ struct CompositionResult {
   std::uint64_t messagesByCorrect = 0;
   /// Scheduler events executed by the run (bench_simcore's work unit).
   std::uint64_t eventsProcessed = 0;
-  /// Deep payload copies made by the simulator. Zero for every in-tree
-  /// object (they all use the shared-payload post/fanout path); growth
-  /// here is a copy regression, asserted by tests/simcore_perf_test.cpp.
-  std::uint64_t messagesCloned = 0;
 
   /// Per-round object audits over the template processes.
   std::vector<RoundAudit> audits;

@@ -23,9 +23,6 @@ void publishSimMetrics(const Simulator& sim, const obs::Labels& base) {
   registry.addCounter("messages_delivered", sim.messagesDelivered(), base);
   registry.addCounter("messages_dropped", sim.messagesDropped(), base);
   registry.addCounter("messages_duplicated", sim.messagesDuplicated(), base);
-  // Deep payload copies made by the simulator; 0 on the post()/fanout()
-  // path, so any growth here is a copy regression on the hot path.
-  registry.addCounter("messages_cloned", sim.messagesCloned(), base);
   registry.addCounter("timers_armed", sim.timersArmed(), base);
   registry.addCounter("timers_cancelled", sim.timersCancelled(), base);
   registry.addCounter("timers_fired", sim.timersFired(), base);

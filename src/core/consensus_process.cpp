@@ -25,14 +25,6 @@ class ConsensusProcess::ObjectContextImpl final : public ObjectContext {
   Tick now() const noexcept override { return host_.ctx().now(); }
   Rng& rng() noexcept override { return host_.ctx().rng(); }
 
-  void send(ProcessId to, std::unique_ptr<Message> inner) override {
-    post(to, MessagePtr(std::move(inner)));
-  }
-
-  void broadcast(const Message& inner) override {
-    fanout(MessagePtr(inner.clone()));
-  }
-
   void post(ProcessId to, MessagePtr inner) override {
     host_.ctx().post(to, makeMessage<TaggedMessage>(host_.activeRound_,
                                                     host_.activeStage_,
@@ -41,7 +33,7 @@ class ConsensusProcess::ObjectContextImpl final : public ObjectContext {
 
   void fanout(MessagePtr inner) override {
     // One envelope, one shared inner payload, n recipients — the whole
-    // broadcast allocates exactly one TaggedMessage and zero clones.
+    // broadcast allocates exactly one TaggedMessage.
     host_.ctx().fanout(makeMessage<TaggedMessage>(host_.activeRound_,
                                                   host_.activeStage_,
                                                   std::move(inner)));

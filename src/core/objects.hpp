@@ -37,17 +37,10 @@ class ObjectContext {
   virtual Tick now() const noexcept = 0;
   virtual Rng& rng() noexcept = 0;
 
-  virtual void send(ProcessId to, std::unique_ptr<Message> inner) = 0;
-  virtual void broadcast(const Message& inner) = 0;
-
-  /// Shared-payload variants, mirroring Context::post/fanout: the inner
-  /// payload is enveloped once and the envelope shared across recipients —
-  /// zero per-recipient copies. Default shims clone and fall back to the
-  /// legacy pair so hand-written test contexts keep working.
-  virtual void post(ProcessId to, MessagePtr inner) {
-    send(to, inner->clone());
-  }
-  virtual void fanout(MessagePtr inner) { broadcast(*inner); }
+  /// Mirrors Context::post/fanout: the inner payload is enveloped once and
+  /// the envelope shared across recipients — zero per-recipient copies.
+  virtual void post(ProcessId to, MessagePtr inner) = 0;
+  virtual void fanout(MessagePtr inner) = 0;
 
   virtual TimerId setTimer(Tick delay) = 0;
   virtual void cancelTimer(TimerId id) noexcept = 0;

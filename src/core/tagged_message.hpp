@@ -20,8 +20,8 @@ inline const char* toString(Stage s) noexcept {
 }
 
 /// (round, stage)-tagged envelope around an object's inner message. The
-/// inner payload is shared (immutable, refcounted): cloning the envelope or
-/// buffering the payload for replay adds a ref, never a deep copy.
+/// inner payload is shared (immutable, refcounted): fanning the envelope
+/// out or buffering the payload for replay adds a ref, never a deep copy.
 class TaggedMessage final : public MessageBase<TaggedMessage> {
  public:
   TaggedMessage(Round round, Stage stage, MessagePtr inner)

@@ -8,7 +8,7 @@ namespace ooc {
 namespace {
 
 /// Inner envelope distinguishing messages of the two sub-ACs. The inner
-/// payload is shared: cloning the envelope or buffering it adds a ref.
+/// payload is shared: fanning the envelope out or buffering it adds a ref.
 class SubMessage final : public MessageBase<SubMessage> {
  public:
   SubMessage(int index, MessagePtr inner)
@@ -44,12 +44,6 @@ class VacFromTwoAc::SubContext final : public ObjectContext {
   Tick now() const noexcept override { return outer_->now(); }
   Rng& rng() noexcept override { return outer_->rng(); }
 
-  void send(ProcessId to, std::unique_ptr<Message> inner) override {
-    post(to, MessagePtr(std::move(inner)));
-  }
-  void broadcast(const Message& inner) override {
-    fanout(MessagePtr(inner.clone()));
-  }
   void post(ProcessId to, MessagePtr inner) override {
     outer_->post(to, makeMessage<SubMessage>(index_, std::move(inner)));
   }

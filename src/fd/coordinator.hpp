@@ -22,9 +22,8 @@
 //     is never skipped, so two claimants can never race); the registry
 //     rejects this trust mode under ◇S/Ω with a §5-style diagnostic.
 //
-// Claims are trusted verbatim (crash model only) and fanned out through
-// the shared-payload path — zero per-recipient clones, asserted by
-// tests/simcore_perf_test.cpp.
+// Claims are trusted verbatim (crash model only) and fanned out as one
+// shared payload.
 #pragma once
 
 #include <memory>

@@ -167,11 +167,10 @@ void PaxosNode::handlePrepare(ProcessId from, const Prepare& msg) {
     // The promise must hit stable storage before the reply leaves — a
     // forgotten promise lets a lower ballot slip through after a restart.
     persist({kRecPromise, promised_});
-    ctx().send(from,
-               std::make_unique<Promise>(msg.ballot, acceptedBallot_,
-                                         acceptedValue_));
+    ctx().post(from, makeMessage<Promise>(msg.ballot, acceptedBallot_,
+                                          acceptedValue_));
   } else {
-    ctx().send(from, std::make_unique<Nack>(msg.ballot, promised_));
+    ctx().post(from, makeMessage<Nack>(msg.ballot, promised_));
   }
 }
 

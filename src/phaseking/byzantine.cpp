@@ -80,20 +80,19 @@ Value PhaseKingByzantine::pick(ProcessId dest, int exchange) {
 void PhaseKingByzantine::emit(ProcessId dest, Round round, int exchange,
                               Value value) {
   if (wire_ == Wire::kClassic) {
-    ctx().send(dest,
-               std::make_unique<ClassicPkMessage>(round, exchange, value));
+    ctx().post(dest, makeMessage<ClassicPkMessage>(round, exchange, value));
     return;
   }
-  std::unique_ptr<Message> inner;
+  MessagePtr inner;
   Stage stage = Stage::kDetect;
   if (exchange == 3) {
-    inner = std::make_unique<KingMessage>(value);
+    inner = makeMessage<KingMessage>(value);
     stage = Stage::kDrive;
   } else {
-    inner = std::make_unique<ExchangeMessage>(exchange, value);
+    inner = makeMessage<ExchangeMessage>(exchange, value);
   }
-  ctx().send(dest, std::make_unique<TaggedMessage>(round, stage,
-                                                   std::move(inner)));
+  ctx().post(dest,
+             makeMessage<TaggedMessage>(round, stage, std::move(inner)));
 }
 
 }  // namespace ooc::phaseking

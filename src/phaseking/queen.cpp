@@ -102,16 +102,16 @@ void PhaseQueenByzantine::act(Tick tick) {
         v = dest < n / 2 ? 0 : 1;
         break;
     }
-    std::unique_ptr<Message> inner;
+    MessagePtr inner;
     Stage stage = Stage::kDetect;
     if (slot == 0) {
-      inner = std::make_unique<ExchangeMessage>(1, v);
+      inner = makeMessage<ExchangeMessage>(1, v);
     } else {
-      inner = std::make_unique<KingMessage>(v);
+      inner = makeMessage<KingMessage>(v);
       stage = Stage::kDrive;
     }
-    ctx().send(dest, std::make_unique<TaggedMessage>(round, stage,
-                                                     std::move(inner)));
+    ctx().post(dest,
+               makeMessage<TaggedMessage>(round, stage, std::move(inner)));
   }
 }
 

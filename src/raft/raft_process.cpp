@@ -284,7 +284,7 @@ void RaftProcess::sendAppendTo(ProcessId peer) {
   if (next <= snapshotIndex_) {
     // The entries this follower needs were compacted away: ship the state
     // machine as of lastApplied (>= snapshotIndex) instead.
-    ctx().send(peer, std::make_unique<InstallSnapshot>(
+    ctx().post(peer, makeMessage<InstallSnapshot>(
                          currentTerm_, ctx().self(), lastApplied_,
                          termAt(lastApplied_), captureSnapshot()));
     return;
@@ -295,7 +295,7 @@ void RaftProcess::sendAppendTo(ProcessId peer) {
   const LogIndex last = std::min<LogIndex>(
       lastLogIndex(), prevIndex + config_.maxEntriesPerAppend);
   for (LogIndex i = next; i <= last; ++i) entries.push_back(entryAt(i));
-  ctx().send(peer, std::make_unique<AppendEntries>(
+  ctx().post(peer, makeMessage<AppendEntries>(
                        currentTerm_, ctx().self(), prevIndex, prevTerm,
                        std::move(entries), commitIndex_));
 }
@@ -400,8 +400,7 @@ void RaftProcess::handleRequestVote(ProcessId from, const RequestVote& msg) {
       resetElectionTimer();
     }
   }
-  ctx().send(from,
-             std::make_unique<RequestVoteReply>(currentTerm_, grant));
+  ctx().post(from, makeMessage<RequestVoteReply>(currentTerm_, grant));
 }
 
 void RaftProcess::handleRequestVoteReply(ProcessId from,
@@ -421,8 +420,7 @@ void RaftProcess::handleRequestVoteReply(ProcessId from,
 void RaftProcess::handleAppendEntries(ProcessId from,
                                       const AppendEntries& msg) {
   if (msg.term < currentTerm_) {
-    ctx().send(from, std::make_unique<AppendEntriesReply>(currentTerm_,
-                                                          false, 0));
+    ctx().post(from, makeMessage<AppendEntriesReply>(currentTerm_, false, 0));
     return;
   }
   // Valid leader for our term (or newer): follow it.
@@ -438,8 +436,7 @@ void RaftProcess::handleAppendEntries(ProcessId from,
   if (msg.prevLogIndex > lastLogIndex() ||
       (msg.prevLogIndex > snapshotIndex_ &&
        entryAt(msg.prevLogIndex).term != msg.prevLogTerm)) {
-    ctx().send(from, std::make_unique<AppendEntriesReply>(currentTerm_,
-                                                          false, 0));
+    ctx().post(from, makeMessage<AppendEntriesReply>(currentTerm_, false, 0));
     return;
   }
 
@@ -466,7 +463,7 @@ void RaftProcess::handleAppendEntries(ProcessId from,
     applyCommitted();
     onCommitAdvanced();
   }
-  ctx().send(from, std::make_unique<AppendEntriesReply>(
+  ctx().post(from, makeMessage<AppendEntriesReply>(
                        currentTerm_, true,
                        std::min<LogIndex>(index, lastLogIndex())));
 }
@@ -496,8 +493,7 @@ void RaftProcess::handleAppendEntriesReply(ProcessId from,
 void RaftProcess::handleInstallSnapshot(ProcessId from,
                                         const InstallSnapshot& msg) {
   if (msg.term < currentTerm_) {
-    ctx().send(from, std::make_unique<AppendEntriesReply>(currentTerm_,
-                                                          false, 0));
+    ctx().post(from, makeMessage<AppendEntriesReply>(currentTerm_, false, 0));
     return;
   }
   if (msg.term > currentTerm_ || role_ != Role::kFollower) {
@@ -509,7 +505,7 @@ void RaftProcess::handleInstallSnapshot(ProcessId from,
   if (msg.lastIncludedIndex <= commitIndex_ ||
       msg.lastIncludedIndex <= snapshotIndex_) {
     // Stale or duplicate: we already hold this prefix as committed data.
-    ctx().send(from, std::make_unique<AppendEntriesReply>(
+    ctx().post(from, makeMessage<AppendEntriesReply>(
                          currentTerm_, true, msg.lastIncludedIndex));
     return;
   }
@@ -536,8 +532,8 @@ void RaftProcess::handleInstallSnapshot(ProcessId from,
             snapshotIndex_);
   applyCommitted();  // in case commitIndex advanced past the snapshot
   onCommitAdvanced();
-  ctx().send(from, std::make_unique<AppendEntriesReply>(currentTerm_, true,
-                                                        snapshotIndex_));
+  ctx().post(from, makeMessage<AppendEntriesReply>(currentTerm_, true,
+                                                   snapshotIndex_));
 }
 
 }  // namespace ooc::raft

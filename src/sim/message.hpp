@@ -1,7 +1,7 @@
 // Message abstraction for the simulated message-passing network.
 //
 // Protocol messages are ordinary structs deriving from Message via the CRTP
-// helper MessageBase, which supplies cloning and a static type tag.
+// helper MessageBase, which supplies a static type tag.
 // Receivers downcast with Message::as<T>() — an exact-type tag compare, not
 // a dynamic_cast — and must treat every field as untrusted, since a
 // Byzantine sender can put anything in them.
@@ -9,9 +9,8 @@
 // Payload ownership: in-flight messages are refcounted and immutable
 // (MessagePtr = shared_ptr<const Message>), so a broadcast or a network
 // duplication fault shares one payload across every delivery instead of
-// deep-copying per recipient. clone() remains the copy-on-write escape
-// hatch for anything that needs to derive a mutated payload (e.g. a
-// corruption fault): copy, mutate the copy, share the copy.
+// deep-copying per recipient. Nothing in the delivery path copies a
+// payload.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +23,7 @@ namespace ooc {
 class Message;
 
 /// Refcounted immutable payload: how messages travel through the
-/// simulator. A std::unique_ptr<Derived> converts implicitly, so
-/// `post(to, std::make_unique<T>(...))` works unchanged.
+/// simulator. Build one with makeMessage<T>(...) (below).
 using MessagePtr = std::shared_ptr<const Message>;
 
 /// A message type's identity, assigned on first use (see tagOf).
@@ -52,10 +50,6 @@ class Message {
   Message& operator=(const Message&) = default;
   virtual ~Message() = default;
 
-  /// Deep copy — the copy-on-write escape hatch; the delivery fan-out no
-  /// longer calls this (payloads are shared).
-  virtual std::unique_ptr<Message> clone() const = 0;
-
   /// Human-readable rendering for traces and logs. Built lazily: the
   /// simulator only calls this when a log sink or an observer opted in
   /// (ScheduleObserver::wantsMessageText).
@@ -79,22 +73,17 @@ class Message {
   MessageTag tag_;
 };
 
-/// CRTP base implementing clone() and the type tag for a concrete message
-/// type. Every concrete message must derive from this (directly or via
+/// CRTP base supplying the type tag for a concrete message type. Every
+/// concrete message must derive from this (directly or via
 /// `class M final : public MessageBase<M>`), so that as<M>() can resolve by
 /// tag.
 template <typename Derived>
 class MessageBase : public Message {
  public:
   MessageBase() noexcept : Message(tagOf<Derived>()) {}
-
-  std::unique_ptr<Message> clone() const override {
-    return std::make_unique<Derived>(static_cast<const Derived&>(*this));
-  }
 };
 
-/// Builds a shared, immutable payload in place — the zero-copy counterpart
-/// of std::make_unique for fan-out call sites:
+/// Builds a shared, immutable payload in place:
 ///   ctx.fanout(makeMessage<ProposalMessage>(round, value));
 template <typename T, typename... Args>
 std::shared_ptr<const T> makeMessage(Args&&... args) {

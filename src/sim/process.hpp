@@ -1,8 +1,6 @@
 // Process and Context: the API every simulated protocol is written against.
 #pragma once
 
-#include <memory>
-
 #include "sim/message.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
@@ -24,25 +22,13 @@ class Context {
 
   /// Sends `msg` to `to` (which may be self()). Delivery is decided by the
   /// run's NetworkModel, except self-sends which are always delivered after
-  /// one tick (a process can always talk to itself).
-  virtual void send(ProcessId to, std::unique_ptr<Message> msg) = 0;
+  /// one tick (a process can always talk to itself). The payload is
+  /// enqueued without copying: build it with makeMessage<T>(...).
+  virtual void post(ProcessId to, MessagePtr msg) = 0;
 
-  /// Sends a copy of `msg` to every process, including the sender — the
-  /// paper's "send <v> to all".
-  virtual void broadcast(const Message& msg) = 0;
-
-  /// Shared-payload unicast: the simulator enqueues `msg` without copying
-  /// (a unique_ptr<Derived> converts to MessagePtr implicitly, so existing
-  /// make_unique call sites work here too). The default shim clones and
-  /// forwards to send() so hand-written test contexts that only implement
-  /// the legacy pair keep working; real contexts override it.
-  virtual void post(ProcessId to, MessagePtr msg) { send(to, msg->clone()); }
-
-  /// Shared-payload broadcast: one refcounted payload reaches every
-  /// process, including the sender — zero per-recipient copies on the
-  /// non-fault path. Default shim forwards to the cloning broadcast() for
-  /// legacy contexts; real contexts override.
-  virtual void fanout(MessagePtr msg) { broadcast(*msg); }
+  /// Sends `msg` to every process, including the sender — the paper's
+  /// "send <v> to all". One refcounted payload reaches every recipient.
+  virtual void fanout(MessagePtr msg) = 0;
 
   /// Arms a one-shot timer firing after `delay` ticks (>= 1).
   virtual TimerId setTimer(Tick delay) = 0;

@@ -23,22 +23,8 @@ class Simulator::ContextImpl final : public Context {
   Tick now() const noexcept override { return sim_.now_; }
   Rng& rng() noexcept override { return sim_.processes_[id_].rng; }
 
-  void send(ProcessId to, std::unique_ptr<Message> msg) override {
-    // Ownership transfer, no copy: the unique payload becomes the shared
-    // in-flight payload.
-    sim_.deliverSend(id_, to, MessagePtr(std::move(msg)));
-  }
-
   void post(ProcessId to, MessagePtr msg) override {
     sim_.deliverSend(id_, to, std::move(msg));
-  }
-
-  void broadcast(const Message& msg) override {
-    // Legacy copy-in broadcast: the caller kept ownership, so exactly one
-    // clone is taken (counted) and then shared across all recipients. The
-    // fanout() path does zero.
-    ++sim_.messagesCloned_;
-    fanout(MessagePtr(msg.clone()));
   }
 
   void fanout(MessagePtr msg) override {

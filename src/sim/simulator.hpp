@@ -125,16 +125,10 @@ class Simulator final {
   /// Sends whose network plan produced no delivery (loss or partition).
   std::uint64_t messagesDropped() const noexcept { return messagesDropped_; }
   /// Extra delivery copies beyond the first (network duplication). The
-  /// copies share one payload — duplication adds refs, not clones.
+  /// copies share one payload — duplication adds refs, not deep copies.
   std::uint64_t messagesDuplicated() const noexcept {
     return messagesDuplicated_;
   }
-  /// Deep payload copies performed by the simulator. Zero on the modern
-  /// post()/fanout() path; the legacy Context::broadcast(const Message&)
-  /// shim clones its argument exactly once per call. A regression that
-  /// reintroduces per-recipient copying shows up here first (asserted by
-  /// tests/simcore_perf_test.cpp).
-  std::uint64_t messagesCloned() const noexcept { return messagesCloned_; }
   std::uint64_t eventsProcessed() const noexcept { return eventsProcessed_; }
   // Timer churn: armed counts every setTimer, cancelled every disarm of a
   // still-armed timer, fired every timer event that reached its owner.
@@ -244,7 +238,6 @@ class Simulator final {
   std::uint64_t messagesDelivered_ = 0;
   std::uint64_t messagesDropped_ = 0;
   std::uint64_t messagesDuplicated_ = 0;
-  std::uint64_t messagesCloned_ = 0;
   std::uint64_t eventsProcessed_ = 0;
   std::uint64_t timersArmed_ = 0;
   std::uint64_t timersCancelled_ = 0;

@@ -20,9 +20,8 @@
 
 namespace ooc::svc {
 
-/// Decree-number envelope around consensus-engine traffic (the pipelined
-/// generalization of log::SlotMessage). The inner payload is shared:
-/// forwarding the envelope adds a ref, never a copy.
+/// Decree-number envelope around consensus-engine traffic. The inner
+/// payload is shared: forwarding the envelope adds a ref, never a copy.
 class DecreeMessage final : public MessageBase<DecreeMessage> {
  public:
   DecreeMessage(std::uint64_t decree, MessagePtr inner)

@@ -145,7 +145,7 @@ void RaftLogNode::onTimer(TimerId id) {
 void RaftLogNode::onApply(raft::LogIndex index, const raft::LogEntry& entry) {
   (void)index;
   const Value cmd = entry.command;
-  if (cmd == log::kNoopCommand) {
+  if (cmd == kNoopCommand) {
     // Leader-barrier entry (leaderBarrier below): ordered but not a client
     // command — never enters the service-level applied log.
     ++noopsApplied_;
@@ -176,7 +176,7 @@ std::optional<Value> RaftLogNode::leaderBarrier() const {
   // here: a new leader holding the stalled commands as prior-term entries
   // skips every re-offer of them, so without this barrier no current-term
   // entry would ever be appended and the tail would never commit.
-  return log::kNoopCommand;
+  return kNoopCommand;
 }
 
 bool RaftLogNode::drained() const noexcept {

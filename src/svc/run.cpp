@@ -18,7 +18,8 @@ namespace ooc::svc {
 namespace {
 
 /// Decrees restart the template's rounds at 1, so every per-decree engine
-/// seed must mix the decree in (the sequential log's livelock rule).
+/// seed must mix the decree in (see EngineFactory: a shared lottery draw
+/// would otherwise repeat in every decree and can livelock the log).
 std::uint64_t decreeSeed(std::uint64_t seed, std::uint64_t decree) noexcept {
   return seed ^ (0x9E3779B97F4A7C15ull * (decree + 1));
 }
@@ -191,6 +192,8 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
         ConsensusProcess::Options options;
         options.kind = TemplateKind::kVacReconciliator;
         options.scheduling = scheduling;
+        // Multivalued drivers (the lottery) wait for a quorum in every
+        // drive wave; one round after deciding lets each engine quiesce.
         options.alwaysRunDriver = true;
         options.participateRoundsAfterDecide = 1;
         options.maxRounds = maxRounds;

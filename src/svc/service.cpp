@@ -13,13 +13,14 @@ namespace {
 /// drained or dead cluster — liveness there is out of the fault budget).
 constexpr int kMaxCatchupTries = 6;
 /// Retired engines are dropped once the undecided frontier is this far
-/// past them (same straggler horizon as the sequential log).
+/// past them: every node ships a decree's rounds before advancing past it,
+/// so no correct straggler can still need their traffic.
 constexpr std::uint64_t kRetireHorizon = 4;
 }  // namespace
 
 /// Per-decree view of the node's Context: wraps engine traffic in a
 /// DecreeMessage envelope and redirects decide() to the decree
-/// bookkeeping. The pipelined twin of the log's SlotContextImpl.
+/// bookkeeping.
 class SvcNode::DecreeContextImpl final : public Context {
  public:
   DecreeContextImpl(SvcNode& host, std::uint64_t decree) noexcept
@@ -32,12 +33,6 @@ class SvcNode::DecreeContextImpl final : public Context {
   Tick now() const noexcept override { return host_.ctx().now(); }
   Rng& rng() noexcept override { return host_.ctx().rng(); }
 
-  void send(ProcessId to, std::unique_ptr<Message> msg) override {
-    post(to, MessagePtr(std::move(msg)));
-  }
-  void broadcast(const Message& msg) override {
-    fanout(MessagePtr(msg.clone()));
-  }
   void post(ProcessId to, MessagePtr msg) override {
     host_.ctx().post(to, makeMessage<DecreeMessage>(decree_, std::move(msg)));
   }

@@ -1,10 +1,11 @@
-// The multi-decree replicated-log SERVICE: the pipelined, batched,
-// client-driven generalization of log::ReplicatedLogNode (which decides
-// one slot at a time with a fixed command queue). Every decree is still
-// one instance of a pluggable single-shot consensus engine — the paper's
-// generic template with any registered detector/driver pair, or a
-// PaxosNode — hosted behind a per-decree Context adapter exactly like the
-// sequential log. What the service layer adds:
+// The multi-decree replicated-log SERVICE: state-machine replication in
+// which every decree is one instance of a pluggable single-shot consensus
+// engine — the paper's generic template with any registered
+// detector/driver pair, or a PaxosNode — hosted behind a per-decree
+// Context adapter that envelopes its traffic with the decree number and
+// captures its decide(). At window = 1 and batchMax = 1 this is the plain
+// sequential log (one command per decree, one decree at a time); the
+// knobs generalize it:
 //
 //  * Pipelining. A node may open decree k+1 while decree k is still
 //    settling, up to `window` decrees beyond its lowest undecided decree
@@ -32,7 +33,7 @@
 //  * Idle detection. Decrees are opened proactively only when there is
 //    work (a pending command or an unassigned batch) and reactively only
 //    on peer traffic, so a drained cluster quiesces and the simulator's
-//    event queue runs dry — same discipline as the sequential log.
+//    event queue runs dry — no stop predicate needed.
 //
 // Durability and recovery (the PR 3 persistence discipline mapped onto the
 // log). With `durable`, the node journals four record kinds to a
@@ -65,7 +66,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "log/replicated_log.hpp"
 #include "sim/process.hpp"
 #include "store/wal.hpp"
 #include "svc/messages.hpp"
@@ -73,11 +73,20 @@
 
 namespace ooc::svc {
 
-// Command ids reuse the sequential log's packing; the home node lives in
-// the high half so audits can attribute commands across layers.
-using log::commandNode;
-using log::kNoopCommand;
-using log::makeCommand;
+/// The reserved "no command" value (the Raft leader barrier's entry).
+/// Client command ids are always positive.
+inline constexpr Value kNoopCommand = 0;
+
+/// Packs (node, sequence) into a globally unique command id; the home node
+/// lives in the high half so audits can attribute commands across layers.
+constexpr Value makeCommand(ProcessId node, std::uint32_t seq) noexcept {
+  return static_cast<Value>(
+      (static_cast<std::uint64_t>(node + 1) << 32) | seq);
+}
+constexpr ProcessId commandNode(Value command) noexcept {
+  return static_cast<ProcessId>(
+             static_cast<std::uint64_t>(command) >> 32) - 1;
+}
 
 /// The reserved "empty decree" value decided when no batch wins.
 inline constexpr Value kNoopBatch = 0;
@@ -100,14 +109,17 @@ constexpr ProcessId batchNode(Value batchId) noexcept {
 /// decree reactively with nothing to propose); `proposer` mirrors
 /// `proposal != kNoopBatch` so engine families with an active/passive
 /// distinction (Paxos) can gate their ballot drivers on it. Randomized
-/// engines MUST mix the decree into their seeds (see the sequential log's
-/// livelock note on SlotDriverFactory).
+/// engines whose processes share a seed (e.g. the lottery) MUST mix the
+/// decree into it: template rounds restart at 1 in every decree, so a
+/// decree-agnostic shared draw would crown the same winner in every
+/// decree's round 1 — a drained node's no-op could then win forever
+/// (livelock).
 using EngineFactory = std::function<std::unique_ptr<Process>(
     std::uint64_t decree, Value proposal, bool proposer)>;
 
 struct SvcNodeOptions {
   /// Pipeline depth: decrees this node may open beyond its lowest
-  /// undecided decree. 1 degenerates to the sequential log's discipline.
+  /// undecided decree. 1 decides one decree at a time.
   std::uint64_t window = 2;
   /// Maximum client commands packed into one batch.
   std::size_t batchMax = 4;

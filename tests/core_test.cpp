@@ -36,7 +36,7 @@ class MockDetector final : public AgreementDetector {
   void invoke(ObjectContext& ctx, Value v) override {
     mine_ = v;
     values_.assign(ctx.processCount(), kNoValue);
-    ctx.broadcast(EchoMsg(v));
+    ctx.fanout(makeMessage<EchoMsg>(v));
   }
   void onMessage(ObjectContext&, ProcessId from,
                  const Message& inner) override {
@@ -243,19 +243,18 @@ TEST(ConsensusTemplate, DecidersKeepParticipating) {
   EXPECT_FALSE(sim.agreementViolated());
 }
 
-TEST(TaggedMessage, CloneCopiesEnvelopeAndSharesImmutableInner) {
-  TaggedMessage msg(3, Stage::kDrive, std::make_unique<EchoMsg>(9));
-  auto copy = msg.clone();
-  const auto* typed = copy->as<TaggedMessage>();
+TEST(TaggedMessage, EnvelopeSharesImmutableInner) {
+  const MessagePtr inner = makeMessage<EchoMsg>(9);
+  const MessagePtr msg = makeMessage<TaggedMessage>(3, Stage::kDrive, inner);
+  const auto* typed = msg->as<TaggedMessage>();
   ASSERT_NE(typed, nullptr);
   EXPECT_EQ(typed->round(), 3u);
   EXPECT_EQ(typed->stage(), Stage::kDrive);
   EXPECT_EQ(typed->inner().as<EchoMsg>()->v, 9);
-  // Payloads are immutable and refcounted: cloning the envelope shares the
-  // inner message instead of deep-copying it (the zero-clone fan-out
-  // invariant; see sim/message.hpp).
-  EXPECT_EQ(&typed->inner(), &msg.inner());
-  EXPECT_EQ(typed->innerPtr(), msg.innerPtr());
+  // Payloads are immutable and refcounted: the envelope shares the inner
+  // message instead of deep-copying it (see sim/message.hpp).
+  EXPECT_EQ(&typed->inner(), inner.get());
+  EXPECT_EQ(typed->innerPtr(), inner);
 }
 
 TEST(TaggedMessage, RejectsNullInner) {
@@ -287,8 +286,8 @@ class NullObjectContext final : public ObjectContext {
   std::size_t processCount() const noexcept override { return 1; }
   Tick now() const noexcept override { return 0; }
   Rng& rng() noexcept override { return rng_; }
-  void send(ProcessId, std::unique_ptr<Message>) override {}
-  void broadcast(const Message&) override {}
+  void post(ProcessId, MessagePtr) override {}
+  void fanout(MessagePtr) override {}
   TimerId setTimer(Tick) override { return 0; }
   void cancelTimer(TimerId) noexcept override {}
 

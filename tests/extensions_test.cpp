@@ -1,21 +1,13 @@
 // Tests for the framework extensions beyond the paper's three case studies:
 // Byzantine Ben-Or (async, n > 5t), Phase-Queen (sync, 4t < n), the
-// multivalued lottery reconciliator — each a composition — and the
-// multi-slot replicated log built from template instances.
+// multivalued lottery reconciliator — each a composition.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
-#include <set>
 #include <tuple>
 
 #include "benor/async_byzantine.hpp"
-#include "benor/reconciliators.hpp"
-#include "benor/vac.hpp"
 #include "compose/run.hpp"
-#include "log/replicated_log.hpp"
 #include "phaseking/byzantine.hpp"
-#include "sim/simulator.hpp"
 
 namespace ooc {
 namespace {
@@ -248,138 +240,6 @@ TEST(LotteryReconciliator, WithCrashes) {
   EXPECT_TRUE(result.allDecided);
   EXPECT_FALSE(result.agreementViolated);
   EXPECT_FALSE(result.validityViolated);
-}
-
-// ---------------------------------------------------------------------------
-// Replicated log (multi-slot consensus)
-
-struct LogRun {
-  std::vector<log::ReplicatedLogNode*> nodes;
-  std::unique_ptr<Simulator> sim;
-  std::size_t totalCommands = 0;
-};
-
-LogRun runLog(std::size_t n, std::size_t commandsPerNode,
-              std::uint64_t seed,
-              std::vector<std::pair<ProcessId, Tick>> crashes = {}) {
-  LogRun run;
-  SimConfig simConfig;
-  simConfig.seed = seed;
-  simConfig.maxTicks = 3'000'000;
-  UniformDelayNetwork::Options net;
-  net.minDelay = 1;
-  net.maxDelay = 8;
-  run.sim = std::make_unique<Simulator>(
-      simConfig, std::make_unique<UniformDelayNetwork>(net));
-
-  const std::size_t t = (n - 1) / 2;
-  for (ProcessId id = 0; id < n; ++id) {
-    std::vector<Value> commands;
-    for (std::uint32_t k = 0; k < commandsPerNode; ++k)
-      commands.push_back(log::makeCommand(id, k));
-    run.totalCommands += commands.size();
-    log::ReplicatedLogNode::Options options;
-    auto node = std::make_unique<log::ReplicatedLogNode>(
-        std::move(commands),
-        [t](std::uint64_t) { return benor::BenOrVac::factory(t); },
-        [t, seed](std::uint64_t slot) {
-          // Mix the slot into the shared lottery seed (see
-          // SlotDriverFactory's contract).
-          return benor::LotteryReconciliator::factory(
-              t, seed ^ (slot * 0x9E3779B97F4A7C15ull) ^ 0x10C);
-        },
-        options);
-    run.nodes.push_back(node.get());
-    run.sim->addProcess(std::move(node));
-  }
-  std::set<ProcessId> crashed;
-  for (const auto& [id, tick] : crashes) {
-    run.sim->crashAt(id, tick);
-    crashed.insert(id);
-  }
-  run.sim->setStopPredicate([&run, crashed](const Simulator& sim) {
-    // Done when every live node drained its queue and all live logs have
-    // equal length (crashed nodes' unsubmitted commands are lost, as for
-    // any crashed client).
-    std::size_t length = 0;
-    bool first = true;
-    for (ProcessId id = 0; id < run.nodes.size(); ++id) {
-      if (sim.crashed(id)) continue;
-      const auto* node = run.nodes[id];
-      if (!node->drained()) return false;
-      if (first) {
-        length = node->log().size();
-        first = false;
-      } else if (node->log().size() != length) {
-        return false;
-      }
-    }
-    return !first && length > 0;
-  });
-  run.sim->run();
-  return run;
-}
-
-TEST(ReplicatedLog, AllCommandsCommittedExactlyOnceInSameOrder) {
-  const LogRun run = runLog(4, 5, 1);
-  ASSERT_FALSE(run.sim->hitCap());
-
-  const auto reference = run.nodes[0]->committedCommands();
-  EXPECT_EQ(reference.size(), run.totalCommands);
-  std::set<Value> unique(reference.begin(), reference.end());
-  EXPECT_EQ(unique.size(), reference.size()) << "duplicate commit";
-
-  for (const auto* node : run.nodes) {
-    EXPECT_EQ(node->log(), run.nodes[0]->log()) << "log divergence";
-  }
-}
-
-TEST(ReplicatedLog, SeedSweepStaysConsistent) {
-  for (std::uint64_t seed = 2; seed <= 8; ++seed) {
-    const LogRun run = runLog(3, 3, seed);
-    ASSERT_FALSE(run.sim->hitCap()) << "seed " << seed;
-    for (const auto* node : run.nodes)
-      EXPECT_EQ(node->log(), run.nodes[0]->log()) << "seed " << seed;
-    EXPECT_EQ(run.nodes[0]->committedCommands().size(), run.totalCommands);
-  }
-}
-
-TEST(ReplicatedLog, SurvivesMinorityCrashes) {
-  // n = 5, t = 2: crash two nodes mid-stream. Live logs must stay
-  // identical; commands of crashed nodes may be partially lost (their
-  // client died) but committed prefixes never diverge.
-  const LogRun run = runLog(5, 4, 3, {{0, 400}, {3, 900}});
-  ASSERT_FALSE(run.sim->hitCap());
-  const log::ReplicatedLogNode* reference = nullptr;
-  for (ProcessId id = 0; id < run.nodes.size(); ++id) {
-    if (run.sim->crashed(id)) continue;
-    if (reference == nullptr) {
-      reference = run.nodes[id];
-      continue;
-    }
-    EXPECT_EQ(run.nodes[id]->log(), reference->log());
-  }
-  ASSERT_NE(reference, nullptr);
-  // No command appears twice anywhere.
-  const auto committed = reference->committedCommands();
-  std::set<Value> unique(committed.begin(), committed.end());
-  EXPECT_EQ(unique.size(), committed.size());
-}
-
-TEST(ReplicatedLog, RejectsReservedCommands) {
-  EXPECT_THROW(
-      log::ReplicatedLogNode(
-          {log::kNoopCommand},
-          [](std::uint64_t) { return benor::BenOrVac::factory(1); },
-          [](std::uint64_t) { return benor::CoinReconciliator::factory(); },
-          {}),
-      std::invalid_argument);
-}
-
-TEST(ReplicatedLog, CommandPacking) {
-  const Value command = log::makeCommand(3, 17);
-  EXPECT_EQ(log::commandNode(command), 3u);
-  EXPECT_GT(command, log::kNoopCommand);
 }
 
 }  // namespace

@@ -182,27 +182,27 @@ class JunkSprayer final : public Process {
     for (ProcessId dest = 0; dest < ctx().processCount(); ++dest) {
       switch (ctx().rng().below(4)) {
         case 0:
-          ctx().send(dest, std::make_unique<JunkMessage>());
+          ctx().post(dest, makeMessage<JunkMessage>());
           break;
         case 1:  // tagged junk for a random round/stage
-          ctx().send(dest,
-                     std::make_unique<TaggedMessage>(
+          ctx().post(dest,
+                     makeMessage<TaggedMessage>(
                          static_cast<Round>(ctx().rng().below(20)),
                          ctx().rng().coin() ? Stage::kDetect : Stage::kDrive,
-                         std::make_unique<JunkMessage>()));
+                         makeMessage<JunkMessage>()));
           break;
         case 2:  // plausible-looking benor payload at a random round
-          ctx().send(dest, std::make_unique<TaggedMessage>(
+          ctx().post(dest, makeMessage<TaggedMessage>(
                                static_cast<Round>(ctx().rng().below(20)),
                                Stage::kDetect,
-                               std::make_unique<benor::ProposalMessage>(
+                               makeMessage<benor::ProposalMessage>(
                                    static_cast<Value>(ctx().rng().next()))));
           break;
         default:  // forged report
-          ctx().send(dest, std::make_unique<TaggedMessage>(
+          ctx().post(dest, makeMessage<TaggedMessage>(
                                static_cast<Round>(ctx().rng().below(20)),
                                Stage::kDetect,
-                               std::make_unique<benor::ReportMessage>(
+                               makeMessage<benor::ReportMessage>(
                                    true, ctx().rng().coin())));
           break;
       }

@@ -29,11 +29,11 @@ class ManualObjectContext final : public ObjectContext {
   Tick now() const noexcept override { return 0; }
   Rng& rng() noexcept override { return rng_; }
 
-  void send(ProcessId to, std::unique_ptr<Message> inner) override {
+  void post(ProcessId to, MessagePtr inner) override {
     sent.emplace_back(to, std::move(inner));
   }
-  void broadcast(const Message& inner) override {
-    broadcasts.push_back(inner.clone());
+  void fanout(MessagePtr inner) override {
+    broadcasts.push_back(std::move(inner));
   }
   TimerId setTimer(Tick) override { return 0; }
   void cancelTimer(TimerId) noexcept override {}
@@ -45,8 +45,8 @@ class ManualObjectContext final : public ObjectContext {
     return nullptr;
   }
 
-  std::vector<std::pair<ProcessId, std::unique_ptr<Message>>> sent;
-  std::vector<std::unique_ptr<Message>> broadcasts;
+  std::vector<std::pair<ProcessId, MessagePtr>> sent;
+  std::vector<MessagePtr> broadcasts;
 
  private:
   std::size_t n_;

@@ -202,11 +202,11 @@ class PaxosManualContext final : public Context {
   std::size_t processCount() const noexcept override { return n_; }
   Tick now() const noexcept override { return 0; }
   Rng& rng() noexcept override { return rng_; }
-  void send(ProcessId to, std::unique_ptr<Message> msg) override {
+  void post(ProcessId to, MessagePtr msg) override {
     sent.emplace_back(to, std::move(msg));
   }
-  void broadcast(const Message& msg) override {
-    for (ProcessId to = 0; to < n_; ++to) sent.emplace_back(to, msg.clone());
+  void fanout(MessagePtr msg) override {
+    for (ProcessId to = 0; to < n_; ++to) sent.emplace_back(to, msg);
   }
   TimerId setTimer(Tick) override { return ++timers; }
   void cancelTimer(TimerId) noexcept override {}
@@ -221,7 +221,7 @@ class PaxosManualContext final : public Context {
     return nullptr;
   }
 
-  std::vector<std::pair<ProcessId, std::unique_ptr<Message>>> sent;
+  std::vector<std::pair<ProcessId, MessagePtr>> sent;
   std::vector<Value> decisions;
   TimerId timers = 0;
 

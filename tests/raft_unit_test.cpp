@@ -24,11 +24,11 @@ class ManualContext final : public Context {
   Tick now() const noexcept override { return now_; }
   Rng& rng() noexcept override { return rng_; }
 
-  void send(ProcessId to, std::unique_ptr<Message> msg) override {
+  void post(ProcessId to, MessagePtr msg) override {
     sent.emplace_back(to, std::move(msg));
   }
-  void broadcast(const Message& msg) override {
-    for (ProcessId to = 0; to < n_; ++to) sent.emplace_back(to, msg.clone());
+  void fanout(MessagePtr msg) override {
+    for (ProcessId to = 0; to < n_; ++to) sent.emplace_back(to, msg);
   }
   TimerId setTimer(Tick delay) override {
     lastTimerDelay = delay;
@@ -58,7 +58,7 @@ class ManualContext final : public Context {
   }
   void clear() { sent.clear(); }
 
-  std::vector<std::pair<ProcessId, std::unique_ptr<Message>>> sent;
+  std::vector<std::pair<ProcessId, MessagePtr>> sent;
   std::vector<TimerId> cancelled;
   TimerId timerCounter = 0;
   Tick lastTimerDelay = 0;
@@ -255,7 +255,8 @@ TEST(RaftUnit, AppendEntriesIdempotentOnDuplicates) {
   Bench bench;
   const raft::AppendEntries msg(1, 3, 0, 0, {raft::LogEntry{1, 10}}, 0);
   bench.node.onMessage(3, msg);
-  bench.node.onMessage(3, *msg.clone()->as<raft::AppendEntries>());
+  const raft::AppendEntries duplicate(msg);
+  bench.node.onMessage(3, duplicate);
   EXPECT_EQ(bench.node.lastLogIndex(), 1u);
 }
 

@@ -55,7 +55,7 @@ TEST(SimulatorRestart, StaleTimersAndInFlightMessagesDropped) {
    public:
     void onStart() override { timer_ = ctx().setTimer(2); }
     void onTimer(TimerId id) override {
-      if (id == timer_) ctx().send(1, std::make_unique<Ping>());
+      if (id == timer_) ctx().post(1, makeMessage<Ping>());
     }
     void onMessage(ProcessId, const Message&) override {}
 

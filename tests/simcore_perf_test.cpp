@@ -1,5 +1,5 @@
-// Guardrails for the simulator hot-path overhaul (zero-clone fan-out, tag
-// dispatch, calendar event queue, lazy trace text):
+// Guardrails for the simulator hot-path overhaul (shared-payload fan-out,
+// tag dispatch, calendar event queue, lazy trace text):
 //
 //  * golden-trace determinism — the pinned scenarios must serialize
 //    byte-identically to the artifacts in tests/golden/ (recorded before
@@ -7,7 +7,7 @@
 //    move a single event;
 //  * payload aliasing — a fan-out constructs exactly one message instance
 //    and every recipient sees the same object; duplication faults add
-//    refs, not copies; the legacy broadcast clones exactly once per call;
+//    refs, not copies;
 //  * calendar ordering — timers beyond the queue's 1024-tick bucket window
 //    fire in tick order through the overflow heap and cursor jumps;
 //  * lazy rendering — Message::describe() runs only for observers that
@@ -23,8 +23,6 @@
 #include <vector>
 
 #include "check/golden.hpp"
-#include "compose/registry.hpp"
-#include "compose/run.hpp"
 #include "sim/message.hpp"
 #include "sim/network.hpp"
 #include "sim/process.hpp"
@@ -133,7 +131,6 @@ TEST(PayloadSharing, FanoutConstructsOnceAndAliasesEveryDelivery) {
   sim.run();
 
   EXPECT_EQ(countedConstructed, 1);  // one instance for the whole broadcast
-  EXPECT_EQ(sim.messagesCloned(), 0u);
   EXPECT_EQ(sim.messagesSent(), kN);
   EXPECT_EQ(sim.messagesDelivered(), kN);
   const Message* shared = nullptr;
@@ -166,102 +163,9 @@ TEST(PayloadSharing, DuplicationFaultsAddRefsNotCopies) {
   sim.run();
 
   EXPECT_EQ(countedConstructed, 10);  // one instance per post, none per copy
-  EXPECT_EQ(sim.messagesCloned(), 0u);
   EXPECT_GT(sim.messagesDuplicated(), 0u);
   EXPECT_EQ(receiver->addresses.size(),
             10u + static_cast<std::size_t>(sim.messagesDuplicated()));
-}
-
-class LegacyBroadcaster final : public AddressRecorder {
- public:
-  void onStart() override {
-    // The pre-overhaul API: caller keeps ownership, simulator must copy.
-    const CountedMsg msg(3);
-    ctx().broadcast(msg);
-    ctx().broadcast(msg);
-  }
-};
-
-TEST(PayloadSharing, LegacyBroadcastClonesExactlyOncePerCall) {
-  countedConstructed = 0;
-  Simulator sim(SimConfig{}, std::make_unique<SynchronousNetwork>());
-  sim.addProcess(std::make_unique<LegacyBroadcaster>());
-  sim.addProcess(std::make_unique<AddressRecorder>());
-  sim.run();
-
-  // One local instance + one clone shared across all recipients, per call.
-  EXPECT_EQ(sim.messagesCloned(), 2u);
-  EXPECT_EQ(countedConstructed, 3);
-  EXPECT_EQ(sim.messagesDelivered(), 4u);
-}
-
-TEST(PayloadSharing, InTreeCompositionsNeverClonePayloads) {
-  // Every registered in-tree object uses the shared-payload post/fanout
-  // path, so the cloned-messages counter must stay zero across the whole
-  // valid detector × driver cross-product. runComposition() starts each
-  // run on a fresh Simulator, so the counter cannot carry over between
-  // cells either.
-  auto& reg = compose::registry();
-  for (const std::string& detector : reg.detectorNames()) {
-    for (const std::string& driver : reg.driverNames()) {
-      if (reg.validatePairing(detector, driver)) continue;  // rejected
-      compose::Composition composition;
-      composition.detector = detector;
-      composition.driver = driver;
-      composition.maxRounds = 200;
-      composition.maxTicks = 200'000;
-      // Oracle-consuming drivers get the strongest oracle their
-      // requirement admits — the oracle is a pure model consulted by the
-      // driver, so it must not introduce clones either.
-      const auto requirement = reg.driver(driver).capability.oracle;
-      if (requirement != compose::OracleRequirement::kNone) {
-        composition.oracle =
-            requirement == compose::OracleRequirement::kPerfect ? "perfect-p"
-                                                                : "omega";
-        if (composition.oracle == "omega") {
-          composition.oracleKnobs.stabilizeAt = 40;
-          composition.oracleKnobs.noise = 0.25;
-        }
-      }
-      const auto& capability = reg.detector(detector).capability;
-      if (capability.faultModel == compose::FaultModel::kByzantine) {
-        const bool lockstep =
-            capability.mode == compose::InvocationMode::kLockstep;
-        composition.n = lockstep ? (capability.tDivisor == 3 ? 7 : 9) : 11;
-        composition.byzantineCount = 2;
-      } else {
-        composition.n = 5;
-        composition.inputs = {0, 1, 0, 1, 1};
-      }
-      const auto result = compose::runComposition(composition);
-      EXPECT_EQ(result.messagesCloned, 0u)
-          << "payload copy regression in " << detector << "+" << driver;
-    }
-  }
-}
-
-TEST(PayloadSharing, NonLockstepSchedulersNeverClonePayloads) {
-  // The roundless policies change WHO consumes a payload (buffered
-  // replays, loose drivers, wakeup-deferred successors) but never copy it:
-  // buffering shares the envelope's payload and a detached drive keeps the
-  // original object. Zero clones must survive both skewed schedulers.
-  for (const SchedulingPolicy policy :
-       {SchedulingPolicy::kEventDriven, SchedulingPolicy::kOooDriver}) {
-    compose::Composition composition;
-    composition.detector = "benor-vac";
-    composition.driver = "lottery";
-    composition.scheduler = policy;
-    composition.n = 5;
-    composition.inputs = {0, 1, 0, 1, 1};
-    composition.maxDelay = 15;
-    composition.maxRounds = 200;
-    composition.maxTicks = 200'000;
-    const auto result = compose::runComposition(composition);
-    EXPECT_TRUE(result.allDecided) << toString(policy);
-    EXPECT_EQ(result.messagesCloned, 0u)
-        << "payload copy regression under the " << toString(policy)
-        << " scheduler";
-  }
 }
 
 // ---------------------------------------------------------------------------

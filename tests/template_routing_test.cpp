@@ -31,7 +31,7 @@ class CountingDetector final : public AgreementDetector {
 
   void invoke(ObjectContext& ctx, Value v) override {
     value_ = v;
-    ctx.broadcast(ProbeMsg(0));
+    ctx.fanout(makeMessage<ProbeMsg>(0));
     if (needed_ == 0) done_ = true;
   }
   void onMessage(ObjectContext&, ProcessId, const Message& inner) override {
@@ -83,17 +83,15 @@ class ManualHostContext final : public Context {
   std::size_t processCount() const noexcept override { return 3; }
   Tick now() const noexcept override { return now_; }
   Rng& rng() noexcept override { return rng_; }
-  void send(ProcessId, std::unique_ptr<Message> msg) override {
+  void post(ProcessId, MessagePtr msg) override {
     outbound.push_back(std::move(msg));
   }
-  void broadcast(const Message& msg) override {
-    outbound.push_back(msg.clone());
-  }
+  void fanout(MessagePtr msg) override { outbound.push_back(std::move(msg)); }
   TimerId setTimer(Tick) override { return ++timers; }
   void cancelTimer(TimerId) noexcept override {}
   void decide(Value v) override { decisions.push_back(v); }
 
-  std::vector<std::unique_ptr<Message>> outbound;
+  std::vector<MessagePtr> outbound;
   std::vector<Value> decisions;
   Tick now_ = 0;
   TimerId timers = 0;
