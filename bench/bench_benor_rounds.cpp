@@ -34,26 +34,18 @@ std::vector<Value> biasedInputs(std::size_t n, double fractionOnes) {
 }
 
 /// The monolithic baseline has no detector/driver split, so its cell runs
-/// the harness's classic loop.
-CellStats runMonolithicTrials(std::size_t n, int runs,
-                              std::uint64_t seedBase) {
-  CellStats stats;
-  stats.runs = runs;
+/// the harness's classic loop through the same fold as the compositions.
+compose::TrialStats runMonolithicTrials(std::size_t n, int runs,
+                                        std::uint64_t seedBase) {
+  compose::TrialStats stats;
   for (int run = 0; run < runs; ++run) {
     harness::MonolithicBenOrConfig config;
     config.n = n;
     config.inputs = biasedInputs(n, 0.5);
     config.seed = seedBase + static_cast<std::uint64_t>(run);
     config.t = std::max<std::size_t>(1, n / 8);
-    const auto result = harness::runMonolithicBenOr(config);
-    stats.agreementOk = stats.agreementOk && !result.agreementViolated;
-    stats.validityOk = stats.validityOk && !result.validityViolated;
-    if (result.allDecided) {
-      ++stats.decided;
-      stats.rounds.add(result.meanDecisionRound);
-    }
-    stats.messages.add(static_cast<double>(result.messagesByCorrect) /
-                       static_cast<double>(n));
+    stats.add(harness::runMonolithicBenOr(config), n,
+              /*oracleAttached=*/false);
   }
   return stats;
 }
@@ -72,7 +64,7 @@ int main(int argc, char** argv) {
                  "mean msgs/proc", "runs"});
     for (std::size_t n : {4, 8, 16, 32, 64}) {
       for (const bool monolithic : {false, true}) {
-        CellStats stats;
+        compose::TrialStats stats;
         if (monolithic) {
           stats = runMonolithicTrials(n, kRuns, 10'000);
         } else {
@@ -90,11 +82,11 @@ int main(int argc, char** argv) {
                         "benor consensus n=" + std::to_string(n));
         table.addRow({Table::cell(std::uint64_t{n}),
                       monolithic ? "monolithic" : "decomposed",
-                      Table::cell(stats.rounds.mean()),
-                      Table::cell(stats.rounds.median()),
-                      Table::cell(stats.rounds.p95()),
-                      Table::cell(stats.rounds.max()),
-                      Table::cell(stats.messages.mean(), 0),
+                      Table::cell(stats.meanDecisionRound.mean()),
+                      Table::cell(stats.meanDecisionRound.median()),
+                      Table::cell(stats.meanDecisionRound.p95()),
+                      Table::cell(stats.meanDecisionRound.max()),
+                      Table::cell(stats.messagesPerProcess.mean(), 0),
                       Table::cell(kRuns)});
       }
     }
@@ -114,14 +106,13 @@ int main(int argc, char** argv) {
       composition.n = 16;
       composition.inputs = biasedInputs(16, fraction);
       composition.t = 2;
-      const CellStats stats =
-          runCompositionTrials(composition, kRuns, 20'000);
+      const auto stats = runCompositionTrials(composition, kRuns, 20'000);
       bench.require(stats.decided == kRuns && stats.agreementOk,
                       "benor consensus (bias sweep)");
       table.addRow({Table::cell(fraction, 3),
-                    Table::cell(stats.rounds.mean()),
-                    Table::cell(stats.rounds.p95()),
-                    Table::cell(stats.rounds.max())});
+                    Table::cell(stats.meanDecisionRound.mean()),
+                    Table::cell(stats.meanDecisionRound.p95()),
+                    Table::cell(stats.meanDecisionRound.max())});
     }
     bench.emit(table);
   }

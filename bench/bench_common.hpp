@@ -40,7 +40,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "compose/run.hpp"
+#include "compose/matrix.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_id.hpp"
@@ -103,49 +103,17 @@ inline std::vector<Value> alternatingInputs(std::size_t n) {
   return inputs;
 }
 
-/// Aggregate of one experiment cell: `runs` seeded executions of a single
-/// composition. Round/message statistics plus the property flags the
-/// benches assert via Bench::require.
-struct CellStats {
-  int runs = 0;
-  int decided = 0;  ///< runs where every correct process decided
-  int decidedInFirstRound = 0;  ///< decided runs with max round 1
-  bool agreementOk = true;
-  bool validityOk = true;
-  bool auditsOk = true;
-  Summary rounds;    ///< mean decision round, decided runs only
-  Summary messages;  ///< messages by correct processes, per process
-};
-
-/// Runs `composition` under seeds seedBase, seedBase+1, ... — the
-/// scenario-setup loop every experiment binary used to hand-roll. The
-/// composition names the detector × driver pairing; everything else
-/// (inputs, t, crash schedule) rides along on the spec. Trials fan out
-/// across the scheduler; the fold below runs sequentially in seed order,
-/// so CellStats (and the JSON downstream) is byte-identical at any
-/// --threads value.
-inline CellStats runCompositionTrials(compose::Composition composition,
-                                      int runs, std::uint64_t seedBase) {
-  const auto results =
-      runTrialsParallel(runs, [&composition, seedBase](int run) {
-        compose::Composition trial = composition;
-        trial.seed = seedBase + static_cast<std::uint64_t>(run);
-        return compose::runComposition(trial);
-      });
-  CellStats stats;
-  stats.runs = runs;
-  for (const compose::CompositionResult& result : results) {
-    stats.agreementOk = stats.agreementOk && !result.agreementViolated;
-    stats.validityOk = stats.validityOk && !result.validityViolated;
-    stats.auditsOk = stats.auditsOk && result.allAuditsOk;
-    if (result.allDecided) {
-      ++stats.decided;
-      if (result.maxDecisionRound == 1) ++stats.decidedInFirstRound;
-      stats.rounds.add(result.meanDecisionRound);
-    }
-    stats.messages.add(static_cast<double>(result.messagesByCorrect) /
-                       static_cast<double>(composition.n));
-  }
+/// Runs `composition` under seeds seedBase, seedBase+1, ... through
+/// compose::runTrials at the bench's --threads, recording the fan-out in
+/// the bench JSON's quarantined `sweep` block. The composition names the
+/// detector × driver pairing; everything else (inputs, t, crash schedule,
+/// oracle) rides along on the spec.
+inline compose::TrialStats runCompositionTrials(
+    const compose::Composition& composition, int runs,
+    std::uint64_t seedBase) {
+  compose::TrialStats stats =
+      compose::runTrials(composition, runs, seedBase, trialThreads());
+  detail::sweepTelemetryRef().add(stats.sweep);
   return stats;
 }
 

@@ -34,18 +34,17 @@ int main(int argc, char** argv) {
       composition.n = n;
       composition.inputs = alternatingInputs(n);
       composition.t = std::max<std::size_t>(1, n / 4);
-      const CellStats stats =
-          runCompositionTrials(composition, kRuns, 170'000);
+      const auto stats = runCompositionTrials(composition, kRuns, 170'000);
       bench.require(stats.decided == kRuns && stats.agreementOk &&
                         stats.auditsOk,
                       "consensus + contracts");
       table.addRow({Table::cell(std::uint64_t{n}),
                     decentralized ? "decentralized-raft" : "benor-vac",
-                    Table::cell(stats.rounds.mean()),
-                    Table::cell(stats.rounds.median()),
-                    Table::cell(stats.rounds.p95()),
-                    Table::cell(stats.rounds.max()),
-                    Table::cell(stats.messages.mean(), 0),
+                    Table::cell(stats.meanDecisionRound.mean()),
+                    Table::cell(stats.meanDecisionRound.median()),
+                    Table::cell(stats.meanDecisionRound.p95()),
+                    Table::cell(stats.meanDecisionRound.max()),
+                    Table::cell(stats.messagesPerProcess.mean(), 0),
                     Table::cell(100.0 * stats.decidedInFirstRound / kRuns,
                                 1)});
     }

@@ -9,8 +9,10 @@
 // axioms hold in every cell; only the round count moves.
 //
 // The cross-product over the full oracle × driver registry (including the
-// rejected incoherent cells) is the separate `compose --fd-matrix` report
-// (schema ooc.fd-matrix.v1); this bench is the depth pass over the knobs.
+// rejected incoherent cells) is the separate `compose --matrix e22` report
+// (schema ooc.matrix.v2); this bench is the depth pass over the knobs.
+// Every cell folds through compose::runTrials, whose FD-axiom verdict fails
+// any oracle-attached run without a passing audit.
 #include "bench/bench_common.hpp"
 #include "compose/composition.hpp"
 
@@ -18,39 +20,6 @@ using namespace ooc;
 using namespace ooc::bench;
 
 namespace {
-
-/// CellStats plus the FD-axiom verdict, which the generic trial loop does
-/// not track (the oracle audit is an optional attachment on the result).
-struct FdCellStats {
-  CellStats base;
-  bool fdAxiomsOk = true;
-};
-
-// Trials fan across the experiment scheduler; the fold runs sequentially
-// in seed order, so the stats (and the JSON) are byte-identical at any
-// --threads value.
-FdCellStats runOracleTrials(const compose::Composition& composition, int runs,
-                            std::uint64_t seedBase) {
-  const auto results =
-      runTrialsParallel(runs, [&composition, seedBase](int run) {
-        compose::Composition trial = composition;
-        trial.seed = seedBase + static_cast<std::uint64_t>(run);
-        return compose::runComposition(trial);
-      });
-  FdCellStats stats;
-  stats.base.runs = runs;
-  for (const compose::CompositionResult& result : results) {
-    stats.base.agreementOk &= !result.agreementViolated;
-    stats.base.validityOk &= !result.validityViolated;
-    stats.base.auditsOk &= result.allAuditsOk;
-    stats.fdAxiomsOk &= result.oracleAudit && result.oracleAudit->ok();
-    if (result.allDecided) {
-      ++stats.base.decided;
-      stats.base.rounds.add(result.meanDecisionRound);
-    }
-  }
-  return stats;
-}
 
 compose::Composition baseComposition(const std::string& driver,
                                      const std::string& oracle) {
@@ -83,19 +52,19 @@ int main(int argc, char** argv) {
       composition.oracleKnobs.stabilizeAt = stabilizeAt;
       composition.oracleKnobs.noise = noise;
       const auto stats =
-          runOracleTrials(composition, kRuns, 220'000 + stabilizeAt);
-      bench.require(stats.base.decided == stats.base.runs,
+          runCompositionTrials(composition, kRuns, 220'000 + stabilizeAt);
+      bench.require(stats.decided == stats.runs,
                     "every correct process decides");
-      bench.require(stats.base.agreementOk && stats.base.validityOk,
+      bench.require(stats.agreementOk && stats.validityOk,
                     "agreement + validity under oracle degradation");
-      bench.require(stats.base.auditsOk, "object contracts");
+      bench.require(stats.auditsOk, "object contracts");
       bench.require(stats.fdAxiomsOk, "FD axioms (completeness, accuracy, "
                                       "convergence)");
       sweep.addRow({Table::cell(std::uint64_t{stabilizeAt}),
                     Table::cell(noise, 1),
-                    Table::cell(100.0 * stats.base.decided / stats.base.runs, 1),
-                    Table::cell(stats.base.rounds.mean(), 2),
-                    Table::cell(stats.base.rounds.max(), 2)});
+                    Table::cell(100.0 * stats.decided / stats.runs, 1),
+                    Table::cell(stats.meanDecisionRound.mean(), 2),
+                    Table::cell(stats.meanDecisionRound.max(), 2)});
     }
   }
   bench.emit(sweep);
@@ -120,22 +89,22 @@ int main(int argc, char** argv) {
     auto composition = baseComposition(c.driver, c.oracle);
     composition.oracleKnobs.stabilizeAt = c.stabilizeAt;
     composition.oracleKnobs.noise = c.noise;
-    const auto stats = runOracleTrials(composition, kRuns, 221'000);
-    bench.require(stats.base.decided == stats.base.runs,
+    const auto stats = runCompositionTrials(composition, kRuns, 221'000);
+    bench.require(stats.decided == stats.runs,
                   "every correct process decides");
-    bench.require(stats.base.agreementOk && stats.base.validityOk,
+    bench.require(stats.agreementOk && stats.validityOk,
                   "agreement + validity across oracle classes");
     bench.require(stats.fdAxiomsOk, "FD axioms across oracle classes");
     classes.addRow({c.driver, c.oracle,
-                    Table::cell(100.0 * stats.base.decided / stats.base.runs, 1),
-                    Table::cell(stats.base.rounds.mean(), 2),
-                    Table::cell(stats.base.rounds.max(), 2)});
+                    Table::cell(100.0 * stats.decided / stats.runs, 1),
+                    Table::cell(stats.meanDecisionRound.mean(), 2),
+                    Table::cell(stats.meanDecisionRound.max(), 2)});
   }
   bench.emit(classes);
   std::printf(
       "reading: every cell above is safe — oracle quality buys liveness "
       "(decision round), never correctness; the incoherent pairings the "
-      "registry refuses to run are in the fd-matrix report's rejected "
+      "registry refuses to run are in the e22 matrix report's rejected "
       "cells.\n");
   return bench.finish();
 }

@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
         composition.maxRounds = 40;  // it will spin; cap the work
         composition.maxTicks = 300'000;
       }
-      const CellStats stats =
-          runCompositionTrials(composition, kRuns, 140'000);
+      const auto stats = runCompositionTrials(composition, kRuns, 140'000);
       bench.require(stats.agreementOk && stats.validityOk, "safety");
       if (!isControl) {
         bench.require(stats.decided == kRuns,
@@ -58,15 +57,12 @@ int main(int argc, char** argv) {
       }
       const std::string label =
           driver == "biased-coin" ? "biased-0.8" : driver;
+      const Summary& rounds = stats.meanDecisionRound;
       table.addRow({Table::cell(std::uint64_t{n}), label,
                     Table::cell(100.0 * stats.decided / kRuns, 1),
-                    stats.rounds.empty() ? "-"
-                                         : Table::cell(stats.rounds.mean()),
-                    stats.rounds.empty() ? "-"
-                                         : Table::cell(stats.rounds.p95()),
-                    stats.rounds.empty()
-                        ? "-"
-                        : Table::cell(stats.rounds.max(), 0)});
+                    rounds.empty() ? "-" : Table::cell(rounds.mean()),
+                    rounds.empty() ? "-" : Table::cell(rounds.p95()),
+                    rounds.empty() ? "-" : Table::cell(rounds.max(), 0)});
     }
   }
   bench.emit(table);

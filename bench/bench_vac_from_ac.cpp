@@ -34,19 +34,18 @@ int main(int argc, char** argv) {
       composition.n = n;
       composition.inputs = alternatingInputs(n);
       composition.t = std::max<std::size_t>(1, n / 8);
-      const CellStats stats =
-          runCompositionTrials(composition, kRuns, 120'000);
+      const auto stats = runCompositionTrials(composition, kRuns, 120'000);
       bench.require(stats.decided == kRuns && stats.agreementOk &&
                         stats.validityOk && stats.auditsOk,
                       "consensus + contracts");
-      if (!synthesized) nativeMsgs = stats.messages.mean();
+      const double msgs = stats.messagesPerProcess.mean();
+      if (!synthesized) nativeMsgs = msgs;
       table.addRow(
           {Table::cell(std::uint64_t{n}),
            synthesized ? "vac-from-2ac" : "native benor-vac",
-           Table::cell(stats.rounds.mean()), Table::cell(stats.rounds.p95()),
-           Table::cell(stats.messages.mean(), 0),
-           synthesized ? Table::cell(stats.messages.mean() / nativeMsgs, 2)
-                       : "1.00"});
+           Table::cell(stats.meanDecisionRound.mean()),
+           Table::cell(stats.meanDecisionRound.p95()), Table::cell(msgs, 0),
+           synthesized ? Table::cell(msgs / nativeMsgs, 2) : "1.00"});
     }
   }
   bench.emit(table);

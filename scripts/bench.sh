@@ -130,55 +130,30 @@ if [ "$JSON" = 1 ]; then
   echo "wrote $(ls "$OUT" | wc -l) files to $OUT/ (trajectory: $trajectory)"
 fi
 
-# E20: the composition matrix. Every registered detector × driver pairing
-# either runs clean under runComposition() or is rejected with a capability
-# diagnostic; a safety violation in any valid cell fails the script, same
-# as a bench verdict. Writes ooc.matrix.v1 next to the bench JSON.
+# The composition matrices, one ooc.matrix.v2 file each next to the bench
+# JSON: E20 (every registered detector × driver pairing), E22 (oracle
+# quality × crash schedule for the oracle-consuming drivers) and E24
+# (engine × round-scheduling policy, DESIGN.md §14). Every cell either runs
+# clean — agreement, validity, the object audits, the FD axioms with an
+# oracle attached, zero overlaps and deferrals under lockstep — or is
+# rejected with the registry's diagnostic; a violation fails the script,
+# same as a bench verdict.
 cmake --build build -j --target compose >/dev/null
-echo "## compose (E20 matrix) $QUICK"
-matrix_flag=""
-[ "$JSON" = 1 ] && matrix_flag="--json $OUT/BENCH_matrix.json"
 threads_flag=""
 [ -n "$THREADS" ] && threads_flag="--threads $THREADS"
-status=0
-# shellcheck disable=SC2086  # flags are intentionally word-split
-build/tools/compose $QUICK $threads_flag $matrix_flag || status=$?
-if [ "$status" -ne 0 ]; then
-  failures=$((failures + 1))
-  echo "!! compose matrix exited $status" >&2
-fi
-
-# E22: the oracle-quality matrix. Every oracle-consuming driver × registered
-# oracle × quality grid point either runs clean (safety + FD axioms) or is
-# rejected with the registry's oracle diagnostic; rejected cells land in the
-# JSON like E20's. Writes ooc.fd-matrix.v1 next to the bench JSON.
-echo "## compose --fd-matrix (E22 oracle matrix) $QUICK"
-fd_matrix_flag=""
-[ "$JSON" = 1 ] && fd_matrix_flag="--json $OUT/BENCH_fd_matrix.json"
-status=0
-# shellcheck disable=SC2086  # flags are intentionally word-split
-build/tools/compose --fd-matrix $QUICK $threads_flag $fd_matrix_flag || status=$?
-if [ "$status" -ne 0 ]; then
-  failures=$((failures + 1))
-  echo "!! compose fd-matrix exited $status" >&2
-fi
-
-# E24: the roundless scheduling-policy matrix. Every skew-relevant engine
-# pairing runs under every round scheduling policy (lockstep, event-driven,
-# ooo-driver — DESIGN.md §14); registry-rejected (engine, policy) cells
-# carry the capability diagnostic, valid cells must decide with agreement,
-# validity, the contract audits, and the scheduler-coherence counters
-# intact. Writes ooc.roundless.v1 next to the bench JSON.
-echo "## compose --roundless-matrix (E24 scheduling matrix) $QUICK"
-roundless_flag=""
-[ "$JSON" = 1 ] && roundless_flag="--json $OUT/BENCH_roundless.json"
-status=0
-# shellcheck disable=SC2086  # flags are intentionally word-split
-build/tools/compose --roundless-matrix $QUICK $threads_flag $roundless_flag || status=$?
-if [ "$status" -ne 0 ]; then
-  failures=$((failures + 1))
-  echo "!! compose roundless-matrix exited $status" >&2
-fi
+for entry in e20:matrix e22:fd_matrix e24:roundless; do
+  matrix="${entry%%:*}"
+  echo "## compose --matrix $matrix $QUICK"
+  matrix_flag=""
+  [ "$JSON" = 1 ] && matrix_flag="--json $OUT/BENCH_${entry#*:}.json"
+  status=0
+  # shellcheck disable=SC2086  # flags are intentionally word-split
+  build/tools/compose --matrix "$matrix" $QUICK $threads_flag $matrix_flag || status=$?
+  if [ "$status" -ne 0 ]; then
+    failures=$((failures + 1))
+    echo "!! compose --matrix $matrix exited $status" >&2
+  fi
+done
 
 # Committed trajectory files: append this run's headline metric to the
 # repo-root BENCH_<name>.json so the numbers are tracked commit over

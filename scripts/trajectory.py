@@ -66,9 +66,10 @@ def extract(run, mode):
                               "engine"),
                  True)]
     if mode == "roundless":
-        # ooc.roundless.v1 is a matrix document, not an ooc.bench.v1 run:
-        # the headline series is mean rounds-to-decide per valid decided
-        # (engine, policy) cell. Rejected cells have no number to track.
+        # The E24 ooc.matrix.v2 document is a matrix, not an ooc.bench.v1
+        # run: the headline series is mean rounds-to-decide per valid
+        # decided (engine, policy) cell. Rejected cells have no number to
+        # track.
         return [("mean_rounds", {
             f"{c['detector']}+{c['driver']}@{c['policy']}":
                 round(c["mean_rounds"], 2)

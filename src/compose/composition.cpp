@@ -1,7 +1,6 @@
 #include "compose/composition.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "compose/kv.hpp"
@@ -42,20 +41,40 @@ PlantedFault parsePlantedFault(const std::string& name) {
 // ---------------------------------------------------------------------------
 // resolution
 
+std::optional<std::string> validate(const Composition& composition) {
+  const Registry& reg = registry();
+  try {
+    if (auto diagnostic =
+            reg.validatePairing(composition.detector, composition.driver))
+      return diagnostic;
+    if (auto diagnostic = reg.validateOracle(
+            composition.driver, composition.oracle, composition.oracleKnobs))
+      return diagnostic;
+    if (auto diagnostic = reg.validateScheduling(
+            composition.detector, composition.driver, composition.scheduler))
+      return diagnostic;
+  } catch (const std::invalid_argument& unknownName) {
+    return unknownName.what();  // the registry lookup's "known: ..." text
+  }
+  const DetectorCapability& detector =
+      reg.detector(composition.detector).capability;
+  if (composition.byzantineCount > composition.n)
+    return "more Byzantine than processes";
+  if (composition.byzantineCount > 0 &&
+      detector.faultModel != FaultModel::kByzantine) {
+    return "detector '" + composition.detector +
+           "' is crash-model: it cannot host planted Byzantine processes";
+  }
+  if (!composition.crashes.empty() &&
+      detector.mode == InvocationMode::kLockstep)
+    return "lockstep compositions take Byzantine plants, not crash schedules";
+  return std::nullopt;
+}
+
 ResolvedComposition resolve(const Composition& composition) {
-  Registry& reg = registry();
-  if (const auto diagnostic =
-          reg.validatePairing(composition.detector, composition.driver)) {
+  if (const auto diagnostic = validate(composition))
     throw std::invalid_argument(*diagnostic);
-  }
-  if (const auto diagnostic = reg.validateOracle(
-          composition.driver, composition.oracle, composition.oracleKnobs)) {
-    throw std::invalid_argument(*diagnostic);
-  }
-  if (const auto diagnostic = reg.validateScheduling(
-          composition.detector, composition.driver, composition.scheduler)) {
-    throw std::invalid_argument(*diagnostic);
-  }
+  const Registry& reg = registry();
   ResolvedComposition resolved;
   resolved.detector = &reg.detector(composition.detector);
   resolved.driver = &reg.driver(composition.driver);
@@ -72,18 +91,6 @@ ResolvedComposition resolve(const Composition& composition) {
   resolved.alwaysRunDriver =
       resolved.lockstep || resolved.driver->capability.requiresEveryProcess ||
       composition.scheduler == SchedulingPolicy::kOooDriver;
-
-  if (composition.byzantineCount > composition.n)
-    throw std::invalid_argument("more Byzantine than processes");
-  if (composition.byzantineCount > 0 &&
-      resolved.detector->capability.faultModel != FaultModel::kByzantine) {
-    throw std::invalid_argument(
-        "detector '" + composition.detector +
-        "' is crash-model: it cannot host planted Byzantine processes");
-  }
-  if (!composition.crashes.empty() && resolved.lockstep)
-    throw std::invalid_argument(
-        "lockstep compositions take Byzantine plants, not crash schedules");
   return resolved;
 }
 
@@ -220,7 +227,9 @@ struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;
   bool boolean = false;
-  double number = 0;
+  /// String contents, or a number's raw token: the reader types each
+  /// number by its key (asU64/asValue/asDouble), so a 64-bit seed never
+  /// passes through a double.
   std::string string;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;
@@ -306,12 +315,9 @@ class JsonParser {
             text_[pos_] == '+' || text_[pos_] == '-'))
       ++pos_;
     if (pos_ == start) fail("expected a value");
-    const std::string token = text_.substr(start, pos_ - start);
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    char* end = nullptr;
-    v.number = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("malformed number '" + token + "'");
+    v.string = text_.substr(start, pos_ - start);
     return v;
   }
 
@@ -386,18 +392,25 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-std::uint64_t asU64(const JsonValue& v, const char* key) {
+const std::string& numberToken(const JsonValue& v, const char* key) {
   if (v.kind != JsonValue::Kind::kNumber)
     throw std::runtime_error(std::string("json: '") + key +
                              "' must be a number");
-  return static_cast<std::uint64_t>(v.number);
+  return v.string;
+}
+
+// The kv reader's whole-token rules: no fractions, signs or exponents in
+// integers, no wrap-around, finite doubles only.
+std::uint64_t asU64(const JsonValue& v, const char* key) {
+  return parseU64(numberToken(v, key), key);
+}
+
+Value asValue(const JsonValue& v, const char* key) {
+  return parseI64(numberToken(v, key), key);
 }
 
 double asDouble(const JsonValue& v, const char* key) {
-  if (v.kind != JsonValue::Kind::kNumber)
-    throw std::runtime_error(std::string("json: '") + key +
-                             "' must be a number");
-  return v.number;
+  return parseDouble(numberToken(v, key), key);
 }
 
 const std::string& asString(const JsonValue& v, const char* key) {
@@ -497,8 +510,7 @@ Composition fromJson(const std::string& text) {
         throw std::runtime_error("json: 'inputs' must be an array");
       composition.inputs.clear();
       for (const JsonValue& input : value.array)
-        composition.inputs.push_back(
-            static_cast<Value>(asDouble(input, "inputs[]")));
+        composition.inputs.push_back(asValue(input, "inputs[]"));
     } else if (key == "seed") {
       composition.seed = asU64(value, "seed");
     } else if (key == "bias") {

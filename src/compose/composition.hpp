@@ -101,9 +101,15 @@ struct ResolvedComposition {
   SchedulingPolicy scheduling = SchedulingPolicy::kLockstep;
 };
 
-/// Resolves the names against the registry and validates the pairing plus
-/// the run parameters; throws std::invalid_argument with the capability
-/// diagnostic on an invalid composition.
+/// The one gate every composition passes: unknown names, the registry's
+/// pairing, oracle and scheduling checks, then the run parameters.
+/// Returns nullopt when the composition is an algorithm, otherwise the
+/// diagnostic — never throws for an invalid composition.
+std::optional<std::string> validate(const Composition& composition);
+
+/// Resolves the names against the registry after validate(); throws
+/// std::invalid_argument with validate()'s diagnostic on an invalid
+/// composition.
 ResolvedComposition resolve(const Composition& composition);
 
 /// "detector+driver" CLI spec, e.g. "benor-vac+timer". Whitespace around

@@ -52,14 +52,16 @@ std::uint64_t parseU64(const std::string& token, const std::string& what) {
   return parseWhole<std::uint64_t>(token, what, "an unsigned integer");
 }
 
-double KvReader::getDouble(const std::string& key, double fallback) const {
-  if (!has(key)) return fallback;
-  const std::string token = get(key);
+std::int64_t parseI64(const std::string& token, const std::string& what) {
+  return parseWhole<std::int64_t>(token, what, "an integer");
+}
+
+double parseDouble(const std::string& token, const std::string& what) {
   double value = 0.0;
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, value);
   if (ec != std::errc() || ptr != end || !std::isfinite(value))
-    badNumber(key, "a finite number", token);
+    badNumber(what, "a finite number", token);
   return value;
 }
 
@@ -95,7 +97,7 @@ std::vector<Value> KvReader::getValues(const std::string& key) const {
   std::string token;
   while (std::getline(in, token, ','))
     if (!token.empty())
-      values.push_back(parseWhole<Value>(token, key, "an integer"));
+      values.push_back(parseI64(token, key));
   return values;
 }
 

@@ -64,9 +64,12 @@ class KvWriter {
 
 /// Strict unsigned number token: the whole token must be the number — no
 /// sign, no leading blanks, no trailing bytes, no overflow. Anything else
-/// throws std::runtime_error naming `what` (the key). KvReader's getters
-/// apply the same rule (signed for consensus values, finite for doubles).
+/// throws std::runtime_error naming `what` (the key). The same rule reads
+/// consensus values (signed) and doubles (which must also be finite), in
+/// KvReader's getters and the composition JSON reader alike.
 std::uint64_t parseU64(const std::string& token, const std::string& what);
+std::int64_t parseI64(const std::string& token, const std::string& what);
+double parseDouble(const std::string& token, const std::string& what);
 
 class KvReader {
  public:
@@ -81,7 +84,9 @@ class KvReader {
   std::uint64_t getU64(const std::string& key, std::uint64_t fallback) const {
     return has(key) ? parseU64(get(key), key) : fallback;
   }
-  double getDouble(const std::string& key, double fallback) const;
+  double getDouble(const std::string& key, double fallback) const {
+    return has(key) ? parseDouble(get(key), key) : fallback;
+  }
   const std::vector<std::string>& getAll(const std::string& key) const;
   std::vector<Value> getValues(const std::string& key) const;
 

@@ -1,9 +1,20 @@
-// Experiment E20: the full detector × driver cross-product. Every pairing
-// the registry knows is either run under runComposition() — collecting
-// agreement/validity/termination and rounds-to-decide — or rejected with
-// its capability diagnostic; both outcomes land in the ooc.matrix.v1 JSON,
-// so the matrix is a machine-checkable statement of which compositions are
-// algorithms (and why the rest are not).
+// Composition trials and the composition matrix. The paper's claim — a
+// consensus algorithm is a detector × driver composition — is tested as
+// one statement along three axes: every cell of a matrix experiment is a
+// Composition that is either an algorithm (validate() passes, and its
+// seeded runs keep agreement, validity, the object audits and, with an
+// oracle attached, the FD axioms) or rejected with the registry's
+// diagnostic. The experiments differ only in their cell lists:
+//
+//   e20  every registered detector × driver pairing (§3, §5, §6)
+//   e22  oracle-consuming drivers × oracles × a quality grid, under a
+//        crash, plus the incoherent attachments (Chandra–Toueg classes)
+//   e24  a roster of engine pairings × the three round-scheduling
+//        policies (DESIGN.md §14)
+//
+// All three run through runMatrix() and render as ooc.matrix.v2 JSON,
+// byte-identical at any thread count. runTrials() is the one "N seeds of
+// one composition" loop; the benches fold their tables through it too.
 #pragma once
 
 #include <cstddef>
@@ -11,178 +22,105 @@
 #include <string>
 #include <vector>
 
+#include "compose/composition.hpp"
+#include "compose/run.hpp"
+#include "sweep/scheduler.hpp"
+#include "util/stats.hpp"
 #include "util/types.hpp"
 
 namespace ooc::compose {
 
+/// The fold of one composition's seeded runs, in seed order.
+struct TrialStats {
+  int runs = 0;
+  int decided = 0;              ///< runs where every correct process decided
+  int decidedInFirstRound = 0;  ///< decided runs whose max round is 1
+  bool agreementOk = true;
+  bool validityOk = true;
+  bool auditsOk = true;
+  /// An oracle-attached run fails without a passing FD-axiom audit;
+  /// oracle-free runs pass vacuously.
+  bool fdAxiomsOk = true;
+  /// Per decided run: the mean and the highest decision round. Empty when
+  /// no run decided (e.g. keep-value on a split start, the paper's
+  /// termination counterexample).
+  Summary meanDecisionRound;
+  Summary maxDecisionRound;
+  /// Messages sent by correct processes, per run and per process.
+  Summary messagesPerRun;
+  Summary messagesPerProcess;
+  /// Skew observations (DESIGN.md §14): witness and activation counts
+  /// summed over runs, round skew maxed.
+  std::uint64_t overlapWitnesses = 0;
+  std::uint64_t deferredActivations = 0;
+  Round maxRoundSkew = 0;
+  /// Scheduler telemetry of the trial fan-out: wall-clock, so it feeds
+  /// only the quarantined `sweep` blocks, never the fold.
+  sweep::SweepStats sweep;
+
+  /// Folds one run of a composition over `n` processes.
+  void add(const CompositionResult& result, std::size_t n,
+           bool oracleAttached);
+  bool safe() const noexcept {
+    return agreementOk && validityOk && auditsOk && fdAxiomsOk;
+  }
+};
+
+/// Runs `composition` under seeds seedBase, seedBase+1, ... fanned over
+/// `threads` workers (0 = hardware; nested inside another sweep it runs
+/// inline) and folds the results in seed order, so the stats are
+/// identical at any thread count. Throws like runComposition() on an
+/// invalid composition.
+TrialStats runTrials(const Composition& composition, int runs,
+                     std::uint64_t seedBase, std::size_t threads);
+
+/// One matrix experiment: its cells in report order and its defaults.
+struct MatrixExperiment {
+  std::string name;  ///< "e20" | "e22" | "e24"
+  std::vector<Composition> cells;
+  int runsPerCell = 0;
+  int quickRunsPerCell = 0;
+  std::uint64_t seedBase = 0;
+};
+
+MatrixExperiment e20Matrix();  // 20 runs/cell (quick 5), seeds from 9000
+MatrixExperiment e22Matrix();  // 10 runs/cell (quick 3), seeds from 11000
+MatrixExperiment e24Matrix();  // 10 runs/cell (quick 3), seeds from 13000
+/// Looks an experiment up by name; throws std::invalid_argument naming the
+/// known ones.
+MatrixExperiment matrixExperiment(const std::string& name);
+
 struct MatrixOptions {
-  /// Runs per valid cell (seeds seedBase, seedBase+1, ...).
-  int runsPerCell = 20;
-  std::uint64_t seedBase = 9000;
-  bool quick = false;  // drops runsPerCell to 5
+  bool quick = false;  ///< run quickRunsPerCell per valid cell
   /// Worker threads for the cell sweep (0 = hardware). Cells land in the
-  /// report in enumeration order regardless, so the JSON is byte-identical
-  /// at any thread count.
+  /// report in experiment order regardless.
   std::size_t threads = 0;
 };
 
 struct MatrixCell {
-  std::string detector;
-  std::string driver;
-  /// Oracle auto-attached when the driver consumes one; empty otherwise.
-  std::string oracle;
+  Composition composition;  ///< the cell; runs vary only its seed
   bool valid = false;
-  /// Capability diagnostic for rejected pairings; empty when valid.
-  std::string diagnostic;
-
-  int runs = 0;
-  int decided = 0;  // runs where every correct process decided
-  bool agreementOk = true;
-  bool validityOk = true;
-  bool auditsOk = true;
-  /// FD-axiom audit verdict over the cell's runs (oracle cells only;
-  /// vacuously true elsewhere).
-  bool fdAxiomsOk = true;
-  /// Mean/max decision round over decided runs (0 when none decided —
-  /// e.g. keep-value on a split start, the paper's termination
-  /// counterexample).
-  double meanRounds = 0;
-  Round maxRound = 0;
-  double meanMessages = 0;
+  std::string diagnostic;  ///< validate()'s text; empty when valid
+  TrialStats stats;        ///< empty for rejected cells
 };
 
 struct MatrixReport {
-  std::vector<std::string> detectors;
-  std::vector<std::string> drivers;
-  std::vector<MatrixCell> cells;  // row-major: detectors × drivers
+  std::string experiment;
+  bool quick = false;
+  int runsPerCell = 0;
+  std::uint64_t seedBase = 0;
+  std::vector<MatrixCell> cells;
   std::size_t validCells = 0;
   std::size_t rejectedCells = 0;
-  /// False if any valid cell violated agreement/validity or failed audits.
+  /// False if any valid cell is unsafe (TrialStats::safe()) or, under the
+  /// lockstep policy, shows an overlap witness or a deferred activation.
   bool safetyOk = true;
 };
 
-MatrixReport runMatrix(const MatrixOptions& options);
+MatrixReport runMatrix(const MatrixExperiment& experiment,
+                       const MatrixOptions& options);
 
-/// Renders the report as ooc.matrix.v1 JSON (deterministic byte-for-byte
-/// for a fixed registry and options).
-std::string matrixToJson(const MatrixReport& report,
-                         const MatrixOptions& options);
-
-// ---------------------------------------------------------------------------
-// Experiment E22: oracle quality vs. rounds-to-decide. For each
-// oracle-consuming driver, every registered oracle is swept across a
-// quality grid (stabilization time × false-suspicion noise, fixed
-// completeness lag) under a crash schedule; incoherent cells — missing
-// oracle, ◇S/Ω under the P-requiring driver, noisy perfect-p, oracle on
-// an oracle-free driver — land in the report as rejected cells with the
-// registry's diagnostic, like E20's.
-
-struct OracleMatrixOptions {
-  int runsPerCell = 10;
-  std::uint64_t seedBase = 11000;
-  bool quick = false;  // drops runsPerCell to 3
-  /// Worker threads for the cell sweep (0 = hardware); see MatrixOptions.
-  std::size_t threads = 0;
-};
-
-struct OracleMatrixCell {
-  std::string driver;
-  std::string oracle;  // "" for the missing-oracle rejection row
-  Tick stabilizeAt = 0;
-  double noise = 0;
-  Tick completenessLag = 0;
-  bool valid = false;
-  std::string diagnostic;
-
-  int runs = 0;
-  int decided = 0;
-  bool agreementOk = true;
-  bool validityOk = true;
-  bool auditsOk = true;
-  bool fdAxiomsOk = true;
-  double meanRounds = 0;
-  Round maxRound = 0;
-};
-
-struct OracleMatrixReport {
-  std::vector<std::string> drivers;  // oracle-consuming drivers swept
-  std::vector<std::string> oracles;
-  std::vector<OracleMatrixCell> cells;
-  std::size_t validCells = 0;
-  std::size_t rejectedCells = 0;
-  /// False if any valid cell violated agreement/validity, failed the
-  /// object audits, or broke an FD axiom.
-  bool safetyOk = true;
-};
-
-OracleMatrixReport runOracleMatrix(const OracleMatrixOptions& options);
-
-/// Renders the report as ooc.fd-matrix.v1 JSON.
-std::string oracleMatrixToJson(const OracleMatrixReport& report,
-                               const OracleMatrixOptions& options);
-
-// ---------------------------------------------------------------------------
-// Experiment E24: scheduling policy × engine family. A fixed roster of
-// engine pairings — the async coin engine, the Ω-backed coordinator, the
-// layered VAC-from-AC stack, the timer reconciliator and a lockstep
-// phase protocol — is swept under every RoundScheduler policy. Cells the
-// registry's validateScheduling() rejects (lockstep-mode objects and
-// skew-intolerant reconciliators under non-lockstep policies) land in the
-// report with their capability diagnostic; valid cells record the skew
-// observations (overlap witnesses, deferred activations, max round skew)
-// that separate the three policies behaviourally (DESIGN.md §14).
-
-struct RoundlessMatrixOptions {
-  int runsPerCell = 10;
-  std::uint64_t seedBase = 13000;
-  bool quick = false;  // drops runsPerCell to 3
-  /// Worker threads for the cell sweep (0 = hardware); see MatrixOptions.
-  std::size_t threads = 0;
-};
-
-struct RoundlessMatrixCell {
-  std::string detector;
-  std::string driver;
-  /// Oracle auto-attached when the driver consumes one; empty otherwise.
-  std::string oracle;
-  /// Wire name of the scheduling policy this cell ran under.
-  std::string policy;
-  bool valid = false;
-  std::string diagnostic;
-
-  int runs = 0;
-  int decided = 0;
-  bool agreementOk = true;
-  bool validityOk = true;
-  bool auditsOk = true;
-  bool fdAxiomsOk = true;
-  double meanRounds = 0;
-  Round maxRound = 0;
-  double meanMessages = 0;
-
-  /// Skew observations summed (witness/activation counts) or maxed (skew)
-  /// over the cell's runs. Lockstep cells are structurally pinned to
-  /// zero on all three; event-driven shows deferred activations, the
-  /// ooo-driver policy shows overlap witnesses.
-  std::uint64_t overlapWitnesses = 0;
-  std::uint64_t deferredActivations = 0;
-  Round maxRoundSkew = 0;
-};
-
-struct RoundlessMatrixReport {
-  std::vector<std::string> policies;
-  /// "detector+driver" spec strings of the engine roster, in sweep order.
-  std::vector<std::string> engines;
-  std::vector<RoundlessMatrixCell> cells;  // row-major: engines × policies
-  std::size_t validCells = 0;
-  std::size_t rejectedCells = 0;
-  bool safetyOk = true;
-};
-
-RoundlessMatrixReport runRoundlessMatrix(const RoundlessMatrixOptions& options);
-
-/// Renders the report as ooc.roundless.v1 JSON.
-std::string roundlessMatrixToJson(const RoundlessMatrixReport& report,
-                                  const RoundlessMatrixOptions& options);
+/// Renders the report as ooc.matrix.v2 JSON.
+std::string matrixToJson(const MatrixReport& report);
 
 }  // namespace ooc::compose

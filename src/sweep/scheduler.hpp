@@ -4,8 +4,8 @@
 //
 // Extracted from the one-off driver in src/check/checker.cpp (PR 4/7) so
 // every embarrassingly parallel sweep in the repo — checker exploration,
-// the E20/E22 composition matrices, bench trial loops, the family=svc
-// grids — rides one scheduler with one telemetry schema.
+// the E20/E22/E24 composition matrices, composition trial loops, the
+// family=svc grids — rides one scheduler with one telemetry schema.
 //
 // Determinism contract (the reason this is safe to use everywhere):
 //   * The scheduler decides only WHICH THREAD runs an index and WHEN —
@@ -15,8 +15,8 @@
 //     commutative telemetry-registry updates).
 //   * Callers reduce results in index order after parallelFor returns, so
 //     floating-point folds see one canonical order. Under that discipline
-//     every aggregate (ooc.check.v1, ooc.matrix.v1, ooc.fd-matrix.v1,
-//     bench JSON) is byte-identical at threads=1 and threads=N.
+//     every aggregate (ooc.check.v1, ooc.matrix.v2, bench JSON) is
+//     byte-identical at threads=1 and threads=N.
 //   * The only non-deterministic outputs are the wall-clock fields of
 //     SweepStats, which stay quarantined in the documented `sweep`
 //     telemetry block of each artifact and never feed byte-diffed data.

@@ -221,6 +221,35 @@ TEST(ComposeSerialize, ParsePathsRejectInvalidPairingsWithTheSameText) {
             expected);
 }
 
+TEST(ComposeSerialize, JsonKeepsEverySeedExactly) {
+  // 2^53 + 1 has no double: a reader that parses through one lands on
+  // 2^53, which is a different run.
+  Composition original = sampleComposition();
+  original.seed = 9'007'199'254'740'993ULL;
+  const Composition parsed = compose::fromJson(compose::toJson(original));
+  EXPECT_EQ(parsed.seed, original.seed);
+  EXPECT_EQ(compose::toJson(parsed), compose::toJson(original));
+}
+
+TEST(ComposeSerialize, JsonRejectsNumbersItCannotReadExactly) {
+  const std::string json = compose::toJson(sampleComposition());
+  const auto withToken = [&](const std::string& from, const std::string& to) {
+    const auto at = json.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return std::string(json).replace(at, from.size(), to);
+  };
+  for (const auto& [from, to, key] :
+       {std::tuple<std::string, std::string, std::string>{
+            "\"n\":9,", "\"n\":5.9,", "'n'"},
+        {"\"seed\":42,", "\"seed\":-1,", "'seed'"},
+        {"\"inputs\":[1,", "\"inputs\":[0.5,", "'inputs[]'"},
+        {"\"n\":9,", "\"n\":1e300,", "'n'"}}) {
+    const std::string error =
+        throwText([&] { compose::fromJson(withToken(from, to)); });
+    EXPECT_NE(error.find(key), std::string::npos) << to << ": " << error;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The oracle role (PR 6): rejection gates, interchange, the E22 matrix
 
@@ -341,9 +370,9 @@ TEST(ComposeOracle, OracleFreeCompositionsSerializeWithoutOracleKeys) {
 }
 
 TEST(ComposeOracle, E22MatrixReportsRejectedCellsWithDiagnostics) {
-  compose::OracleMatrixOptions options;
-  options.runsPerCell = 1;  // quick=false: quick mode would force 3
-  const auto report = compose::runOracleMatrix(options);
+  compose::MatrixExperiment experiment = compose::e22Matrix();
+  experiment.runsPerCell = 1;  // quick=false: quick mode would force 3
+  const auto report = compose::runMatrix(experiment, {});
   EXPECT_TRUE(report.safetyOk);
   EXPECT_GT(report.validCells, 0u);
   EXPECT_GT(report.rejectedCells, 0u);
@@ -351,18 +380,21 @@ TEST(ComposeOracle, E22MatrixReportsRejectedCellsWithDiagnostics) {
 
   bool sawMissingOracle = false, sawWeakOracle = false, sawNoisyPerfect = false;
   for (const auto& cell : report.cells) {
+    const Composition& c = cell.composition;
     if (cell.valid) {
       EXPECT_TRUE(cell.diagnostic.empty());
-      EXPECT_EQ(cell.runs, 1);
-      EXPECT_TRUE(cell.fdAxiomsOk) << cell.driver << "+" << cell.oracle;
-      EXPECT_TRUE(cell.agreementOk && cell.validityOk && cell.auditsOk);
+      EXPECT_EQ(cell.stats.runs, 1);
+      EXPECT_TRUE(cell.stats.fdAxiomsOk) << c.driver << "+" << c.oracle;
+      EXPECT_TRUE(cell.stats.agreementOk && cell.stats.validityOk &&
+                  cell.stats.auditsOk);
     } else {
-      EXPECT_FALSE(cell.diagnostic.empty()) << cell.driver << "+" << cell.oracle;
-      EXPECT_EQ(cell.runs, 0);
-      if (cell.oracle.empty()) sawMissingOracle = true;
-      if (cell.driver == "p-coordinator" && cell.oracle == "diamond-s")
+      EXPECT_FALSE(cell.diagnostic.empty()) << c.driver << "+" << c.oracle;
+      EXPECT_EQ(cell.stats.runs, 0);
+      if (c.oracle.empty()) sawMissingOracle = true;
+      if (c.driver == "p-coordinator" && c.oracle == "diamond-s")
         sawWeakOracle = true;
-      if (cell.oracle == "perfect-p" && cell.noise > 0) sawNoisyPerfect = true;
+      if (c.oracle == "perfect-p" && c.oracleKnobs.noise > 0)
+        sawNoisyPerfect = true;
     }
   }
   EXPECT_TRUE(sawMissingOracle);
@@ -370,11 +402,86 @@ TEST(ComposeOracle, E22MatrixReportsRejectedCellsWithDiagnostics) {
   EXPECT_TRUE(sawNoisyPerfect);
 
   // The JSON form carries the rejected cells too, diagnostic included.
-  const std::string json = compose::oracleMatrixToJson(report, options);
-  EXPECT_NE(json.find("\"schema\":\"ooc.fd-matrix.v1\""), std::string::npos);
+  const std::string json = compose::matrixToJson(report);
+  EXPECT_NE(json.find("\"schema\":\"ooc.matrix.v2\""), std::string::npos);
+  EXPECT_NE(json.find("\"experiment\":\"e22\""), std::string::npos);
   EXPECT_NE(json.find("\"valid\":false"), std::string::npos);
   EXPECT_NE(json.find("\"diagnostic\""), std::string::npos);
   EXPECT_NE(json.find("\"fd_axioms_ok\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The composition matrix: E20, E22 and E24 through one gate and one runner
+
+TEST(ComposeMatrix, TrialFoldFailsOracleRunsWithoutAPassingAudit) {
+  compose::CompositionResult unaudited;
+  compose::CompositionResult failed;
+  failed.oracleAudit.emplace();
+  failed.oracleAudit->accuracyOk = false;
+  compose::CompositionResult passed;
+  passed.oracleAudit.emplace();
+
+  compose::TrialStats oracleFree;
+  oracleFree.add(unaudited, 5, /*oracleAttached=*/false);
+  EXPECT_TRUE(oracleFree.fdAxiomsOk);  // vacuously
+  for (const auto* result : {&unaudited, &failed}) {
+    compose::TrialStats stats;
+    stats.add(passed, 5, /*oracleAttached=*/true);
+    stats.add(*result, 5, /*oracleAttached=*/true);
+    EXPECT_FALSE(stats.fdAxiomsOk);
+    EXPECT_FALSE(stats.safe());
+  }
+  compose::TrialStats clean;
+  clean.add(passed, 5, /*oracleAttached=*/true);
+  EXPECT_TRUE(clean.safe());
+  EXPECT_EQ(clean.runs, 1);
+}
+
+TEST(ComposeMatrix, EveryExperimentGatesLikeResolveAndIsThreadInvariant) {
+  const auto& reg = registry();
+  std::size_t consumingDrivers = 0;
+  for (const std::string& name : reg.driverNames())
+    if (reg.driver(name).capability.oracle != compose::OracleRequirement::kNone)
+      ++consumingDrivers;
+  const std::size_t oracles = reg.oracleNames().size();
+  // Derived from the registry: another test registers an extra driver.
+  const std::size_t expectedCells[] = {
+      reg.detectorNames().size() * reg.driverNames().size(),
+      consumingDrivers * (1 + 3 * oracles) + oracles,
+      5 * 3,
+  };
+  const compose::MatrixExperiment experiments[] = {
+      compose::e20Matrix(), compose::e22Matrix(), compose::e24Matrix()};
+  for (std::size_t e = 0; e < 3; ++e) {
+    compose::MatrixExperiment experiment = experiments[e];
+    SCOPED_TRACE(experiment.name);
+    EXPECT_EQ(compose::matrixExperiment(experiment.name).cells.size(),
+              experiment.cells.size());
+    ASSERT_EQ(experiment.cells.size(), expectedCells[e]);
+    experiment.runsPerCell = 1;
+    compose::MatrixOptions options;
+    options.threads = 1;
+    const auto report = compose::runMatrix(experiment, options);
+    ASSERT_EQ(report.cells.size(), experiment.cells.size());
+    EXPECT_TRUE(report.safetyOk);
+    EXPECT_EQ(report.validCells + report.rejectedCells, report.cells.size());
+    for (const auto& cell : report.cells) {
+      const Composition& c = cell.composition;
+      EXPECT_EQ(cell.diagnostic,
+                throwText([&] { compose::resolve(c); }))
+          << c.detector << "+" << c.driver;
+      EXPECT_EQ(cell.valid, cell.diagnostic.empty());
+      EXPECT_EQ(cell.stats.runs, cell.valid ? 1 : 0);
+      if (cell.valid && c.scheduler == SchedulingPolicy::kLockstep) {
+        EXPECT_EQ(cell.stats.overlapWitnesses, 0u);
+        EXPECT_EQ(cell.stats.deferredActivations, 0u);
+      }
+    }
+    options.threads = 4;
+    EXPECT_EQ(compose::matrixToJson(compose::runMatrix(experiment, options)),
+              compose::matrixToJson(report));
+  }
+  EXPECT_THROW(compose::matrixExperiment("e21"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -63,9 +63,10 @@ TEST(Fuzz, BenOrRunsAreReproducibleAcrossRandomConfigs) {
 
 // ---------------------------------------------------------------------------
 // Hostile bytes: every committed golden (the legacy family spellings
-// included) mutated by bit flips, truncation, duplicated, dropped and
-// garbled lines. Each mutant must either parse or throw a std::exception —
-// never crash, hang or trip a sanitizer.
+// included) and the JSON form of every golden composition, mutated by bit
+// flips, truncation, duplicated, dropped and garbled lines. Each mutant
+// must either parse or throw a std::exception — never crash, hang or trip
+// a sanitizer.
 
 std::string readFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -139,12 +140,17 @@ TEST(Fuzz, HostileBytesInScenarioFilesParseOrThrow) {
       (std::filesystem::path(::testing::TempDir()) / "ooc-fuzz.golden")
           .string();
   Rng rng(0xBADF11E);
+  Rng jsonRng(0x150B11E);  // its own stream: the file mutants stay as they were
   for (const auto& fixture : check::goldenFixtures()) {
     const std::string golden = readFile(std::string(OOC_GOLDEN_DIR "/") +
                                         fixture.name + ".golden");
     const std::string scenario = scenarioSection(golden);
     ASSERT_FALSE(scenario.empty()) << fixture.name;
     ASSERT_NO_THROW(check::parseScenario(scenario)) << fixture.name;
+    const check::Scenario parsed = check::parseScenario(scenario);
+    const std::string json = parsed.family == check::Family::kCompose
+                                 ? compose::toJson(parsed.compose)
+                                 : "";
     for (int i = 0; i < kMutantsPerGolden; ++i) {
       const std::string tag = fixture.name + " mutant " + std::to_string(i);
       expectParsesOrThrows(
@@ -156,6 +162,10 @@ TEST(Fuzz, HostileBytesInScenarioFilesParseOrThrow) {
           path,
           [](const std::string& p) { check::loadCounterexampleFile(p); },
           tag);
+      if (!json.empty())
+        expectParsesOrThrows(
+            mutate(json, jsonRng),
+            [](const std::string& text) { compose::fromJson(text); }, tag);
     }
   }
   std::filesystem::remove(path);

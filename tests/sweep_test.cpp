@@ -7,9 +7,9 @@
 //    and leave the persistent pool reusable;
 //  * determinism contract — check::explore findings and the metrics
 //    registry snapshot are byte-identical across --threads values on a
-//    full sweep, and the bench trial fan-out (runCompositionTrials)
-//    produces identical CellStats and registry JSON at 1, 2, and 16
-//    workers;
+//    full sweep, and the composition trial fan-out (compose::runTrials,
+//    which every matrix cell and bench table folds through) produces
+//    identical TrialStats and registry JSON at 1, 2, and 16 workers;
 //  * progress — the contention-free heartbeat emits strictly increasing
 //    counts and exact multiples at one thread;
 //  * arenas — thousands of tiny back-to-back runs keep the thread-local
@@ -30,11 +30,11 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_common.hpp"
 #include "check/checker.hpp"
 #include "check/invariant.hpp"
 #include "check/strategy.hpp"
 #include "compose/composition.hpp"
+#include "compose/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
@@ -224,7 +224,7 @@ TEST(Determinism, ExploreIsByteIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism contract: bench trial fan-out
+// Determinism contract: composition trial fan-out
 
 std::string summaryKey(const Summary& summary) {
   return std::to_string(summary.count()) + '/' +
@@ -234,12 +234,18 @@ std::string summaryKey(const Summary& summary) {
          std::to_string(summary.empty() ? 0.0 : summary.quantile(0.5));
 }
 
-std::string cellKey(const bench::CellStats& cell) {
+std::string cellKey(const compose::TrialStats& cell) {
   return std::to_string(cell.runs) + '|' + std::to_string(cell.decided) +
          '|' + std::to_string(cell.decidedInFirstRound) + '|' +
          std::to_string(cell.agreementOk) + std::to_string(cell.validityOk) +
-         std::to_string(cell.auditsOk) + '|' + summaryKey(cell.rounds) + '|' +
-         summaryKey(cell.messages);
+         std::to_string(cell.auditsOk) + std::to_string(cell.fdAxiomsOk) +
+         '|' + summaryKey(cell.meanDecisionRound) + '|' +
+         summaryKey(cell.maxDecisionRound) + '|' +
+         summaryKey(cell.messagesPerRun) + '|' +
+         summaryKey(cell.messagesPerProcess) + '|' +
+         std::to_string(cell.overlapWitnesses) + '|' +
+         std::to_string(cell.deferredActivations) + '|' +
+         std::to_string(cell.maxRoundSkew);
 }
 
 TEST(Determinism, CompositionTrialsAreByteIdenticalAcrossThreadCounts) {
@@ -247,7 +253,7 @@ TEST(Determinism, CompositionTrialsAreByteIdenticalAcrossThreadCounts) {
   composition.detector = "benor-vac";
   composition.driver = "lottery";
   composition.n = 5;
-  composition.inputs = bench::alternatingInputs(5);
+  composition.inputs = {0, 1, 0, 1, 0};
   composition.crashes = {{4, 40}};
 
   std::string baselineCell;
@@ -256,9 +262,8 @@ TEST(Determinism, CompositionTrialsAreByteIdenticalAcrossThreadCounts) {
                                     std::size_t{16}}) {
     obs::metrics().reset();
     obs::metrics().enable(true);
-    bench::setTrialThreads(threads);
-    const bench::CellStats cell =
-        bench::runCompositionTrials(composition, 24, 910'000);
+    const compose::TrialStats cell =
+        compose::runTrials(composition, 24, 910'000, threads);
     const std::string key = cellKey(cell);
     const std::string metrics = obs::metrics().toJson();
     obs::metrics().enable(false);
@@ -271,7 +276,6 @@ TEST(Determinism, CompositionTrialsAreByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(metrics, baselineMetrics) << "at " << threads << " threads";
     }
   }
-  bench::setTrialThreads(0);
 }
 
 // ---------------------------------------------------------------------------

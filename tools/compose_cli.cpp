@@ -1,18 +1,20 @@
-// `compose` — object-registry composition CLI (experiments E20 and E22).
+// `compose` — object-registry composition CLI (experiments E20, E22, E24).
 //
 // Front door to the composition engine: lists the registered detectors,
 // drivers and oracles with their capability descriptors, runs any single
-// pairing from a CLI spec string (optionally with an oracle attached),
-// sweeps the full detector × driver cross-product into the ooc.matrix.v1
-// JSON artifact, or sweeps oracle quality × crash schedules for the
-// oracle-consuming drivers into the ooc.fd-matrix.v1 artifact.
+// pairing from a CLI spec string (optionally with an oracle attached), or
+// runs one composition matrix into the ooc.matrix.v2 JSON artifact: E20
+// (every detector × driver pairing), E22 (oracle quality × crash schedule
+// for the oracle-consuming drivers) or E24 (engine × round-scheduling
+// policy).
 //
 //   compose --list                      # registered objects + capabilities
 //   compose --spec benor-vac+timer     # run one composition
 //   compose --spec benor-vac+ct-coordinator --oracle omega
 //   compose                             # E20: full cross-product matrix
 //   compose --quick --json matrix.json  # CI smoke: 5 runs/cell + artifact
-//   compose --fd-matrix --json fd.json  # E22: oracle-quality matrix
+//   compose --matrix e22 --json fd.json # E22: oracle-quality matrix
+//   compose --matrix e24 --quick        # E24: scheduling-policy matrix
 //
 // Exit status: 0 clean, 1 safety violation (matrix) or undecided/unsafe
 // single run, 2 usage — including rejected pairings, which print the
@@ -22,6 +24,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "check/replay.hpp"
@@ -40,13 +43,12 @@ using namespace ooc::compose;
 struct CliOptions {
   bool list = false;
   std::string spec;
+  std::string matrix = "e20";
   int runs = 0;       // 0: matrix default
   std::uint64_t seedBase = 0;  // 0: matrix default
   std::size_t n = 0;  // --spec only; 0 keeps the Composition default
   std::uint64_t seed = 0;  // --spec only; 0 keeps the default
   bool quick = false;
-  bool fdMatrix = false;
-  bool roundlessMatrix = false;
   std::size_t threads = 0;  // matrix worker threads; 0 = hardware
   std::string scheduler;       // --spec only; "" keeps lockstep
   std::string oracle;          // --spec only
@@ -60,15 +62,12 @@ struct CliOptions {
 
 void printUsage(std::ostream& os) {
   os << "usage: compose [options]\n"
-        "  (no mode flag)    run experiment E20: every registered\n"
-        "                    detector x driver pairing, validated against\n"
-        "                    the registry and executed when valid\n"
-        "  --fd-matrix       run experiment E22 instead: oracle quality x\n"
-        "                    crash schedules for the oracle-consuming\n"
-        "                    drivers (ooc.fd-matrix.v1)\n"
-        "  --roundless-matrix  run experiment E24 instead: scheduling\n"
-        "                    policy x engine family, with skew\n"
-        "                    observations (ooc.roundless.v1)\n"
+        "  (no mode flag)    run a composition matrix (ooc.matrix.v2):\n"
+        "                    every cell validated against the registry\n"
+        "                    and executed when valid\n"
+        "  --matrix E        which matrix: e20 (default; every detector x\n"
+        "                    driver pairing) | e22 (oracle quality x crash\n"
+        "                    schedule) | e24 (scheduling policy x engine)\n"
         "  --list            list registered objects and capabilities\n"
         "  --spec D+R        run one composition, e.g. benor-vac+timer\n"
         "  --scheduler P     round-scheduling policy for --spec: lockstep\n"
@@ -84,9 +83,11 @@ void printUsage(std::ostream& os) {
         "                        misses (expected to FAIL the axiom audit)\n"
         "  --n N             process count for --spec (default 5)\n"
         "  --seed S          seed for --spec (default 1)\n"
-        "  --runs N          matrix runs per valid cell (default 20)\n"
-        "  --seed-base S     first matrix seed (default 9000)\n"
-        "  --quick           matrix smoke mode: fewer runs per cell\n"
+        "  --runs N          matrix runs per valid cell (default: e20 20,\n"
+        "                    e22 10, e24 10)\n"
+        "  --seed-base S     first matrix seed (default: e20 9000,\n"
+        "                    e22 11000, e24 13000)\n"
+        "  --quick           matrix smoke mode: 5 (e20) or 3 runs per cell\n"
         "  --threads N       matrix worker threads (default: hardware;\n"
         "                    output is byte-identical at any value)\n"
         "  --json FILE       write the matrix report\n"
@@ -227,133 +228,62 @@ int runSpec(const CliOptions& options) {
   return ok ? 0 : 1;
 }
 
-int runFdMatrixMode(const CliOptions& options) {
-  OracleMatrixOptions matrix;
-  matrix.quick = options.quick;
-  matrix.threads = options.threads;
-  if (options.runs > 0) matrix.runsPerCell = options.runs;
-  if (options.seedBase > 0) matrix.seedBase = options.seedBase;
-
-  const OracleMatrixReport report = runOracleMatrix(matrix);
-
-  std::cout << "E22 oracle-quality matrix: " << report.drivers.size()
-            << " oracle-consuming drivers x " << report.oracles.size()
-            << " oracles\n";
-  for (const OracleMatrixCell& cell : report.cells) {
-    std::cout << "  " << std::left << std::setw(16) << cell.driver << " + "
-              << std::setw(12)
-              << (cell.oracle.empty() ? "(none)" : cell.oracle);
-    if (!cell.valid) {
-      std::cout << " rejected: " << cell.diagnostic << "\n";
-      continue;
-    }
-    std::cout << " stabilize=" << std::setw(4) << cell.stabilizeAt
-              << " noise=" << std::fixed << std::setprecision(2)
-              << cell.noise << std::defaultfloat << std::setprecision(6)
-              << " decided " << cell.decided << "/" << cell.runs;
-    if (cell.decided > 0)
-      std::cout << ", mean rounds " << std::fixed << std::setprecision(2)
-                << cell.meanRounds << std::defaultfloat
-                << std::setprecision(6);
-    if (!cell.agreementOk) std::cout << ", AGREEMENT VIOLATED";
-    if (!cell.validityOk) std::cout << ", VALIDITY VIOLATED";
-    if (!cell.auditsOk) std::cout << ", AUDITS FAILED";
-    if (!cell.fdAxiomsOk) std::cout << ", FD AXIOMS VIOLATED";
-    std::cout << "\n";
+/// One line per cell: the composition, then its verdict.
+void printCell(const MatrixCell& cell) {
+  const Composition& c = cell.composition;
+  std::string label = c.detector + "+" + c.driver;
+  if (!c.oracle.empty()) {
+    std::ostringstream knobs;
+    knobs << " [" << c.oracle << " stabilize=" << c.oracleKnobs.stabilizeAt
+          << " noise=" << std::fixed << std::setprecision(2)
+          << c.oracleKnobs.noise << "]";
+    label += knobs.str();
   }
-  std::cout << (report.safetyOk ? "OK" : "FAIL") << ": "
-            << report.validCells << " valid cells, "
-            << report.rejectedCells << " rejected\n";
-
-  if (!options.jsonPath.empty()) {
-    std::ofstream out(options.jsonPath, std::ios::binary);
-    if (!out) {
-      std::cerr << "compose: cannot write '" << options.jsonPath << "'\n";
-      return 2;
-    }
-    out << oracleMatrixToJson(report, matrix) << '\n';
+  if (c.scheduler != SchedulingPolicy::kLockstep)
+    label += std::string(" @ ") + toString(c.scheduler);
+  std::cout << "  " << std::left << std::setw(56) << label;
+  if (!cell.valid) {
+    std::cout << " rejected: " << cell.diagnostic << "\n";
+    return;
   }
-  return report.safetyOk ? 0 : 1;
-}
-
-int runRoundlessMatrixMode(const CliOptions& options) {
-  RoundlessMatrixOptions matrix;
-  matrix.quick = options.quick;
-  matrix.threads = options.threads;
-  if (options.runs > 0) matrix.runsPerCell = options.runs;
-  if (options.seedBase > 0) matrix.seedBase = options.seedBase;
-
-  const RoundlessMatrixReport report = runRoundlessMatrix(matrix);
-
-  std::cout << "E24 roundless matrix: " << report.engines.size()
-            << " engine pairings x " << report.policies.size()
-            << " scheduling policies\n";
-  for (const RoundlessMatrixCell& cell : report.cells) {
-    std::cout << "  " << std::left << std::setw(32)
-              << (cell.detector + "+" + cell.driver) << " @ " << std::setw(12)
-              << cell.policy;
-    if (!cell.valid) {
-      std::cout << " rejected: " << cell.diagnostic << "\n";
-      continue;
-    }
-    std::cout << " decided " << cell.decided << "/" << cell.runs;
-    if (cell.decided > 0)
-      std::cout << ", mean rounds " << std::fixed << std::setprecision(2)
-                << cell.meanRounds << std::defaultfloat
-                << std::setprecision(6);
-    std::cout << ", overlap " << cell.overlapWitnesses << ", deferred "
-              << cell.deferredActivations << ", skew " << cell.maxRoundSkew;
-    if (!cell.agreementOk) std::cout << ", AGREEMENT VIOLATED";
-    if (!cell.validityOk) std::cout << ", VALIDITY VIOLATED";
-    if (!cell.auditsOk) std::cout << ", AUDITS FAILED";
-    if (!cell.fdAxiomsOk) std::cout << ", FD AXIOMS VIOLATED";
-    std::cout << "\n";
-  }
-  std::cout << (report.safetyOk ? "OK" : "FAIL") << ": "
-            << report.validCells << " valid cells, "
-            << report.rejectedCells << " rejected\n";
-
-  if (!options.jsonPath.empty()) {
-    std::ofstream out(options.jsonPath, std::ios::binary);
-    if (!out) {
-      std::cerr << "compose: cannot write '" << options.jsonPath << "'\n";
-      return 2;
-    }
-    out << roundlessMatrixToJson(report, matrix) << '\n';
-  }
-  return report.safetyOk ? 0 : 1;
+  const TrialStats& stats = cell.stats;
+  std::cout << " decided " << stats.decided << "/" << stats.runs;
+  if (stats.decided > 0)
+    std::cout << ", mean rounds " << std::fixed << std::setprecision(2)
+              << stats.maxDecisionRound.mean() << std::defaultfloat
+              << std::setprecision(6);
+  if (c.scheduler != SchedulingPolicy::kLockstep ||
+      stats.overlapWitnesses != 0 || stats.deferredActivations != 0)
+    std::cout << ", overlap " << stats.overlapWitnesses << ", deferred "
+              << stats.deferredActivations << ", skew " << stats.maxRoundSkew;
+  if (!stats.agreementOk) std::cout << ", AGREEMENT VIOLATED";
+  if (!stats.validityOk) std::cout << ", VALIDITY VIOLATED";
+  if (!stats.auditsOk) std::cout << ", AUDITS FAILED";
+  if (!stats.fdAxiomsOk) std::cout << ", FD AXIOMS VIOLATED";
+  std::cout << "\n";
 }
 
 int runMatrixMode(const CliOptions& options) {
+  MatrixExperiment experiment;
+  try {
+    experiment = matrixExperiment(options.matrix);
+  } catch (const std::exception& error) {
+    std::cerr << "compose: " << error.what() << "\n";
+    return 2;
+  }
+  if (options.runs > 0) experiment.runsPerCell = options.runs;
+  if (options.seedBase > 0) experiment.seedBase = options.seedBase;
   MatrixOptions matrix;
   matrix.quick = options.quick;
   matrix.threads = options.threads;
-  if (options.runs > 0) matrix.runsPerCell = options.runs;
-  if (options.seedBase > 0) matrix.seedBase = options.seedBase;
 
-  const MatrixReport report = runMatrix(matrix);
+  const MatrixReport report = runMatrix(experiment, matrix);
 
-  std::cout << "E20 composition matrix: " << report.detectors.size()
-            << " detectors x " << report.drivers.size() << " drivers\n";
-  for (const MatrixCell& cell : report.cells) {
-    std::cout << "  " << std::left << std::setw(20) << cell.detector << " + "
-              << std::setw(16) << cell.driver;
-    if (!cell.valid) {
-      std::cout << " rejected: " << cell.diagnostic << "\n";
-      continue;
-    }
-    std::cout << " decided " << cell.decided << "/" << cell.runs;
-    if (cell.decided > 0)
-      std::cout << ", mean rounds " << std::fixed << std::setprecision(2)
-                << cell.meanRounds << std::defaultfloat
-                << std::setprecision(6);
-    if (!cell.agreementOk) std::cout << ", AGREEMENT VIOLATED";
-    if (!cell.validityOk) std::cout << ", VALIDITY VIOLATED";
-    if (!cell.auditsOk) std::cout << ", AUDITS FAILED";
-    std::cout << "\n";
-  }
+  std::cout << report.experiment << " matrix: " << report.cells.size()
+            << " cells, " << report.runsPerCell << " runs per valid cell\n";
+  for (const MatrixCell& cell : report.cells) printCell(cell);
   std::cout << (report.safetyOk ? "OK" : "FAIL") << ": "
-            << report.validCells << " valid pairings, "
+            << report.validCells << " valid cells, "
             << report.rejectedCells << " rejected\n";
 
   if (!options.jsonPath.empty()) {
@@ -362,7 +292,7 @@ int runMatrixMode(const CliOptions& options) {
       std::cerr << "compose: cannot write '" << options.jsonPath << "'\n";
       return 2;
     }
-    out << matrixToJson(report, matrix) << '\n';
+    out << matrixToJson(report) << '\n';
   }
   return report.safetyOk ? 0 : 1;
 }
@@ -380,8 +310,7 @@ int main(int argc, char** argv) {
     if (arg == "--list") options.list = true;
     else if (arg == "--spec") options.spec = next(i);
     else if (arg == "--scheduler") options.scheduler = next(i);
-    else if (arg == "--fd-matrix") options.fdMatrix = true;
-    else if (arg == "--roundless-matrix") options.roundlessMatrix = true;
+    else if (arg == "--matrix") options.matrix = next(i);
     else if (arg == "--oracle") options.oracle = next(i);
     else if (arg == "--oracle-noise") options.oracleNoise = nextDouble(i);
     else if (arg == "--oracle-stabilize")
@@ -427,7 +356,5 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!options.spec.empty()) return runSpec(options);
-  if (options.fdMatrix) return runFdMatrixMode(options);
-  if (options.roundlessMatrix) return runRoundlessMatrixMode(options);
   return runMatrixMode(options);
 }
