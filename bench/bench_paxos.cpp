@@ -63,26 +63,27 @@ PaxosOutcome runPaxosOnce(std::size_t n, std::uint64_t seed,
   // Paxos runs its simulations directly (no harness runner), so the bench
   // publishes the family telemetry itself.
   if (obs::enabled()) {
-    auto& reg = obs::metrics();
     const obs::Labels base = {{"family", "paxos"}};
-    reg.addCounter("runs", 1, base);
-    reg.addCounter("messages_sent", sim.messagesSent(), base);
-    reg.addCounter("messages_delivered", sim.messagesDelivered(), base);
-    reg.addCounter("messages_dropped", sim.messagesDropped(), base);
-    reg.addCounter("events_executed", sim.eventsProcessed(), base);
-    reg.addCounter("ballots_started", outcome.ballots, base);
+    obs::Batch batch;
+    batch.addCounter("runs", 1, base);
+    batch.addCounter("messages_sent", sim.messagesSent(), base);
+    batch.addCounter("messages_delivered", sim.messagesDelivered(), base);
+    batch.addCounter("messages_dropped", sim.messagesDropped(), base);
+    batch.addCounter("events_executed", sim.eventsProcessed(), base);
+    batch.addCounter("ballots_started", outcome.ballots, base);
     for (ProcessId id = 0; id < n; ++id) {
-      reg.addCounter("driver_invocations",
-                     nodes[id]->reconciliatorInvocations(), base);
+      batch.addCounter("driver_invocations",
+                       nodes[id]->reconciliatorInvocations(), base);
       for (const auto& change : nodes[id]->confidenceLog()) {
-        reg.addCounter("confidence_transitions", 1,
-                       {{"family", "paxos"},
-                        {"confidence", toString(change.confidence)}});
+        batch.addCounter("confidence_transitions", 1,
+                         {{"family", "paxos"},
+                          {"confidence", toString(change.confidence)}});
       }
       if (sim.decision(id).decided)
-        reg.observe("ticks_to_decide",
-                    static_cast<double>(sim.decision(id).at), base);
+        batch.observe("ticks_to_decide",
+                      static_cast<double>(sim.decision(id).at), base);
     }
+    obs::metrics().commit(batch);
   }
   return outcome;
 }

@@ -240,9 +240,11 @@ CompositionResult runComposition(const Composition& composition,
     const obs::Labels base = {{"family", "compose"},
                               {"detector", composition.detector},
                               {"driver", composition.driver}};
-    publishSimMetrics(sim, base);
-    publishDecisionTicks(sim, base);
-    publishTemplateMetrics(templated, base);
+    obs::Batch batch;
+    publishSimMetrics(sim, base, batch);
+    publishDecisionTicks(sim, base, batch);
+    publishTemplateMetrics(templated, base, batch);
+    obs::metrics().commit(batch);
   }
 
   // Crashed processes participated in the rounds they started (they

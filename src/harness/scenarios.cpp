@@ -22,8 +22,6 @@ namespace ooc::harness {
 // helpers of compose/telemetry.hpp with compose::runComposition().
 using compose::publishDecisionTicks;
 using compose::publishSimMetrics;
-using compose::roundLabel;
-using compose::withLabel;
 using compose::wrapAdversary;
 
 compose::CompositionResult runMonolithicBenOr(
@@ -77,13 +75,14 @@ compose::CompositionResult runMonolithicBenOr(
 
   if (obs::enabled()) {
     const obs::Labels base = {{"family", "benor"}, {"mode", "monolithic"}};
-    publishSimMetrics(sim, base);
-    publishDecisionTicks(sim, base);
+    obs::Batch batch;
+    publishSimMetrics(sim, base, batch);
+    publishDecisionTicks(sim, base, batch);
     for (const benor::MonolithicBenOr* process : classic)
       if (process->decided())
-        obs::metrics().observe("rounds_to_decide",
-                               static_cast<double>(process->decisionRound()),
-                               base);
+        batch.observe("rounds_to_decide",
+                      static_cast<double>(process->decisionRound()), base);
+    obs::metrics().commit(batch);
   }
   return result;
 }
@@ -156,8 +155,10 @@ compose::CompositionResult runMonolithicPhaseKing(
     const obs::Labels base = {{"family", "phaseking"},
                               {"algorithm", "king"},
                               {"mode", "monolithic"}};
-    publishSimMetrics(sim, base);
-    publishDecisionTicks(sim, base);
+    obs::Batch batch;
+    publishSimMetrics(sim, base, batch);
+    publishDecisionTicks(sim, base, batch);
+    obs::metrics().commit(batch);
   }
   return result;
 }
@@ -339,46 +340,44 @@ RaftScenarioResult runRaft(const RaftScenarioConfig& config,
   }
 
   if (obs::enabled()) {
-    auto& registry = obs::metrics();
     const obs::Labels base = {{"family", "raft"}};
-    publishSimMetrics(sim, base);
-    publishDecisionTicks(sim, base);
-    registry.addCounter("elections_started", result.electionsStarted, base);
-    registry.addCounter("leaderships", result.leaderships, base);
-    registry.addCounter("driver_invocations",
-                        result.reconciliatorInvocations, base);
+    obs::Batch batch;
+    publishSimMetrics(sim, base, batch);
+    publishDecisionTicks(sim, base, batch);
+    batch.addCounter("elections_started", result.electionsStarted, base);
+    batch.addCounter("leaderships", result.leaderships, base);
+    batch.addCounter("driver_invocations", result.reconciliatorInvocations,
+                     base);
     if (config.raft.durable) {
-      registry.addCounter("wal_appends", result.walAppends, base);
-      registry.addCounter("wal_syncs", result.walSyncs, base);
-      registry.addCounter("recoveries", result.recoveries, base);
-      registry.addCounter("wal_records_recovered", result.recoveredRecords,
-                          base);
-      registry.addCounter("wal_torn_tails", result.tornTails, base);
-      registry.addCounter("wal_corrupt_records", result.corruptRecords,
-                          base);
+      batch.addCounter("wal_appends", result.walAppends, base);
+      batch.addCounter("wal_syncs", result.walSyncs, base);
+      batch.addCounter("recoveries", result.recoveries, base);
+      batch.addCounter("wal_records_recovered", result.recoveredRecords,
+                       base);
+      batch.addCounter("wal_torn_tails", result.tornTails, base);
+      batch.addCounter("wal_corrupt_records", result.corruptRecords, base);
     }
+    compose::TransitionTally transitions;
     for (ProcessId id = 0; id < config.n; ++id) {
       const auto& log = nodes[id]->confidenceLog();
       for (const auto& change : log) {
-        registry.addCounter(
-            "confidence_transitions", 1,
-            withLabel(withLabel(base, "confidence",
-                                toString(change.confidence)),
-                      "round",
-                      roundLabel(static_cast<Round>(change.term))));
+        transitions[static_cast<std::size_t>(change.confidence)].add(
+            static_cast<Round>(change.term));
       }
       // Rounds-to-decide analogue: the term in which this node first saw
       // commit-level confidence.
       if (sim.decision(id).decided) {
         for (const auto& change : log) {
           if (change.confidence == Confidence::kCommit) {
-            registry.observe("rounds_to_decide",
-                             static_cast<double>(change.term), base);
+            batch.observe("rounds_to_decide",
+                          static_cast<double>(change.term), base);
             break;
           }
         }
       }
     }
+    compose::publishTransitions(transitions, base, batch);
+    obs::metrics().commit(batch);
   }
   return result;
 }

@@ -7,21 +7,59 @@
 namespace ooc::obs {
 namespace {
 
-std::string labelKey(const Labels& sorted) {
-  std::string key;
+using detail::Series;
+using detail::SeriesType;
+
+Labels sortedLabels(const Labels& labels) {
+  Labels sorted = labels;
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+/// Appends "name\x1f<label-key>", so key order IS (name, labels) order.
+void appendSeriesKey(std::string& key, std::string_view name,
+                     const Labels& sorted) {
+  key += name;
+  key += '\x1f';
   for (const auto& [k, v] : sorted) {
     key += k;
     key += '\x1e';
     key += v;
     key += '\x1f';
   }
-  return key;
 }
 
-Labels sortedLabels(const Labels& labels) {
-  Labels sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
+/// Folds `from` into `into`, a series of the same (name, labels, type).
+/// The first histogram folded in fixes the bounds; one under other bounds
+/// is dropped, since its samples cannot be re-bucketed.
+void fold(Series& into, const Series& from) {
+  switch (into.type) {
+    case SeriesType::kCounter:
+      into.counter += from.counter;
+      return;
+    case SeriesType::kGauge:
+      into.gauge = from.gauge;
+      return;
+    case SeriesType::kHistogram:
+      break;
+  }
+  if (into.bucketCounts.empty()) {
+    into.bounds = from.bounds;
+    into.bucketCounts.assign(from.bucketCounts.size(), 0);
+  } else if (into.bounds != from.bounds) {
+    return;
+  }
+  for (std::size_t i = 0; i < into.bucketCounts.size(); ++i)
+    into.bucketCounts[i] += from.bucketCounts[i];
+  if (into.count == 0) {
+    into.min = from.min;
+    into.max = from.max;
+  } else {
+    into.min = std::min(into.min, from.min);
+    into.max = std::max(into.max, from.max);
+  }
+  into.count += from.count;
+  into.sum += from.sum;
 }
 
 }  // namespace
@@ -31,6 +69,55 @@ const std::vector<double>& defaultBuckets() {
       1,   2,   4,    8,    16,   32,   64,    128,  256,
       512, 1024, 2048, 4096, 8192, 16384, 32768, 65536};
   return kBuckets;
+}
+
+Series& Batch::entry(std::string_view name, const Labels& labels,
+                     SeriesType type) {
+  Labels sorted = sortedLabels(labels);
+  std::string key(1, static_cast<char>(type));
+  appendSeriesKey(key, name, sorted);
+  const auto [it, inserted] = index_.try_emplace(key, entries_.size());
+  if (inserted) {
+    Entry& fresh = entries_.emplace_back();
+    fresh.key = std::move(key);
+    fresh.series.type = type;
+    fresh.series.name = std::string(name);
+    fresh.series.labels = std::move(sorted);
+  }
+  return entries_[it->second].series;
+}
+
+void Batch::addCounter(std::string_view name, std::uint64_t delta,
+                       const Labels& labels) {
+  entry(name, labels, SeriesType::kCounter).counter += delta;
+}
+
+void Batch::observe(std::string_view name, double sample,
+                    const Labels& labels, const std::vector<double>& bounds) {
+  Series& series = entry(name, labels, SeriesType::kHistogram);
+  if (series.bucketCounts.empty()) {
+    series.bounds = bounds;
+    series.bucketCounts.assign(bounds.size() + 1, 0);
+  } else if (series.bounds != bounds) {
+    return;  // as fold() would drop it at commit
+  }
+  std::size_t bucket = series.bounds.size();  // overflow slot
+  for (std::size_t i = 0; i < series.bounds.size(); ++i) {
+    if (sample <= series.bounds[i]) {
+      bucket = i;
+      break;
+    }
+  }
+  ++series.bucketCounts[bucket];
+  if (series.count == 0) {
+    series.min = sample;
+    series.max = sample;
+  } else {
+    series.min = std::min(series.min, sample);
+    series.max = std::max(series.max, sample);
+  }
+  ++series.count;
+  series.sum += sample;
 }
 
 Registry& Registry::global() noexcept {
@@ -44,73 +131,63 @@ void Registry::reset() {
   dropped_ = 0;
 }
 
-Registry::Series* Registry::intern(std::string_view name,
-                                   const Labels& labels, Type type) {
-  Labels sorted = sortedLabels(labels);
-  std::string key(name);
-  key += '\x1f';
-  key += labelKey(sorted);
-  const auto it = series_.find(key);
-  if (it != series_.end()) {
+Registry::Series* Registry::intern(std::string_view key, const Series& like) {
+  const auto it = series_.lower_bound(key);
+  if (it != series_.end() && it->first == key) {
     // Same key registered under a different type is a programming error;
     // keep the first registration rather than corrupting it.
-    return it->second.type == type ? &it->second : nullptr;
+    return it->second.type == like.type ? &it->second : nullptr;
   }
   if (series_.size() >= kMaxSeries) {
     ++dropped_;
     return nullptr;
   }
-  Series& series = series_[std::move(key)];
-  series.type = type;
-  series.name = std::string(name);
-  series.labels = std::move(sorted);
+  Series& series = series_.emplace_hint(it, key, Series{})->second;
+  series.type = like.type;
+  series.name = like.name;
+  series.labels = like.labels;
   return &series;
+}
+
+void Registry::commit(const Batch& batch) {
+  if (!enabled() || batch.entries_.empty()) return;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const Batch::Entry& entry : batch.entries_) {
+    const std::string_view key = std::string_view(entry.key).substr(1);
+    if (Series* series = intern(key, entry.series))
+      fold(*series, entry.series);
+  }
 }
 
 void Registry::addCounter(std::string_view name, std::uint64_t delta,
                           const Labels& labels) {
   if (!enabled()) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (Series* series = intern(name, labels, Type::kCounter))
-    series->counter += delta;
+  Batch batch;
+  batch.addCounter(name, delta, labels);
+  commit(batch);
 }
 
 void Registry::setGauge(std::string_view name, double value,
                         const Labels& labels) {
   if (!enabled()) return;
+  Series gauge;
+  gauge.type = SeriesType::kGauge;
+  gauge.name = std::string(name);
+  gauge.labels = sortedLabels(labels);
+  gauge.gauge = value;
+  std::string key;
+  appendSeriesKey(key, name, gauge.labels);
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (Series* series = intern(name, labels, Type::kGauge))
-    series->gauge = value;
+  if (Series* series = intern(key, gauge)) fold(*series, gauge);
 }
 
 void Registry::observe(std::string_view name, double sample,
                        const Labels& labels,
                        const std::vector<double>& bounds) {
   if (!enabled()) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Series* series = intern(name, labels, Type::kHistogram);
-  if (series == nullptr) return;
-  if (series->bucketCounts.empty()) {
-    series->bounds = bounds;
-    series->bucketCounts.assign(bounds.size() + 1, 0);
-  }
-  std::size_t bucket = series->bounds.size();  // overflow slot
-  for (std::size_t i = 0; i < series->bounds.size(); ++i) {
-    if (sample <= series->bounds[i]) {
-      bucket = i;
-      break;
-    }
-  }
-  ++series->bucketCounts[bucket];
-  if (series->count == 0) {
-    series->min = sample;
-    series->max = sample;
-  } else {
-    series->min = std::min(series->min, sample);
-    series->max = std::max(series->max, sample);
-  }
-  ++series->count;
-  series->sum += sample;
+  Batch batch;
+  batch.observe(name, sample, labels, bounds);
+  commit(batch);
 }
 
 std::size_t Registry::seriesCount() const {

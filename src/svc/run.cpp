@@ -348,17 +348,17 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
 
   if (obs::enabled()) {
     const obs::Labels base = {{"engine", config.engine}, {"family", "svc"}};
-    obs::metrics().addCounter("svc_commands_committed",
-                              result.commandsCommitted, base);
-    obs::metrics().addCounter("svc_decrees_committed",
-                              result.decreesCommitted, base);
-    obs::metrics().addCounter("svc_noop_decrees", result.noopDecrees, base);
+    obs::Batch batch;
+    batch.addCounter("svc_commands_committed", result.commandsCommitted, base);
+    batch.addCounter("svc_decrees_committed", result.decreesCommitted, base);
+    batch.addCounter("svc_noop_decrees", result.noopDecrees, base);
     for (const Tick latency : result.latencies) {
-      obs::metrics().observe("svc_decide_latency_ticks",
-                             static_cast<double>(latency), base);
+      batch.observe("svc_decide_latency_ticks", static_cast<double>(latency),
+                    base);
     }
     for (const std::uint32_t size : result.batchSizes)
-      obs::metrics().observe("svc_batch_size", size, base);
+      batch.observe("svc_batch_size", size, base);
+    obs::metrics().commit(batch);
     // No per-run gauges here: a last-writer-wins gauge from inside a run is
     // order-dependent once trials fan across the experiment scheduler.
     // Aggregate gauges (svc_mean_commands_per_ktick, svc_blackout_ticks)

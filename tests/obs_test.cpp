@@ -1,19 +1,27 @@
 // Unit tests for the telemetry layer (src/obs): metrics registry label
 // handling, histogram bucket boundaries, disabled no-op behavior, JSON
-// determinism, and the deterministic run-id stamping of serialized
-// scenario and counterexample files.
+// determinism, per-run batches and their concurrent commits, what the
+// scenario runners publish, and the deterministic run-id stamping of
+// serialized scenario and counterexample files.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "check/checker.hpp"
+#include "check/invariant.hpp"
 #include "check/replay.hpp"
+#include "check/strategy.hpp"
 #include "compose/composition.hpp"
 #include "compose/kv.hpp"
+#include "compose/run.hpp"
+#include "harness/scenarios.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_id.hpp"
+#include "svc/run.hpp"
 
 namespace ooc {
 namespace {
@@ -173,6 +181,161 @@ TEST(MetricsRegistry, DefaultBucketTopBoundaryIsInclusive) {
   EXPECT_NE(json.find("\"overflow\":1"), std::string::npos) << json;
 }
 
+// ---------------------------------------------------------------------------
+// Batches: one run's updates folded locally, committed under one lock.
+
+/// One registry update, replayable per call or into a batch.
+struct Update {
+  bool counter = true;
+  std::string name;
+  double value = 0;  // counter delta or histogram sample
+  Labels labels;
+  std::vector<double> bounds = obs::defaultBuckets();
+};
+
+/// Registry and Batch share the addCounter/observe signatures.
+template <typename Sink>
+void feed(Sink& sink, const std::vector<Update>& updates) {
+  for (const Update& update : updates) {
+    if (update.counter) {
+      sink.addCounter(update.name, static_cast<std::uint64_t>(update.value),
+                      update.labels);
+    } else {
+      sink.observe(update.name, update.value, update.labels, update.bounds);
+    }
+  }
+}
+
+TEST(MetricsBatch, CommitMatchesThePerCallFeed) {
+  const std::vector<double> custom = {1.0, 2.0, 4.0};
+  const std::vector<Update> first = {
+      {true, "runs", 1, {{"family", "benor"}}},
+      {true, "runs", 2, {{"family", "benor"}}},
+      {true, "runs", 0, {{"family", "raft"}}},
+      {true, "c", 1, {{"a", "1"}, {"b", "2"}}},
+      {true, "c", 4, {{"b", "2"}, {"a", "1"}}},  // same series
+      {false, "h", 3, {{"family", "benor"}}},
+      {false, "h", 65536, {{"family", "benor"}}},
+      {false, "h", 70000, {{"family", "benor"}}},
+      {false, "custom", 1, {}, custom},
+      {false, "custom", 2.5, {}, custom},
+      {true, "x", 1, {}},
+      {false, "x", 5, {}},  // type mismatch: dropped
+      {false, "y", 5, {}},
+      {true, "y", 1, {}},  // likewise
+  };
+  const std::vector<Update> second = {
+      {true, "runs", 7, {{"family", "benor"}}},
+      {true, "c", 1, {{"a", "1"}, {"b", "2"}}},
+      {false, "h", 1, {{"family", "benor"}}},
+      {false, "custom", 4, {}, custom},
+      {false, "custom", 100, {}, custom},
+      {false, "custom", 3, {}, {8.0}},  // other bounds: dropped
+      {false, "x", 5, {}},              // still a counter
+  };
+
+  Registry perCall;
+  perCall.enable(true);
+  feed(perCall, first);
+  feed(perCall, second);
+
+  Registry batched;
+  batched.enable(true);
+  for (const auto* updates : {&first, &second}) {
+    obs::Batch batch;
+    feed(batch, *updates);
+    batched.commit(batch);
+  }
+  EXPECT_EQ(batched.toJson(), perCall.toJson());
+  EXPECT_EQ(batched.seriesCount(), 7u);
+  const std::string json = batched.toJson();
+  EXPECT_NE(json.find("\"count\":4,\"sum\":135540,\"min\":1,\"max\":70000"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"le\":4,\"count\":2}],\"overflow\":1"),
+            std::string::npos)
+      << json;
+}
+
+TEST(MetricsBatch, CardinalityCapCountsOncePerDroppedEntry) {
+  std::vector<Update> updates;
+  for (std::size_t i = 0; i < Registry::kMaxSeries + 10; ++i)
+    updates.push_back({true, "c", 1, {{"i", std::to_string(i)}}});
+  Registry perCall;
+  perCall.enable(true);
+  feed(perCall, updates);
+  Registry batched;
+  batched.enable(true);
+  obs::Batch batch;
+  feed(batch, updates);
+  batched.commit(batch);
+  EXPECT_EQ(batched.toJson(), perCall.toJson());
+  EXPECT_EQ(batched.droppedSeries(), 10u);
+
+  // Past the cap, a per-call feed counts every call; a commit counts each
+  // dropped entry once, however many updates it folded.
+  obs::Batch late;
+  for (int i = 0; i < 3; ++i) late.addCounter("late", 1);
+  batched.commit(late);
+  EXPECT_EQ(batched.droppedSeries(), 11u);
+  for (int i = 0; i < 3; ++i) perCall.addCounter("late", 1);
+  EXPECT_EQ(perCall.droppedSeries(), 13u);
+}
+
+TEST(MetricsBatch, SizeIsBoundedByTheSeriesNotTheUpdates) {
+  obs::Batch batch;
+  for (int i = 0; i < 100000; ++i) {
+    batch.addCounter("events", 1, {{"family", "benor"}});
+    batch.observe("ticks", static_cast<double>(i % 300),
+                  {{"family", "benor"}});
+    batch.addCounter("events", 2, {{"family", "raft"}});
+  }
+  EXPECT_EQ(batch.size(), 3u);
+
+  Registry reg;
+  reg.commit(batch);  // disabled: a no-op
+  EXPECT_EQ(reg.seriesCount(), 0u);
+  reg.enable(true);
+  reg.commit(batch);
+  EXPECT_NE(reg.toJson().find("\"value\":100000"), std::string::npos);
+  EXPECT_NE(reg.toJson().find("\"value\":200000"), std::string::npos);
+  EXPECT_NE(reg.toJson().find("\"count\":100000,\"sum\":14940000"),
+            std::string::npos)
+      << reg.toJson();
+}
+
+/// The i-th of a deterministic family of small per-run batches.
+obs::Batch runBatch(int i) {
+  obs::Batch batch;
+  const Labels family = {{"family", i % 3 == 0 ? "benor" : "raft"}};
+  batch.addCounter("runs", 1, family);
+  batch.addCounter("events", static_cast<std::uint64_t>(i % 97), family);
+  batch.addCounter("round", 1, {{"round", std::to_string(i % 40)}});
+  batch.observe("ticks", static_cast<double>(i % 500), family);
+  batch.observe("ticks", static_cast<double>(i % 7), family);
+  return batch;
+}
+
+TEST(MetricsBatch, ConcurrentCommitsMatchOneThreadInOrder) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 1000;
+  Registry serial;
+  serial.enable(true);
+  for (int i = 0; i < kThreads * kPerThread; ++i) serial.commit(runBatch(i));
+
+  Registry shared;
+  shared.enable(true);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&shared, t] {
+      for (int i = t; i < kThreads * kPerThread; i += kThreads)
+        shared.commit(runBatch(i));
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(shared.toJson(), serial.toJson());
+}
+
 TEST(JsonWriter, EscapesAndNestsDeterministically) {
   obs::JsonWriter w;
   w.beginObject();
@@ -256,6 +419,128 @@ TEST(RunId, CounterexampleRoundTripPreservesRunId) {
   legacy.erase(pos, eol - pos + 1);
   const check::CounterexampleFile old = check::parseCounterexample(legacy);
   EXPECT_EQ(old.runId, parsed.runId);
+}
+
+// ---------------------------------------------------------------------------
+// What the runners publish: the registry snapshot of a fixed set of runs,
+// pinned by FNV-1a digest. The digests were recorded from a feed that took
+// the registry lock once per update; any regrouping of a run's updates must
+// move no series, bucket or sum.
+
+std::string snapshotOf(void (*runs)()) {
+  Registry& reg = obs::metrics();
+  reg.reset();
+  reg.enable(true);
+  runs();
+  reg.enable(false);
+  std::string json = reg.toJson();
+  reg.reset();
+  return json;
+}
+
+/// The two random walks of the repository benchmark's check-sweep workload
+/// (benchmark/README.md), 24 configurations each.
+void exploreCheckSweepWalks() {
+  const auto walk = [](const char* detector, const char* driver,
+                       std::size_t n, std::uint64_t seedBase,
+                       std::size_t minN) {
+    check::Scenario base;
+    base.family = check::Family::kCompose;
+    base.compose.detector = detector;
+    base.compose.driver = driver;
+    base.compose.n = n;
+    check::RandomWalkStrategy::Options options;
+    options.seedBase = seedBase;
+    options.runs = 24;
+    options.minProcesses = minN;
+    options.maxProcesses = n;
+    return check::RandomWalkStrategy(base, options);
+  };
+  const auto suite = check::safetySuite(true);
+  check::CheckerOptions options;
+  options.threads = 2;
+  options.shrink = false;
+  options.maxFindings = 0;
+  for (const check::RandomWalkStrategy& strategy :
+       {walk("benor-vac", "common-coin", 25, 1'400'000, 3),
+        walk("phaseking-ac", "king-conciliator", 13, 6'400'000, 13)}) {
+    const check::CheckReport report =
+        check::explore(strategy, check::view(suite), options);
+    EXPECT_EQ(report.configsExplored, 24u);
+    EXPECT_TRUE(report.findings.empty());
+  }
+}
+
+/// 66 rounds: the round label collapses into "33+" past round 32.
+void runLongComposition() {
+  compose::Composition composition;
+  composition.detector = "benor-vac";
+  composition.driver = "local-coin";
+  composition.n = 13;
+  const compose::CompositionResult result =
+      compose::runComposition(composition);
+  EXPECT_TRUE(result.allDecided);
+  EXPECT_GT(result.maxDecisionRound, 32u);
+}
+
+void runDurableRaftRestart() {
+  harness::RaftScenarioConfig config;
+  config.n = 5;
+  config.seed = 4;
+  config.dropProbability = 0.1;
+  config.raft.durable = true;
+  config.raft.syncBeforeReply = true;
+  config.restarts.push_back({0, 160, 5});
+  config.restarts.push_back({1, 200, 5});
+  const auto result = harness::runRaft(config);
+  EXPECT_TRUE(result.allDecided);
+  EXPECT_EQ(result.recoveries, 2u);
+}
+
+void runMonolithicBaselines() {
+  harness::MonolithicBenOrConfig benor;
+  benor.n = 7;
+  benor.inputs = {0, 1, 0, 1, 1, 0, 1};
+  benor.seed = 11;
+  benor.crashes = {{6, 30}};
+  EXPECT_TRUE(harness::runMonolithicBenOr(benor).allDecided);
+  harness::MonolithicPhaseKingConfig king;
+  king.seed = 11;
+  EXPECT_TRUE(harness::runMonolithicPhaseKing(king).allDecided);
+}
+
+void runSvcPerEngine() {
+  for (const char* engine : {"compose", "paxos", "raft"}) {
+    svc::SvcConfig config;
+    config.engine = engine;
+    config.seed = 5;
+    config.service.window = 2;
+    config.workload.commandsPerNode = 12;
+    config.workload.keySpace = 256;
+    const svc::SvcResult result = svc::runSvc(config);
+    EXPECT_TRUE(result.prefixOk && result.exactlyOnce && result.allApplied)
+        << engine;
+  }
+}
+
+TEST(RunnerTelemetry, PublishedSeriesMatchTheirPinnedDigests) {
+  struct Pin {
+    const char* what;
+    void (*runs)();
+    const char* digest;
+  };
+  const Pin pins[] = {
+      {"check-sweep walks", exploreCheckSweepWalks, "65612ab0cddb7294"},
+      {"long composition", runLongComposition, "23157e064d9625fe"},
+      {"durable raft restart", runDurableRaftRestart, "bb74bb8b3e0510e0"},
+      {"monolithic baselines", runMonolithicBaselines, "a9f279c13c8ab6e3"},
+      {"svc engines", runSvcPerEngine, "199623c8fdd9badb"},
+  };
+  for (const Pin& pin : pins) {
+    const std::string json = snapshotOf(pin.runs);
+    EXPECT_EQ(obs::toHex(obs::fnv1a(json)), pin.digest)
+        << pin.what << ": " << json;
+  }
 }
 
 }  // namespace
