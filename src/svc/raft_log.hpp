@@ -4,9 +4,9 @@
 // log natively — leader-based pipelining (AppendEntries carries up to
 // maxEntriesPerAppend entries), commit-index batching, and durable
 // restart recovery all come from RaftProcess. This adapter only adds the
-// client side:
+// client side, through the same ClientFront SvcNode owns:
 //
-//  * the same deterministic Workload as SvcNode mints commands on a
+//  * the front mints commands from the deterministic Workload on a
 //    timer;
 //  * a node that is not the leader fans its commands out (CmdForward);
 //    whoever leads appends them, deduplicating against its log and the
@@ -14,23 +14,20 @@
 //  * commands not yet applied are re-fanned-out periodically, which is
 //    what carries them across leader failovers (the blackout window E21
 //    measures is visible as the commit-tick gap this retry bridges);
-//  * onApply records the service-level log: applied commands (exactly
-//    once — a failover can legitimately duplicate a command in the Raft
-//    log, the apply-level dedup suppresses the second occurrence
-//    identically at every node), per-command decide latency, and the
-//    commit-advance batch sizes.
+//  * onApply feeds the front's ledger: applied commands (exactly once — a
+//    failover can legitimately duplicate a command in the Raft log, the
+//    apply-level dedup suppresses the second occurrence identically at
+//    every node), one commit tick per applied command, per-command decide
+//    latency; onCommitAdvanced records one batch size per commit advance.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "raft/raft_process.hpp"
-#include "svc/service.hpp"
 #include "svc/workload.hpp"
 
 namespace ooc::svc {
@@ -60,30 +57,20 @@ struct RaftLogOptions {
 
 class RaftLogNode final : public raft::RaftProcess {
  public:
-  RaftLogNode(RaftLogOptions options, const WorkloadOptions& workload,
-              std::size_t n, std::uint64_t seed);
+  RaftLogNode(RaftLogOptions options, ClientFront front);
 
   void onStart() override;
   void onRestart() override;
   void onMessage(ProcessId from, const Message& message) override;
   void onTimer(TimerId id) override;
 
-  // --- observation (the SvcNode-shaped view runSvc audits) ---
-  const std::vector<Value>& applied() const noexcept { return applied_; }
-  const std::vector<Tick>& commitTicks() const noexcept {
-    return commitTicks_;
-  }
-  const std::vector<Tick>& latencies() const noexcept { return latencies_; }
-  const std::vector<std::uint32_t>& batchSizes() const noexcept {
-    return batchSizes_;
-  }
-  std::uint64_t duplicatesSuppressed() const noexcept {
-    return dupSuppressed_;
-  }
+  // --- observation (runSvc audits) ---
+  /// Applied commands, arrivals and latencies; duplicates are legitimate
+  /// here (a failover can re-append a command) and suppressed at apply.
+  const ClientFront& front() const noexcept { return front_; }
   /// Leader-barrier no-ops this node applied (skipped entries; the raft
   /// analogue of SvcNode's no-op decrees — see RaftProcess::leaderBarrier).
   std::uint64_t noopsApplied() const noexcept { return noopsApplied_; }
-  const Workload& workload() const noexcept { return workload_; }
 
   /// This node's client calendar is exhausted and every command it minted
   /// (and still remembers) has been applied locally. Raft never quiesces
@@ -109,34 +96,17 @@ class RaftLogNode final : public raft::RaftProcess {
   std::optional<Value> leaderBarrier() const override;
 
  private:
-  Value mintCommand();
-  void armArrivalTimer();
   void handleArrivals();
   void offerCommands(const std::vector<Value>& commands);
   void resubmitUnapplied();
 
-  WorkloadOptions workloadOptions_;
-  std::size_t workloadN_;
-  std::uint64_t workloadSeed_;
-  Workload workload_;
-
-  std::uint32_t cmdSeq_ = 0;  ///< per-incarnation (see mintCommand)
+  ClientFront front_;
   /// Own commands in mint order, retried until applied.
   std::deque<Value> pendingLocal_;
-  std::unordered_map<Value, Tick> arrivalTick_;
-
-  std::vector<Value> applied_;
-  std::unordered_set<Value> appliedSet_;
-  std::vector<Tick> commitTicks_;
-  std::vector<Tick> latencies_;
-  std::vector<std::uint32_t> batchSizes_;
-  std::uint64_t dupSuppressed_ = 0;
   std::uint64_t noopsApplied_ = 0;
   raft::LogIndex lastBatchCommit_ = 0;
   std::vector<LeaderEvent> leaderEvents_;
 
-  TimerId arrivalTimer_ = 0;
-  Tick arrivalArmedFor_ = 0;
   TimerId resubmitTimer_ = 0;
   /// True while the base class replays the journal in onRestart: replayed
   /// applies must not re-trigger closed-loop client feedback.

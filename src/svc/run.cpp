@@ -129,8 +129,14 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
                     config.adversary));
   if (hooks.observer) sim.setScheduleObserver(hooks.observer);
 
+  // The client side of every node, whatever its engine: runSvc collects
+  // through these, and reads the nodes below only for what is engine-own.
+  std::vector<const ClientFront*> fronts(n, nullptr);
   std::vector<SvcNode*> svcNodes(n, nullptr);
   std::vector<RaftLogNode*> raftNodes(n, nullptr);
+  const auto front = [&config, n](ProcessId id) {
+    return ClientFront(config.workload, id, n, config.seed);
+  };
 
   if (config.engine == "raft") {
     RaftLogOptions options;
@@ -142,9 +148,9 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
     options.raft.storage = config.service.storage;
     options.resubmitEvery = config.resubmitEvery;
     for (ProcessId id = 0; id < n; ++id) {
-      auto node = std::make_unique<RaftLogNode>(options, config.workload, n,
-                                                config.seed);
+      auto node = std::make_unique<RaftLogNode>(options, front(id));
       raftNodes[id] = node.get();
+      fronts[id] = &node->front();
       sim.addProcess(std::move(node));
     }
   } else {
@@ -202,9 +208,9 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
       };
     }
     for (ProcessId id = 0; id < n; ++id) {
-      auto node = std::make_unique<SvcNode>(factory, config.workload, n,
-                                            config.seed, config.service);
+      auto node = std::make_unique<SvcNode>(factory, front(id), config.service);
       svcNodes[id] = node.get();
+      fronts[id] = &node->front();
       sim.addProcess(std::move(node));
     }
   }
@@ -222,7 +228,7 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
     // until it is back and caught up.
     std::unordered_set<ProcessId> permanentlyDown;
     for (const auto& [id, tick] : config.crashes) permanentlyDown.insert(id);
-    sim.setStopPredicate([&raftNodes, permanentlyDown](const Simulator& s) {
+    sim.setStopPredicate([&, permanentlyDown](const Simulator& s) {
       std::size_t reference = raftNodes.size();
       for (ProcessId id = 0; id < raftNodes.size(); ++id) {
         if (s.crashed(id)) {
@@ -232,8 +238,8 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
         if (!raftNodes[id]->drained()) return false;
         if (reference == raftNodes.size()) {
           reference = id;
-        } else if (raftNodes[id]->applied().size() !=
-                   raftNodes[reference]->applied().size()) {
+        } else if (fronts[id]->applied().size() !=
+                   fronts[reference]->applied().size()) {
           return false;
         }
       }
@@ -247,36 +253,25 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
 
   // --- collect ---------------------------------------------------------
   const bool raft = config.engine == "raft";
-  std::vector<std::vector<Value>> appliedLogs(n);
-  std::vector<std::vector<Value>> decreeLogs(n);
   SvcResult result;
   std::uint64_t emitted = 0;
   for (ProcessId id = 0; id < n; ++id) {
+    const ClientFront& client = *fronts[id];
+    emitted += client.workload().emitted();
+    result.duplicatesSuppressed += client.duplicatesSuppressed();
+    result.latencies.insert(result.latencies.end(), client.latencies().begin(),
+                            client.latencies().end());
+    result.batchSizes.insert(result.batchSizes.end(),
+                             client.batchSizes().begin(),
+                             client.batchSizes().end());
     if (raft) {
-      appliedLogs[id] = raftNodes[id]->applied();
-      emitted += raftNodes[id]->workload().emitted();
-      result.duplicatesSuppressed += raftNodes[id]->duplicatesSuppressed();
       result.noopDecrees =
           std::max(result.noopDecrees, raftNodes[id]->noopsApplied());
-      const auto& lat = raftNodes[id]->latencies();
-      result.latencies.insert(result.latencies.end(), lat.begin(), lat.end());
-      const auto& batches = raftNodes[id]->batchSizes();
-      result.batchSizes.insert(result.batchSizes.end(), batches.begin(),
-                               batches.end());
       for (const auto& event : raftNodes[id]->leaderEvents())
         result.leaderEvents.emplace_back(event.at, id);
     } else {
-      appliedLogs[id] = svcNodes[id]->applied();
-      decreeLogs[id] = svcNodes[id]->decreeLog();
-      emitted += svcNodes[id]->workload().emitted();
-      result.duplicatesSuppressed += svcNodes[id]->duplicatesSuppressed();
       result.noopDecrees =
           std::max(result.noopDecrees, svcNodes[id]->noopDecrees());
-      const auto& lat = svcNodes[id]->latencies();
-      result.latencies.insert(result.latencies.end(), lat.begin(), lat.end());
-      const auto& batches = svcNodes[id]->batchSizes();
-      result.batchSizes.insert(result.batchSizes.end(), batches.begin(),
-                               batches.end());
     }
   }
   std::sort(result.leaderEvents.begin(), result.leaderEvents.end());
@@ -290,8 +285,10 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   // engines, over the decree logs themselves).
   for (ProcessId a = 0; a < n && result.prefixOk; ++a) {
     for (ProcessId b = a + 1; b < n && result.prefixOk; ++b) {
-      if (!prefixEqual(appliedLogs[a], appliedLogs[b])) result.prefixOk = false;
-      if (!raft && !prefixEqual(decreeLogs[a], decreeLogs[b]))
+      if (!prefixEqual(fronts[a]->applied(), fronts[b]->applied()))
+        result.prefixOk = false;
+      if (!raft &&
+          !prefixEqual(svcNodes[a]->decreeLog(), svcNodes[b]->decreeLog()))
         result.prefixOk = false;
     }
   }
@@ -301,24 +298,25 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   // Raft legitimately relies on suppression across failovers, so only the
   // applied-log uniqueness is asserted for it.
   for (ProcessId id = 0; id < n && result.exactlyOnce; ++id) {
-    if (!uniqueValues(appliedLogs[id], /*skipNoop=*/false))
+    if (!uniqueValues(fronts[id]->applied(), /*skipNoop=*/false))
       result.exactlyOnce = false;
-    if (!raft && !uniqueValues(decreeLogs[id], /*skipNoop=*/true))
+    if (!raft && !uniqueValues(svcNodes[id]->decreeLog(), /*skipNoop=*/true))
       result.exactlyOnce = false;
   }
   if (!raft && result.duplicatesSuppressed != 0) result.exactlyOnce = false;
 
   std::size_t longest = 0;
   for (ProcessId id = 0; id < n; ++id) {
-    longest = std::max(longest, appliedLogs[id].size());
+    const std::size_t applied = fronts[id]->applied().size();
+    longest = std::max(longest, applied);
     result.decreesCommitted = std::max(
         result.decreesCommitted,
-        raft ? appliedLogs[id].size() : decreeLogs[id].size());
+        raft ? applied : svcNodes[id]->decreeLog().size());
   }
   result.commandsCommitted = longest;
   result.allApplied = result.prefixOk && emitted > 0;
   for (ProcessId id = 0; id < n; ++id)
-    if (appliedLogs[id].size() != emitted) result.allApplied = false;
+    if (fronts[id]->applied().size() != emitted) result.allApplied = false;
 
   // Reference node for the commit timeline: the first node the fault
   // schedule never touches.
@@ -333,8 +331,7 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
       break;
     }
   }
-  const std::vector<Tick>& ticks = raft ? raftNodes[reference]->commitTicks()
-                                        : svcNodes[reference]->commitTicks();
+  const std::vector<Tick>& ticks = fronts[reference]->commitTicks();
   for (std::size_t i = 0; i < ticks.size(); ++i) {
     result.lastCommitTick = std::max(result.lastCommitTick, ticks[i]);
     if (i > 0 && ticks[i] - ticks[i - 1] > result.maxCommitGap)

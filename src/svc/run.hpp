@@ -15,6 +15,12 @@
 // coin-driven log would decide values nobody proposed — so the registry
 // descriptor, not a name list, decides admission.
 //
+// runSvc hands each node a ClientFront built for its id and collects
+// applied logs, emitted counts, latencies, batch sizes, duplicates and the
+// reference commit timeline through the fronts, whatever the engine; it
+// reads the nodes themselves only for decree logs, no-op counts, leader
+// events and Raft's drained().
+//
 // Deterministic in (config, seed): same config -> byte-identical applied
 // logs, metrics and serialized form. Composed and Paxos runs end by
 // QUIESCENCE — drained workload, decided decrees and retired engines leave

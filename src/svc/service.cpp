@@ -55,14 +55,11 @@ class SvcNode::DecreeContextImpl final : public Context {
   std::uint64_t decree_;
 };
 
-SvcNode::SvcNode(EngineFactory engineFactory, const WorkloadOptions& workload,
-                 std::size_t n, std::uint64_t seed, SvcNodeOptions options)
+SvcNode::SvcNode(EngineFactory engineFactory, ClientFront front,
+                 SvcNodeOptions options)
     : engineFactory_(std::move(engineFactory)),
       options_(options),
-      workload_(workload, /*node=*/0, n, seed) {
-  // The workload must be homed at this node's id, which is only known once
-  // bound; Process::bind happens before onStart, so rebuild it there.
-  // (Workload construction is cheap; the throwaway above just validates.)
+      front_(std::move(front)) {
   if (options_.window == 0)
     throw std::invalid_argument("svc: window must be positive");
   if (options_.batchMax == 0)
@@ -70,9 +67,6 @@ SvcNode::SvcNode(EngineFactory engineFactory, const WorkloadOptions& workload,
   if (options_.durable) {
     wal_ = std::make_unique<store::WriteAheadLog>(options_.storage);
   }
-  workloadSeed_ = seed;
-  workloadN_ = n;
-  workloadOptions_ = workload;
 }
 
 SvcNode::~SvcNode() = default;
@@ -83,34 +77,17 @@ void SvcNode::persist(std::vector<std::uint64_t> record) {
   if (options_.syncBeforeReply) wal_->sync();
 }
 
-Value SvcNode::mintCommand() {
-  // The incarnation lives in bits 24..31 of the sequence half so ids can
-  // never collide across restarts (a non-durable restart forgets cmdSeq_).
-  ++cmdSeq_;
-  if (cmdSeq_ >= (1u << 24))
-    throw std::overflow_error("svc: command sequence exhausted");
-  const std::uint32_t seq =
-      (static_cast<std::uint32_t>(recoveries_ & 0xFF) << 24) | cmdSeq_;
-  return makeCommand(ctx().self(), seq);
-}
-
-void SvcNode::onStart() {
-  // Re-home the workload now that self() is known.
-  workload_ = Workload(workloadOptions_, ctx().self(), workloadN_,
-                       workloadSeed_);
-  armArrivalTimer();
-}
+void SvcNode::onStart() { front_.armArrivals(ctx()); }
 
 void SvcNode::onCrash() {
   if (wal_) wal_->crash(ctx().rng());
 }
 
 void SvcNode::onRestart() {
-  ++recoveries_;
-  // Drop every volatile structure. The workload object survives (its
-  // calendar and caps persist across the restart — clients do not crash
-  // with the replica), but commands in flight at the crash are gone unless
-  // the journal remembers them.
+  // Drop every volatile structure. The client front keeps its workload,
+  // but commands in flight at the crash are gone unless the journal
+  // remembers them.
+  front_.reset();
   active_.clear();
   timerDecree_.clear();
   graveyard_.clear();
@@ -118,25 +95,15 @@ void SvcNode::onRestart() {
   openProposals_.clear();
   announcedBinding_.clear();
   pendingCmds_.clear();
-  arrivalTick_.clear();
   unassigned_.clear();
   batchStore_.clear();
   decreeLog_.clear();
-  applied_.clear();
-  appliedSet_.clear();
   committedBatches_.clear();
-  commitTicks_.clear();
-  latencies_.clear();
-  batchSizes_.clear();
   noopDecrees_ = 0;
-  dupSuppressed_ = 0;
   commitIndex_ = 0;
   firstUndecided_ = 0;
   nextOpen_ = 0;
-  cmdSeq_ = 0;
   batchSeq_ = 0;
-  arrivalTimer_ = 0;
-  arrivalArmedFor_ = 0;
   fetchTimer_ = 0;
   catchupTimer_ = 0;
   catchupTries_ = 0;
@@ -153,7 +120,7 @@ void SvcNode::onRestart() {
   }
   OOC_TRACE("svc p", ctx().self(), " restarts: commit=", commitIndex_,
             " quarantine=", quarantine_, recovering_ ? " (recovering)" : "");
-  armArrivalTimer();
+  front_.armArrivals(ctx());
   fireCatchup();
 }
 
@@ -210,10 +177,7 @@ void SvcNode::recoverFromJournal() {
           break;
         }
         committedBatches_.insert(batch);
-        for (std::size_t i = 0; i < n; ++i) {
-          const Value cmd = dec(record[4 + i]);
-          if (appliedSet_.insert(cmd).second) applied_.push_back(cmd);
-        }
+        for (std::size_t i = 0; i < n; ++i) front_.restore(dec(record[4 + i]));
         break;
       }
       default:
@@ -226,7 +190,7 @@ void SvcNode::recoverFromJournal() {
   // formed batches whose decree outcome is unknown stay parked in
   // openProposals_ (requeued on loss via catch-up), the rest requeue now.
   for (Value cmd : minted) {
-    if (!batched.contains(cmd) && !appliedSet_.contains(cmd))
+    if (!batched.contains(cmd) && !front_.isApplied(cmd))
       pendingCmds_.push_back(cmd);
   }
   std::unordered_set<Value> awaiting;
@@ -243,29 +207,11 @@ void SvcNode::recoverFromJournal() {
 
 // --- client arrivals -------------------------------------------------------
 
-void SvcNode::armArrivalTimer() {
-  const Tick now = ctx().now();
-  const Tick next = workload_.nextArrivalTick(now);
-  if (next == 0) return;
-  if (arrivalTimer_ != 0) {
-    if (arrivalArmedFor_ <= next) return;  // an earlier firing covers it
-    ctx().cancelTimer(arrivalTimer_);
-  }
-  arrivalArmedFor_ = next;
-  arrivalTimer_ = ctx().setTimer(next - now);
-}
-
 void SvcNode::handleArrivals() {
-  arrivalTimer_ = 0;
-  const Tick now = ctx().now();
-  for (const Arrival& arrival : workload_.collect(now)) {
-    (void)arrival;  // client/key shape the draw; the command is the unit
-    const Value cmd = mintCommand();
+  for (const Value cmd : front_.takeArrivals(ctx())) {
     pendingCmds_.push_back(cmd);
-    arrivalTick_[cmd] = now;
     persist({kRecCmd, enc(cmd)});
   }
-  armArrivalTimer();
   formAndOpen();
 }
 
@@ -295,10 +241,8 @@ Value SvcNode::takeProposal(std::uint64_t decree) {
     }
     return kNoopBatch;
   }
-  ++batchSeq_;
-  const std::uint32_t seq =
-      (static_cast<std::uint32_t>(recoveries_ & 0xFF) << 24) | batchSeq_;
-  const Value id = makeBatchId(ctx().self(), seq);
+  const Value id = makeBatchId(
+      ctx().self(), incarnationSequence(ctx().incarnation(), ++batchSeq_));
   std::vector<Value> cmds(pendingCmds_.begin(),
                           pendingCmds_.begin() +
                               static_cast<std::ptrdiff_t>(take));
@@ -419,7 +363,7 @@ void SvcNode::applyReady() {
     decided_.erase(it);
     const Tick now = ctx().now();
     decreeLog_.push_back(batch);
-    commitTicks_.push_back(now);
+    front_.recordCommit(now);
     std::vector<std::uint64_t> record{kRecCommit, commitIndex_, enc(batch)};
     if (batch == kNoopBatch) {
       ++noopDecrees_;
@@ -427,23 +371,11 @@ void SvcNode::applyReady() {
     } else {
       committedBatches_.insert(batch);
       const std::vector<Value>& cmds = payload->second;
-      batchSizes_.push_back(static_cast<std::uint32_t>(cmds.size()));
+      front_.recordBatch(cmds.size());
       record.push_back(cmds.size());
       for (Value cmd : cmds) {
         record.push_back(enc(cmd));
-        if (!appliedSet_.insert(cmd).second) {
-          ++dupSuppressed_;
-          continue;
-        }
-        applied_.push_back(cmd);
-        if (commandNode(cmd) == ctx().self()) {
-          const auto arrived = arrivalTick_.find(cmd);
-          if (arrived != arrivalTick_.end()) {
-            latencies_.push_back(now - arrived->second);
-            arrivalTick_.erase(arrived);
-          }
-          workload_.onCommit(now);  // closed-loop client thinks, re-arrives
-        }
+        front_.apply(cmd, now);
       }
     }
     persist(std::move(record));
@@ -452,7 +384,7 @@ void SvcNode::applyReady() {
     progressed = true;
   }
   if (progressed) {
-    armArrivalTimer();
+    front_.armArrivals(ctx());
     // Still below the quarantine: catch-up is the only transport for the
     // remaining outcomes, so keep rounds coming while they make progress.
     if (commitIndex_ < quarantine_ && !recovering_ && catchupTimer_ == 0) {
@@ -579,7 +511,7 @@ void SvcNode::onMessage(ProcessId from, const Message& message) {
 
 void SvcNode::onTimer(TimerId id) {
   graveyard_.clear();
-  if (id == arrivalTimer_) {
+  if (front_.isArrivalTimer(id)) {
     handleArrivals();
     return;
   }
@@ -610,10 +542,6 @@ void SvcNode::onTick(Tick tick) {
     const auto engine = active_.find(decree);
     if (engine != active_.end()) engine->second.engine->onTick(tick);
   }
-}
-
-std::uint64_t SvcNode::inFlight() const noexcept {
-  return arrivalTick_.size();
 }
 
 }  // namespace ooc::svc

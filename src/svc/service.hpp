@@ -26,10 +26,13 @@
 //    batch win twice: a joiner never re-proposes a foreign batch, and the
 //    owner re-binds only after the old decree decided against it, at which
 //    point that decree's outcome is fixed by consensus agreement.
-//  * Client traffic. Commands arrive from a deterministic Workload
-//    (closed- or open-loop, zipfian keys); arrivals are timer-driven, so
-//    the service runs under the plain asynchronous scheduler. Commits feed
-//    back into the closed loop.
+//  * Client traffic. Commands arrive through the node's ClientFront
+//    (svc/workload.hpp, the same front RaftLogNode owns): a deterministic
+//    Workload (closed- or open-loop, zipfian keys) on a timer, so the
+//    service runs under the plain asynchronous scheduler. The front mints
+//    the command ids and keeps the apply ledger runSvc reads; the node
+//    records one commit tick per live decree and one batch size per
+//    applied batch, and commits feed back into the closed loop.
 //  * Idle detection. Decrees are opened proactively only when there is
 //    work (a pending command or an unassigned batch) and reactively only
 //    on peer traffic, so a drained cluster quiesces and the simulator's
@@ -72,21 +75,6 @@
 #include "svc/workload.hpp"
 
 namespace ooc::svc {
-
-/// The reserved "no command" value (the Raft leader barrier's entry).
-/// Client command ids are always positive.
-inline constexpr Value kNoopCommand = 0;
-
-/// Packs (node, sequence) into a globally unique command id; the home node
-/// lives in the high half so audits can attribute commands across layers.
-constexpr Value makeCommand(ProcessId node, std::uint32_t seq) noexcept {
-  return static_cast<Value>(
-      (static_cast<std::uint64_t>(node + 1) << 32) | seq);
-}
-constexpr ProcessId commandNode(Value command) noexcept {
-  return static_cast<ProcessId>(
-             static_cast<std::uint64_t>(command) >> 32) - 1;
-}
 
 /// The reserved "empty decree" value decided when no batch wins.
 inline constexpr Value kNoopBatch = 0;
@@ -140,8 +128,8 @@ struct SvcNodeOptions {
 
 class SvcNode final : public Process {
  public:
-  SvcNode(EngineFactory engineFactory, const WorkloadOptions& workload,
-          std::size_t n, std::uint64_t seed, SvcNodeOptions options);
+  SvcNode(EngineFactory engineFactory, ClientFront front,
+          SvcNodeOptions options);
   ~SvcNode() override;
 
   void onStart() override;
@@ -156,31 +144,11 @@ class SvcNode final : public Process {
   /// Applied batch id per decree, in decree order (kNoopBatch for empty
   /// decrees). Cleared by a restart and rebuilt from journal + catch-up.
   const std::vector<Value>& decreeLog() const noexcept { return decreeLog_; }
-  /// Applied client commands flattened in decree order (no-ops excluded).
-  const std::vector<Value>& applied() const noexcept { return applied_; }
-  /// Tick at which each live apply happened (journal replays excluded).
-  const std::vector<Tick>& commitTicks() const noexcept {
-    return commitTicks_;
-  }
-  /// Arrival-to-apply latency of this node's own commands, in ticks.
-  const std::vector<Tick>& latencies() const noexcept { return latencies_; }
-  /// Applied non-noop batch sizes.
-  const std::vector<std::uint32_t>& batchSizes() const noexcept {
-    return batchSizes_;
-  }
-  std::uint64_t commitIndex() const noexcept { return commitIndex_; }
   std::uint64_t noopDecrees() const noexcept { return noopDecrees_; }
-  /// Commands whose second apply was suppressed (must stay 0: a batch is
-  /// re-proposed only after it provably lost its decree).
-  std::uint64_t duplicatesSuppressed() const noexcept {
-    return dupSuppressed_;
-  }
-  std::uint64_t recoveries() const noexcept { return recoveries_; }
-  const Workload& workload() const noexcept { return workload_; }
-  const store::WriteAheadLog* wal() const noexcept { return wal_.get(); }
-  /// Commands minted but not yet applied here (in a pending queue, an
-  /// unassigned batch, or an in-flight decree).
-  std::uint64_t inFlight() const noexcept;
+  /// Applied commands, arrivals and latencies. Its duplicate count must
+  /// stay 0 here: a batch is re-proposed only after it provably lost its
+  /// decree.
+  const ClientFront& front() const noexcept { return front_; }
 
  private:
   class DecreeContextImpl;
@@ -207,9 +175,7 @@ class SvcNode final : public Process {
   void persist(std::vector<std::uint64_t> record);
   void recoverFromJournal();
 
-  Value mintCommand();
   void handleArrivals();
-  void armArrivalTimer();
 
   Value takeProposal(std::uint64_t decree);
   void formAndOpen();
@@ -228,19 +194,11 @@ class SvcNode final : public Process {
 
   EngineFactory engineFactory_;
   SvcNodeOptions options_;
-  /// Workload construction parameters, kept so onStart can re-home the
-  /// generator at the node id (unknown until bound).
-  WorkloadOptions workloadOptions_;
-  std::size_t workloadN_ = 0;
-  std::uint64_t workloadSeed_ = 0;
-  Workload workload_;
+  ClientFront front_;
 
-  // --- command/batch minting ---
-  std::uint32_t cmdSeq_ = 0;    ///< per-incarnation (see mintCommand)
+  // --- batching ---
   std::uint32_t batchSeq_ = 0;  ///< per-incarnation
   std::deque<Value> pendingCmds_;
-  /// Own command -> arrival tick, for latency accounting (volatile).
-  std::unordered_map<Value, Tick> arrivalTick_;
   /// Formed batches awaiting (re-)proposal.
   std::deque<Value> unassigned_;
   /// Batch id -> payload; retained after apply to serve fetch/catch-up.
@@ -269,18 +227,10 @@ class SvcNode final : public Process {
 
   // --- applied state ---
   std::vector<Value> decreeLog_;
-  std::vector<Value> applied_;
-  std::unordered_set<Value> appliedSet_;
   std::unordered_set<Value> committedBatches_;
-  std::vector<Tick> commitTicks_;
-  std::vector<Tick> latencies_;
-  std::vector<std::uint32_t> batchSizes_;
   std::uint64_t noopDecrees_ = 0;
-  std::uint64_t dupSuppressed_ = 0;
 
   // --- timers ---
-  TimerId arrivalTimer_ = 0;
-  Tick arrivalArmedFor_ = 0;
   TimerId fetchTimer_ = 0;
   TimerId catchupTimer_ = 0;
   int catchupTries_ = 0;
@@ -293,7 +243,6 @@ class SvcNode final : public Process {
   /// Non-durable restart: abstain from everything until the first
   /// catch-up reply supplies a conservative quarantine.
   bool recovering_ = false;
-  std::uint64_t recoveries_ = 0;
 };
 
 }  // namespace ooc::svc

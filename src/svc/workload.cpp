@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace ooc::svc {
 
@@ -78,7 +79,7 @@ std::vector<Arrival> Workload::collect(Tick tick) {
       Arrival a;
       a.client = population_ == 0 ? 0 : rng_.below(population_);
       a.key = drawKey();
-      ++keyCounts_[a.key];
+      a.due = it->first;
       ++emitted_;
       arrivals.push_back(a);
     }
@@ -104,10 +105,81 @@ std::uint32_t Workload::drawKey() {
                             zipfCdf_.size() - 1));
 }
 
-std::uint64_t Workload::hottestKeyHits() const {
-  std::uint64_t best = 0;
-  for (const auto& [key, count] : keyCounts_) best = std::max(best, count);
-  return best;
+std::uint32_t incarnationSequence(std::uint32_t incarnation,
+                                  std::uint32_t seq) {
+  if (seq >= (1u << 24))
+    throw std::overflow_error("svc: id sequence exhausted (2^24 per "
+                              "incarnation)");
+  if (incarnation > 0xFF)
+    throw std::overflow_error(
+        "svc: incarnation " + std::to_string(incarnation) +
+        " would re-mint the ids of incarnation " +
+        std::to_string(incarnation & 0xFF));
+  return (incarnation << 24) | seq;
+}
+
+// --- ClientFront -------------------------------------------------------------
+
+ClientFront::ClientFront(const WorkloadOptions& options, ProcessId node,
+                         std::size_t n, std::uint64_t seed)
+    : node_(node), workload_(options, node, n, seed) {}
+
+void ClientFront::armArrivals(Context& ctx) {
+  const Tick now = ctx.now();
+  const Tick next = workload_.nextArrivalTick(now);
+  if (next == 0) return;
+  if (arrivalTimer_ != 0) {
+    if (arrivalArmedFor_ <= next) return;  // an earlier firing covers it
+    ctx.cancelTimer(arrivalTimer_);
+  }
+  arrivalArmedFor_ = next;
+  arrivalTimer_ = ctx.setTimer(next - now);
+}
+
+std::vector<Value> ClientFront::takeArrivals(Context& ctx) {
+  arrivalTimer_ = 0;
+  std::vector<Value> commands;
+  for (const Arrival& arrival : workload_.collect(ctx.now())) {
+    const Value command =
+        makeCommand(node_, incarnationSequence(ctx.incarnation(), ++cmdSeq_));
+    stamps_[command] = arrival.due;
+    commands.push_back(command);
+  }
+  armArrivals(ctx);
+  return commands;
+}
+
+bool ClientFront::apply(Value command, Tick now, bool feedback) {
+  if (!appliedSet_.insert(command).second) {
+    ++dupSuppressed_;
+    return false;
+  }
+  applied_.push_back(command);
+  if (commandNode(command) == node_) {
+    const auto stamp = stamps_.find(command);
+    if (stamp != stamps_.end()) {
+      latencies_.push_back(now - stamp->second);
+      stamps_.erase(stamp);
+    }
+    if (feedback) workload_.onCommit(now);
+  }
+  return true;
+}
+
+void ClientFront::restore(Value command) {
+  if (appliedSet_.insert(command).second) applied_.push_back(command);
+}
+
+void ClientFront::reset() {
+  cmdSeq_ = 0;
+  arrivalTimer_ = 0;
+  arrivalArmedFor_ = 0;
+  stamps_.clear();
+  applied_.clear();
+  appliedSet_.clear();
+  commitTicks_.clear();
+  batchSizes_.clear();
+  dupSuppressed_ = 0;
 }
 
 }  // namespace ooc::svc

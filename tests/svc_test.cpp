@@ -4,13 +4,17 @@
 // the serialized config round-trip, and the registry capability gate; then
 // the sequential log (window 1, batch 1: identical logs and exactly-once
 // commit across seeds, the bounded no-op tail, idle joiners, crashes,
-// restarts) and the command packing.
+// restarts), the command packing and the client front.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/run_id.hpp"
 #include "svc/run.hpp"
+#include "svc/workload.hpp"
 
 namespace ooc::svc {
 namespace {
@@ -128,6 +132,85 @@ TEST(Svc, DurableRestartCatchesUp) {
       EXPECT_FALSE(result.hitCap) << label;
       EXPECT_GT(result.commandsCommitted, 0u) << label;
     }
+  }
+}
+
+/// The schedule side of a run: audits, counts, the reference commit
+/// timeline, batch sizes, event and message totals, suppressed duplicates
+/// and leader events.
+std::string scheduleOf(const SvcResult& r) {
+  std::string s;
+  const auto put = [&s](std::uint64_t v) { s += std::to_string(v) + ','; };
+  for (const bool flag : {r.prefixOk, r.exactlyOnce, r.allApplied, r.hitCap})
+    put(flag);
+  for (const std::uint64_t count :
+       {r.decreesCommitted, r.commandsCommitted, r.commandsEmitted,
+        r.noopDecrees, r.lastCommitTick, r.maxCommitGap, r.eventsProcessed,
+        r.messagesByCorrect, r.duplicatesSuppressed}) {
+    put(count);
+  }
+  s += '|';
+  for (const std::uint32_t size : r.batchSizes) put(size);
+  s += '|';
+  for (const auto& [at, id] : r.leaderEvents) {
+    put(at);
+    put(id);
+  }
+  return s;
+}
+
+/// The client side of a run: the pooled latency samples, in pool order.
+std::string latenciesOf(const SvcResult& r) {
+  std::string s;
+  for (const Tick latency : r.latencies) s += std::to_string(latency) + ',';
+  return s;
+}
+
+// Restart pins: every engine under a durable and a volatile restart of
+// node 1, at windows 2 and 4, each run fixed by FNV-1a digests of its
+// schedule and of its latency samples. The open loop (one arrival per 25
+// ticks) keeps commands arriving across the restart, so the crash lands
+// after commits and some arrivals fall due during the downtime. A change
+// to the client side must leave the schedule digests alone; a
+// latency-accounting fix may move only the latency digests.
+TEST(Svc, RestartRunsMatchTheirPinnedDigests) {
+  struct Pin {
+    const char* engine;
+    bool durable;
+    std::uint64_t window;
+    const char* schedule;
+    const char* latency;
+  };
+  const Pin pins[] = {
+      {"compose", true, 2, "11e68719176fd33e", "540fd17050b1aa24"},
+      {"compose", true, 4, "59cafb520a0a68fc", "9f829bb9558a7d24"},
+      {"compose", false, 2, "c8433069a3999ab3", "86875f696d5456c7"},
+      {"compose", false, 4, "cede6100c987fbab", "6d38eec6a16ca02d"},
+      {"paxos", true, 2, "2913b2d5a58a8a90", "24fe9d65747361e5"},
+      {"paxos", true, 4, "1d985124e876f929", "c1894340aa797990"},
+      {"paxos", false, 2, "a7b2d8169343b895", "663a27f7a44b3631"},
+      {"paxos", false, 4, "335211b5eeca32fa", "5cf39200da201d36"},
+      {"raft", true, 2, "ccce1069abda8b2d", "6f772a3329f51928"},
+      {"raft", true, 4, "ccce1069abda8b2d", "6f772a3329f51928"},
+      {"raft", false, 2, "550aee70dfb2a21a", "be735e0cb0f6a54c"},
+      {"raft", false, 4, "550aee70dfb2a21a", "be735e0cb0f6a54c"},
+  };
+  for (const Pin& pin : pins) {
+    SvcConfig config = smokeConfig(pin.engine);
+    config.workload.closedLoop = false;
+    config.workload.arrivalsPerTick = 0.04;
+    config.workload.commandsPerNode = 12;
+    config.service.durable = pin.durable;
+    config.service.window = pin.window;
+    config.restarts = {{1, 200, 60}};
+    const SvcResult result = runSvc(config);
+    const std::string label = std::string(pin.engine) +
+                              (pin.durable ? " durable" : " volatile") +
+                              " window " + std::to_string(pin.window);
+    EXPECT_EQ(obs::toHex(obs::fnv1a(scheduleOf(result))), pin.schedule)
+        << label << " schedule: " << scheduleOf(result);
+    EXPECT_EQ(obs::toHex(obs::fnv1a(latenciesOf(result))), pin.latency)
+        << label << " latencies: " << latenciesOf(result);
   }
 }
 
@@ -313,6 +396,110 @@ TEST(ReplicatedLog, CommandPacking) {
   const Value command = makeCommand(3, 17);
   EXPECT_EQ(commandNode(command), 3u);
   EXPECT_GT(command, kNoopCommand);
+}
+
+// ---------------------------------------------------------------------------
+// ClientFront: the client side both node kinds own, driven directly.
+
+/// A hand-cranked Context: the test sets the tick and the incarnation.
+class FrontContext final : public Context {
+ public:
+  ProcessId self() const noexcept override { return 0; }
+  std::size_t processCount() const noexcept override { return 1; }
+  Tick now() const noexcept override { return now_; }
+  Rng& rng() noexcept override { return rng_; }
+  void post(ProcessId, MessagePtr) override {}
+  void fanout(MessagePtr) override {}
+  TimerId setTimer(Tick) override { return ++timers_; }
+  void cancelTimer(TimerId) noexcept override {}
+  void decide(Value) override {}
+  std::uint32_t incarnation() const noexcept override { return incarnation_; }
+
+  Tick now_ = 0;
+  std::uint32_t incarnation_ = 0;
+
+ private:
+  Rng rng_{1};
+  TimerId timers_ = 0;
+};
+
+/// One node, one arrival per tick from tick 1 on.
+ClientFront everyTickFront(std::uint64_t commands) {
+  WorkloadOptions options;
+  options.closedLoop = false;
+  options.arrivalsPerTick = 1.0;
+  options.commandsPerNode = commands;
+  return ClientFront(options, /*node=*/0, /*n=*/1, /*seed=*/1);
+}
+
+// A latency sample is what a client saw, not replica state: a restart
+// drops the ledger but keeps the samples already taken.
+TEST(ClientFront, ResetKeepsLatencySamples) {
+  FrontContext ctx;
+  ClientFront front = everyTickFront(4);
+  ctx.now_ = 1;
+  const std::vector<Value> commands = front.takeArrivals(ctx);
+  ASSERT_EQ(commands.size(), 1u);
+  EXPECT_TRUE(front.apply(commands[0], 6));
+  EXPECT_FALSE(front.apply(commands[0], 7));
+  front.recordCommit(6);
+  front.recordBatch(1);
+
+  ctx.incarnation_ = 1;
+  front.reset();
+  EXPECT_EQ(front.latencies(), std::vector<Tick>{5});
+  EXPECT_TRUE(front.applied().empty());
+  EXPECT_FALSE(front.isApplied(commands[0]));
+  EXPECT_TRUE(front.commitTicks().empty());
+  EXPECT_TRUE(front.batchSizes().empty());
+  EXPECT_EQ(front.duplicatesSuppressed(), 0u);
+}
+
+// Arrivals due during a downtime are collected at the first firing after
+// it, and each is stamped with the tick it fell due, so the client's wait
+// through the outage shows in its latency.
+TEST(ClientFront, LateCollectionStampsTheDueTick) {
+  FrontContext ctx;
+  ClientFront front = everyTickFront(3);
+  ctx.now_ = 10;
+  const std::vector<Value> commands = front.takeArrivals(ctx);
+  ASSERT_EQ(commands.size(), 3u);
+  for (const Value command : commands) EXPECT_TRUE(front.apply(command, 12));
+  EXPECT_EQ(front.latencies(), (std::vector<Tick>{11, 10, 9}));
+  EXPECT_EQ(front.workload().emitted(), 3u);
+}
+
+// The incarnation lives in 8 bits of every command id: the 256th restart
+// would re-mint the first incarnation's ids, which would then dedup
+// against commands applied long ago. Minting there throws instead.
+TEST(ClientFront, IncarnationWrapThrows) {
+  FrontContext ctx;
+  ClientFront front = everyTickFront(2);
+  ctx.now_ = 1;
+  ctx.incarnation_ = 255;
+  const std::vector<Value> commands = front.takeArrivals(ctx);
+  ASSERT_EQ(commands.size(), 1u);
+  EXPECT_EQ(commands[0], makeCommand(0, (255u << 24) | 1));
+  ctx.now_ = 2;
+  ctx.incarnation_ = 256;
+  EXPECT_THROW((void)front.takeArrivals(ctx), std::overflow_error);
+  EXPECT_THROW((void)incarnationSequence(0, 1u << 24), std::overflow_error);
+}
+
+// The same wrap reached from a scenario: node 1 restarts 256 times and
+// then collects an arrival, so the run stops with the error rather than
+// mint a duplicate id.
+TEST(ClientFront, IncarnationWrapFailsTheRun) {
+  for (const std::string engine : {"compose", "raft"}) {
+    SvcConfig config = smokeConfig(engine);
+    config.workload.closedLoop = false;
+    config.workload.arrivalsPerTick = 0.05;
+    config.workload.commandsPerNode = 40;
+    for (Tick at = 2; at <= 512; at += 2) config.restarts.push_back({1, at, 1});
+    EXPECT_THROW((void)runSvc(config), std::overflow_error) << engine;
+    config.restarts.pop_back();
+    EXPECT_NO_THROW((void)runSvc(config)) << engine;
+  }
 }
 
 }  // namespace
