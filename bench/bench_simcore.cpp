@@ -11,9 +11,7 @@
 //
 // Unlike the other benches, the metric values here are wall-clock timings:
 // the JSON (run_id, tables' event counts, verdict) is deterministic but the
-// events/sec and ns/event numbers are machine-dependent by design. The
-// trajectory entry appended by scripts/bench.sh tracks them across commits;
-// its compare mode flags >10% regressions.
+// events/sec and ns/event numbers are machine-dependent by design.
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -134,8 +132,7 @@ int main(int argc, char** argv) {
       "E19: simulator core throughput (events/sec, ns/event)",
       "The scheduler hot path — refcounted payload fan-out, type-tag "
       "dispatch, calendar event queue — measured end to end through the "
-      "scenario runners. Timings are wall-clock (machine-dependent); the "
-      "trajectory in BENCH_simcore.json tracks them across commits.");
+      "scenario runners. Timings are wall-clock (machine-dependent).");
   {
     Table table({"scenario", "runs", "events", "ms total", "events/sec",
                  "ns/event"});
@@ -168,7 +165,7 @@ int main(int argc, char** argv) {
                     Table::cell(eventsPerSec, 0), Table::cell(nsPerEvent, 1)});
     }
     bench.emit(table);
-    bench.note("scenario keys (trajectory/gauge labels): benor_n5_async, "
+    bench.note("scenario keys (gauge labels): benor_n5_async, "
                "benor_n25_lockstep, benor_n25_async, phaseking_n25, raft_n5, "
                "raft_n9_faultmix");
   }
@@ -183,9 +180,9 @@ int main(int argc, char** argv) {
   bench.banner(
       "E23: whole-machine aggregate throughput + scaling efficiency",
       "The E19 workload through sweep::parallelFor at increasing thread "
-      "counts. aggregate_events_per_sec and scaling_efficiency gauges feed "
-      "the BENCH_simcore.json trajectory; the >=0.6-at-half-the-cores bar "
-      "is the scheduler's scaling acceptance line.");
+      "counts, published as aggregate_events_per_sec and scaling_efficiency "
+      "gauges; the >=0.6-at-half-the-cores bar is the scheduler's scaling "
+      "acceptance line.");
   {
     struct WorkItem {
       const RunFn* run;

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Bench driver: builds and runs every experiment binary, collecting one
-# BENCH_<name>.json per bench (schema ooc.bench.v1; bench_template_overhead
-# emits google-benchmark's schema since wall-clock timings have no
-# reproducible form) plus an aggregate trajectory file BENCH_trajectory.json
-# that maps each bench to its verdict and run id. Exits nonzero if any bench
-# reported a correctness violation.
+# Bench suite smoke: builds and runs every experiment binary and the three
+# composition matrices, writing their JSON under --out: one
+# BENCH_<name>.json per bench (schema ooc.bench.v1, ooc.svc.v1 for
+# bench_svc; bench_template_overhead emits google-benchmark's schema since
+# wall-clock timings have no reproducible form) and one ooc.matrix.v2 file
+# per matrix (BENCH_matrix.json, BENCH_fd_matrix.json, BENCH_roundless.json).
+# Exits nonzero if any bench or matrix reported a correctness violation.
+# Nothing outside --out and build/ is written; the record of performance
+# over commits is benchmark/ (see BENCHMARK.json).
 #
-#   scripts/bench.sh                    # full trial counts, out/ directory
+#   scripts/bench.sh                    # full trial counts, bench-results/
 #   scripts/bench.sh --quick            # reduced trials (CI smoke mode)
 #   scripts/bench.sh --out results/     # choose the output directory
 #   scripts/bench.sh --no-json          # console tables only
@@ -33,7 +36,7 @@ while [ $# -gt 0 ]; do
     --jobs) JOBS="$2"; shift ;;
     --threads) THREADS="$2"; shift ;;
     -h|--help)
-      sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) echo "bench.sh: unknown argument '$1'" >&2; exit 2 ;;
@@ -99,14 +102,10 @@ for bench in $BENCHES; do
 done
 wait
 
-# Phase 2: replay logs in canonical order, collect verdicts, and build the
-# aggregate trajectory. Identical output to a sequential run.
+# Phase 2: replay logs in canonical order and collect verdicts. Identical
+# output to a sequential run.
 failures=0
-trajectory="$OUT/BENCH_trajectory.json"
-[ "$JSON" = 1 ] && printf '{"schema":"ooc.bench-trajectory.v1","benches":[' > "$trajectory"
-first=1
 for bench in $BENCHES; do
-  name="${bench#bench_}"
   echo "## $bench $QUICK"
   cat "$OUT/.${bench}.log"
   status=$(cat "$OUT/.${bench}.status")
@@ -115,20 +114,7 @@ for bench in $BENCHES; do
     failures=$((failures + 1))
     echo "!! $bench exited $status" >&2
   fi
-  if [ "$JSON" = 1 ]; then
-    [ "$first" = 1 ] || printf ',' >> "$trajectory"
-    first=0
-    json_path="$OUT/BENCH_${name}.json"
-    run_id=$(sed -n 's/.*"run_id":"\([0-9a-f]*\)".*/\1/p' "$json_path" | head -1)
-    printf '{"bench":"%s","file":"BENCH_%s.json","run_id":"%s","exit":%d}' \
-      "$name" "$name" "${run_id:-}" "$status" >> "$trajectory"
-  fi
 done
-
-if [ "$JSON" = 1 ]; then
-  printf '],"failures":%d}\n' "$failures" >> "$trajectory"
-  echo "wrote $(ls "$OUT" | wc -l) files to $OUT/ (trajectory: $trajectory)"
-fi
 
 # The composition matrices, one ooc.matrix.v2 file each next to the bench
 # JSON: E20 (every registered detector × driver pairing), E22 (oracle
@@ -155,25 +141,7 @@ for entry in e20:matrix e22:fd_matrix e24:roundless; do
   fi
 done
 
-# Committed trajectory files: append this run's headline metric to the
-# repo-root BENCH_<name>.json so the numbers are tracked commit over
-# commit, and warn on a >10% regression against the previous entry of the
-# same mode (see scripts/trajectory.py):
-#   simcore   events/sec per scenario (hot-path throughput), plus the E23
-#             aggregate events/sec and scaling efficiency per thread count
-#   fd        mean rounds-to-decide per oracle-consuming pairing
-#   recovery  mean ticks-to-decide under the crash/restart mixes
-#   svc       committed commands per kilotick per service engine (E21)
-#   roundless mean rounds-to-decide per valid E24 (engine, policy) cell
-if [ "$JSON" = 1 ]; then
-  COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-  for mode in simcore fd recovery svc roundless; do
-    run_json="$OUT/BENCH_${mode}.json"
-    [ -f "$run_json" ] || continue
-    python3 scripts/trajectory.py \
-      "$run_json" "BENCH_${mode}.json" "$COMMIT" "${QUICK:+quick}" "$mode"
-  done
-fi
+[ "$JSON" = 1 ] && echo "wrote $(ls "$OUT" | wc -l) files to $OUT/"
 
 if [ "$failures" -ne 0 ]; then
   echo "FAIL: $failures bench(es) reported violations" >&2

@@ -64,11 +64,7 @@ done
 
 # --- 3. schema tags emitted vs documented ---------------------------------
 # Collect every literal ooc.<name>.vN schema tag the code emits and require
-# EXPERIMENTS.md to mention it. Tags assembled from variables (e.g.
-# trajectory.py's f-string "ooc.{mode}-trajectory.v1") are expanded by the
-# emitting script's own mode whitelist, so only fully literal tags are
-# collected here; the documented tag list must still cover the expansions,
-# which appear literally in EXPERIMENTS.md.
+# EXPERIMENTS.md to mention it.
 tags=$(grep -rhoE '"ooc\.[a-z0-9_.-]+\.v[0-9]+"' src tools bench scripts \
        | tr -d '"' | sort -u)
 for tag in $tags; do

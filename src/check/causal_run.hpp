@@ -1,7 +1,7 @@
 // Re-executes a scenario with the causal recorder attached, optionally
 // verifying the re-execution against a recorded trace. This is the glue
-// every causality consumer goes through: `ooc explain/ctrace/audit`,
-// `trace_view --perfetto`, and the causal CI audit all start from a
+// every causality consumer goes through: `ooc explain`, `ctrace`,
+// `perfetto` and `audit`, and the causal CI audit, all start from a
 // counterexample or golden file and need the same record-verify step the
 // timeline renderer performs.
 #pragma once

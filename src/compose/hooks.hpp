@@ -22,9 +22,9 @@ namespace ooc::compose {
 
 /// Rich protocol-event tap: receives the object-level moments the schedule
 /// trace cannot see — detector outcomes (confidence transitions) and driver
-/// returns, with their simulated tick. Implemented by the trace_view
-/// timeline renderer and metric collectors. Observation only: sinks must
-/// not influence the run.
+/// returns, with their simulated tick. Implemented by the `ooc timeline`
+/// renderer and metric collectors. Observation only: sinks must not
+/// influence the run.
 class TelemetrySink {
  public:
   virtual ~TelemetrySink() = default;

@@ -23,7 +23,7 @@ namespace ooc::compose {
 /// Deterministic run identifier for a serialized configuration: a 64-bit
 /// FNV-1a hash of the key=value body (which includes the seed), rendered as
 /// 16 lowercase hex characters. The same (config, seed) always maps to the
-/// same id, so counterexample files, BENCH_*.json metrics and trace_view
+/// same id, so counterexample files, BENCH_*.json metrics and `ooc`
 /// output can be correlated. Stamp lines (`# run-id=...`) are excluded from
 /// the hash, making the id stable under re-serialization.
 std::string configRunId(const std::string& serialized);

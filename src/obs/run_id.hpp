@@ -3,7 +3,7 @@
 // A run id is the FNV-1a hash of a run's full serialized configuration
 // (which includes the seed), rendered as 16 lowercase hex digits. Every
 // artifact a run produces — the serialized scenario, the counterexample
-// file, the bench/check JSON, the trace_view timeline — carries the same
+// file, the bench/check JSON, the `ooc timeline` view — carries the same
 // id, so artifacts from one run can be correlated across tools without
 // any shared state or wall-clock timestamps.
 #pragma once

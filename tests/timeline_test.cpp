@@ -1,4 +1,4 @@
-// Golden-output coverage for the trace_view timeline renderer: a recorded
+// Golden-output coverage for the `ooc timeline` renderer: a recorded
 // run renders to an exact, byte-stable per-process timeline with the
 // protocol-level annotations (confidence transitions, driver values,
 // decisions) merged into the schedule.

@@ -92,8 +92,8 @@ void printUsage(std::ostream& os) {
         "                    output is byte-identical at any value)\n"
         "  --json FILE       write the matrix report\n"
         "  --trace-out FILE  --spec only: record the run as a counterexample\n"
-        "                    file (readable by check --replay, trace_view\n"
-        "                    and ooc explain/ctrace)\n"
+        "                    file (readable by check --replay and\n"
+        "                    ooc timeline/explain/ctrace/perfetto)\n"
         "  --help            this text\n";
 }
 
