@@ -1,9 +1,8 @@
 // Re-executes a scenario with the causal recorder attached, optionally
-// verifying the re-execution against a recorded trace. This is the glue
-// every causality consumer goes through: `ooc explain`, `ctrace`,
+// verifying the re-execution against a recorded trace. This is the one
+// re-execution path of every `ooc` view: `timeline`, `explain`, `ctrace`,
 // `perfetto` and `audit`, and the causal CI audit, all start from a
-// counterexample or golden file and need the same record-verify step the
-// timeline renderer performs.
+// counterexample or golden file and need the same record-verify step.
 #pragma once
 
 #include <optional>

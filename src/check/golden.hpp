@@ -21,10 +21,6 @@ struct GoldenFixture {
   /// File stem under tests/golden/ (<name>.golden).
   std::string name;
   Scenario scenario;
-  /// Committed scenario section of fixtures recorded under a legacy family
-  /// spelling (benor, phaseking, fd); `scenario` is its alias parse. Empty
-  /// for fixtures written as serialize(scenario).
-  std::string scenarioText;
 };
 
 /// The pinned fixtures, chosen to cover the scheduler's hot paths:

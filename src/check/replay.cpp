@@ -57,18 +57,16 @@ ReplayResult replayRun(const Scenario& scenario, const Trace& expected) {
 }
 
 std::string serializeCounterexample(const CounterexampleFile& file) {
-  const std::string scenarioText = file.scenarioText.empty()
-                                       ? serialize(file.scenario)
-                                       : file.scenarioText;
+  const std::string section = serialize(file.scenario);
   std::ostringstream os;
   os << "ooc-counterexample v1\n";
   os << "runid="
-     << (file.runId.empty() ? compose::configRunId(scenarioText) : file.runId)
+     << (file.runId.empty() ? compose::configRunId(section) : file.runId)
      << "\n";
   os << "invariant=" << file.invariant << "\n";
   os << "detail=" << file.detail << "\n";
   os << "scenario\n";
-  os << scenarioText;
+  os << section;
   os << "trace\n";
   serializeTrace(file.trace, os);
   return os.str();
@@ -103,20 +101,20 @@ CounterexampleFile parseCounterexample(const std::string& text) {
 
   if (!std::getline(in, line) || line != "scenario")
     throw std::runtime_error("counterexample: expected scenario section");
-  std::string scenarioText;
+  std::string section;
   bool sawTrace = false;
   while (std::getline(in, line)) {
     if (line == "trace") {
       sawTrace = true;
       break;
     }
-    scenarioText += line;
-    scenarioText += '\n';
+    section += line;
+    section += '\n';
   }
   if (!sawTrace)
     throw std::runtime_error("counterexample: missing trace section");
-  file.scenario = parseScenario(scenarioText);
-  if (file.runId.empty()) file.runId = compose::configRunId(scenarioText);
+  file.scenario = parseScenario(section);
+  if (file.runId.empty()) file.runId = compose::configRunId(section);
   file.trace = parseTrace(in);
   return file;
 }

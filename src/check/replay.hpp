@@ -46,11 +46,6 @@ struct CounterexampleFile {
   /// scenario). Filled on serialize when empty; optional on parse — files
   /// written before the field existed load fine and get the id recomputed.
   std::string runId;
-  /// Scenario section to write instead of serialize(scenario), verbatim —
-  /// how an artifact recorded under a legacy family spelling (which parses
-  /// through the alias rule into `scenario`) is re-emitted byte for byte.
-  /// Empty: serialize(scenario). Never filled on parse.
-  std::string scenarioText;
 };
 
 std::string serializeCounterexample(const CounterexampleFile& file);

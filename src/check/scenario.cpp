@@ -3,7 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "compose/kv.hpp"
 #include "compose/run.hpp"
 #include "harness/serialize.hpp"
 
@@ -127,106 +126,16 @@ std::string serialize(const Scenario& scenario) {
   return out;
 }
 
-namespace {
-
-// The legacy template spellings. Each reads the key set and defaults of the
-// config struct it was written from and lowers it onto the composition that
-// ran it, so a pre-registry counterexample file replays the same schedule.
-
-/// family=benor: Ben-Or's VAC (or one of its §4.3/§5 substitutes) under the
-/// reconciliator template.
-compose::Composition parseBenOrAlias(const std::string& text) {
-  const compose::KvReader kv(text);
-  const std::string mode = kv.get("mode", "decomposed");
-  compose::Composition composition;
-  if (mode == "decomposed") {
-    composition.detector = "benor-vac";
-  } else if (mode == "vac-from-two-ac" || mode == "decentralized-vac") {
-    composition.detector = mode;
-  } else if (mode == "monolithic") {
-    throw std::runtime_error(
-        "scenario: family=benor mode=monolithic is the classic baseline, "
-        "which has no composition to replay");
-  } else {
-    throw std::runtime_error("unknown mode '" + mode + "'");
-  }
-  // The legacy reconciliator names are the registry's driver names.
-  composition.driver = kv.get("reconciliator", "local-coin");
-  composition.n = kv.getU64("n", composition.n);
-  if (kv.has("t")) composition.t = kv.getU64("t", 0);
-  composition.inputs = kv.getValues("inputs");
-  if (composition.inputs.size() != composition.n)
-    throw std::runtime_error("scenario: family=benor inputs must have size n");
-  composition.seed = kv.getU64("seed", composition.seed);
-  composition.bias = kv.getDouble("bias", composition.bias);
-  for (const std::string& entry : kv.getAll("crash"))
-    composition.crashes.push_back(compose::parseCrash(entry));
-  composition.minDelay = kv.getU64("min-delay", composition.minDelay);
-  composition.maxDelay = kv.getU64("max-delay", composition.maxDelay);
-  composition.maxRounds =
-      static_cast<Round>(kv.getU64("max-rounds", composition.maxRounds));
-  composition.maxTicks = kv.getU64("max-ticks", composition.maxTicks);
-  composition.adversary = compose::getAdversary(kv);
-  composition.fault = compose::parsePlantedFault(kv.get("fault", "none"));
-  compose::resolve(composition);
-  return composition;
-}
-
-/// family=phaseking: the Phase-King (or Phase-Queen) adopt-commit and
-/// conciliator under the conciliator template.
-compose::Composition parsePhaseKingAlias(const std::string& text) {
-  const compose::KvReader kv(text);
-  if (kv.getU64("monolithic", 0) != 0)
-    throw std::runtime_error(
-        "scenario: family=phaseking monolithic=1 is the classic baseline, "
-        "which has no composition to replay");
-  const std::string algorithm = kv.get("algorithm", "king");
-  compose::Composition composition;
-  if (algorithm == "king") {
-    composition.detector = "phaseking-ac";
-    composition.driver = "king-conciliator";
-  } else if (algorithm == "queen") {
-    composition.detector = "phasequeen-ac";
-    composition.driver = "queen-conciliator";
-  } else {
-    throw std::runtime_error("unknown algorithm '" + algorithm + "'");
-  }
-  composition.n = kv.getU64("n", 7);
-  composition.byzantineCount = kv.getU64("byzantine", 2);
-  if (kv.has("t")) composition.t = kv.getU64("t", 0);
-  composition.byzantineStrategy = kv.get("strategy", "equivocate");
-  composition.placement = compose::parsePlacement(kv.get("placement", "front"));
-  composition.inputs = kv.getValues("inputs");
-  composition.earlyCommitDecision = kv.getU64("early-commit", 0) != 0;
-  composition.seed = kv.getU64("seed", composition.seed);
-  composition.maxRounds = static_cast<Round>(kv.getU64("max-rounds", 300));
-  composition.maxTicks = kv.getU64("max-ticks", 100000);
-  compose::resolve(composition);
-  return composition;
-}
-
-}  // namespace
-
 Scenario parseScenario(const std::string& text) {
   const auto newline = text.find('\n');
   const std::string first =
       newline == std::string::npos ? text : text.substr(0, newline);
   if (first.rfind("family=", 0) != 0)
     throw std::runtime_error("scenario: expected leading family= line");
-  const std::string name = first.substr(7);
   const std::string rest =
       newline == std::string::npos ? "" : text.substr(newline + 1);
   Scenario scenario;
-  if (name == "benor") {
-    scenario.compose = parseBenOrAlias(rest);
-    return scenario;
-  }
-  if (name == "phaseking") {
-    scenario.compose = parsePhaseKingAlias(rest);
-    return scenario;
-  }
-  // family=fd was the oracle-guided compositions' own name; same key set.
-  scenario.family = name == "fd" ? Family::kCompose : parseFamily(name);
+  scenario.family = parseFamily(first.substr(7));
   switch (scenario.family) {
     case Family::kCompose:
       // parseComposition ends by resolving against the registry, so a

@@ -97,18 +97,8 @@ struct RunReport {
 RunReport runScenario(const Scenario& scenario,
                       const compose::RunHooks& hooks = {});
 
-/// Text round-trip: a `family=...` line followed by the family config's
-/// key=value serialization. serialize() writes family=compose|raft|svc.
-/// parseScenario() also reads the spellings that predate the registry as
-/// aliases of family=compose with the same schedule:
-///   family=benor      mode=decomposed|vac-from-two-ac|decentralized-vac,
-///                     reconciliator=<driver name> (the legacy Ben-Or keys)
-///   family=phaseking  algorithm=king|queen (the legacy Phase-King keys and
-///                     defaults: n=7, byzantine=2, max-rounds=300,
-///                     max-ticks=100000)
-///   family=fd         the compose key set
-/// A monolithic legacy scenario (mode=monolithic, monolithic=1) has no
-/// composition and is rejected with a diagnostic.
+/// Text round-trip: a `family=compose|raft|svc` line followed by that
+/// family config's key=value serialization. Any other family name throws.
 std::string serialize(const Scenario& scenario);
 Scenario parseScenario(const std::string& text);
 

@@ -248,7 +248,6 @@ std::vector<Scenario> reductions(const Scenario& base) {
         Scenario candidate = base;
         auto& c = candidate.svc;
         --c.n;
-        c.t.reset();
         dropCrashesAbove(c.crashes, c.n);
         std::erase_if(c.restarts,
                       [&c](const auto& event) { return event.id >= c.n; });

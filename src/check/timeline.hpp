@@ -2,12 +2,13 @@
 //
 // A counterexample file carries the scenario and the violating schedule,
 // but the schedule trace only knows scheduler-level events (deliveries,
-// timers, decisions). The timeline re-executes the scenario — runs are
-// pure functions of (configuration, seed), so the re-execution IS the
-// recorded run — with a TelemetrySink attached, merging the protocol-level
-// moments (detector confidence transitions, driver values) into each
-// process's lane. The result is an annotated per-process account of how
-// the violation unfolded, tick by tick.
+// timers, decisions). The timeline re-executes the scenario through
+// collectCausalRun — runs are pure functions of (configuration, seed), so
+// the re-execution IS the recorded run — and merges the protocol-level
+// annotations (detector confidence transitions, driver values, oracle
+// queries) into each process's lane after the event whose handler produced
+// them. The result is an annotated per-process account of how the
+// violation unfolded, tick by tick.
 #pragma once
 
 #include <string>

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "compose/kv.hpp"
-#include "obs/json.hpp"
 
 namespace ooc::compose {
 
@@ -210,364 +209,6 @@ Composition parseComposition(const std::string& text) {
   // Same gate as the CLI: a pairing the registry rejects must not load
   // from a file either, and with the identical diagnostic.
   resolve(composition);
-  return composition;
-}
-
-// ---------------------------------------------------------------------------
-// JSON form
-//
-// The library's obs::JsonWriter is emission-only (the telemetry layer never
-// reads JSON back), so the composition layer carries its own minimal strict
-// parser: single document, objects/arrays/strings/numbers/bools/null,
-// no trailing garbage.
-
-namespace {
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  /// String contents, or a number's raw token: the reader types each
-  /// number by its key (asU64/asValue/asDouble), so a 64-bit seed never
-  /// passes through a double.
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parseDocument() {
-    JsonValue value = parseValue();
-    skipSpace();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("json: " + what + " at offset " +
-                             std::to_string(pos_));
-  }
-
-  void skipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  char peek() {
-    skipSpace();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parseValue() {
-    switch (peek()) {
-      case '{': return parseObject();
-      case '[': return parseArray();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.string = parseString();
-        return v;
-      }
-      case 't':
-      case 'f': return parseLiteralBool();
-      case 'n': parseLiteral("null"); return JsonValue{};
-      default: return parseNumber();
-    }
-  }
-
-  void parseLiteral(const char* literal) {
-    for (const char* c = literal; *c != '\0'; ++c) {
-      if (pos_ >= text_.size() || text_[pos_] != *c)
-        fail(std::string("malformed literal (expected ") + literal + ")");
-      ++pos_;
-    }
-  }
-
-  JsonValue parseLiteralBool() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (text_[pos_] == 't') {
-      parseLiteral("true");
-      v.boolean = true;
-    } else {
-      parseLiteral("false");
-    }
-    return v;
-  }
-
-  JsonValue parseNumber() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.string = text_.substr(start, pos_ - start);
-    return v;
-  }
-
-  std::string parseString() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        default: fail("unsupported escape");  // \uXXXX never emitted here
-      }
-    }
-  }
-
-  JsonValue parseArray() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parseValue());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue parseObject() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = parseString();
-      expect(':');
-      v.object.emplace_back(std::move(key), parseValue());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-const std::string& numberToken(const JsonValue& v, const char* key) {
-  if (v.kind != JsonValue::Kind::kNumber)
-    throw std::runtime_error(std::string("json: '") + key +
-                             "' must be a number");
-  return v.string;
-}
-
-// The kv reader's whole-token rules: no fractions, signs or exponents in
-// integers, no wrap-around, finite doubles only.
-std::uint64_t asU64(const JsonValue& v, const char* key) {
-  return parseU64(numberToken(v, key), key);
-}
-
-Value asValue(const JsonValue& v, const char* key) {
-  return parseI64(numberToken(v, key), key);
-}
-
-double asDouble(const JsonValue& v, const char* key) {
-  return parseDouble(numberToken(v, key), key);
-}
-
-const std::string& asString(const JsonValue& v, const char* key) {
-  if (v.kind != JsonValue::Kind::kString)
-    throw std::runtime_error(std::string("json: '") + key +
-                             "' must be a string");
-  return v.string;
-}
-
-bool asBool(const JsonValue& v, const char* key) {
-  if (v.kind != JsonValue::Kind::kBool)
-    throw std::runtime_error(std::string("json: '") + key +
-                             "' must be a boolean");
-  return v.boolean;
-}
-
-}  // namespace
-
-std::string toJson(const Composition& composition) {
-  obs::JsonWriter json;
-  json.beginObject();
-  json.key("schema").value("ooc.composition.v1");
-  json.key("detector").value(composition.detector);
-  json.key("driver").value(composition.driver);
-  json.key("n").value(static_cast<std::uint64_t>(composition.n));
-  json.key("t");
-  if (composition.t) {
-    json.value(static_cast<std::uint64_t>(*composition.t));
-  } else {
-    json.raw("null");
-  }
-  json.key("byzantine")
-      .value(static_cast<std::uint64_t>(composition.byzantineCount));
-  json.key("byz_strategy").value(composition.byzantineStrategy);
-  json.key("placement").value(toString(composition.placement));
-  json.key("inputs").beginArray();
-  for (const Value input : composition.inputs)
-    json.value(static_cast<std::int64_t>(input));
-  json.endArray();
-  json.key("seed").value(composition.seed);
-  json.key("bias").value(composition.bias);
-  json.key("crashes").beginArray();
-  for (const auto& crash : composition.crashes) json.value(crashEntry(crash));
-  json.endArray();
-  json.key("min_delay").value(composition.minDelay);
-  json.key("max_delay").value(composition.maxDelay);
-  json.key("adversary_budget").value(composition.adversary.extraDelayMax);
-  json.key("adversary_prob").value(composition.adversary.perturbProbability);
-  json.key("adversary_seed").value(composition.adversary.seed);
-  json.key("early_commit").value(composition.earlyCommitDecision);
-  json.key("max_rounds")
-      .value(static_cast<std::uint64_t>(composition.maxRounds));
-  json.key("max_ticks").value(composition.maxTicks);
-  json.key("fault").value(toString(composition.fault));
-  if (composition.scheduler != SchedulingPolicy::kLockstep)  // wire purity
-    json.key("scheduler").value(toString(composition.scheduler));
-  if (!composition.oracle.empty()) {  // zero-cost when no oracle attached
-    json.key("oracle").value(composition.oracle);
-    json.key("oracle_completeness_lag")
-        .value(composition.oracleKnobs.completenessLag);
-    json.key("oracle_stabilize_at").value(composition.oracleKnobs.stabilizeAt);
-    json.key("oracle_noise").value(composition.oracleKnobs.noise);
-    json.key("oracle_noise_epoch").value(composition.oracleKnobs.noiseEpoch);
-    json.key("oracle_lie").value(composition.oracleKnobs.lieAboutBound);
-  }
-  json.endObject();
-  return json.str();
-}
-
-Composition fromJson(const std::string& text) {
-  const JsonValue doc = JsonParser(text).parseDocument();
-  if (doc.kind != JsonValue::Kind::kObject)
-    throw std::runtime_error("json: composition must be an object");
-  Composition composition;
-  for (const auto& [key, value] : doc.object) {
-    if (key == "schema") {
-      if (asString(value, "schema") != "ooc.composition.v1")
-        throw std::runtime_error("json: unsupported schema '" + value.string +
-                                 "'");
-    } else if (key == "detector") {
-      composition.detector = asString(value, "detector");
-    } else if (key == "driver") {
-      composition.driver = asString(value, "driver");
-    } else if (key == "n") {
-      composition.n = asU64(value, "n");
-    } else if (key == "t") {
-      if (value.kind != JsonValue::Kind::kNull)
-        composition.t = asU64(value, "t");
-    } else if (key == "byzantine") {
-      composition.byzantineCount = asU64(value, "byzantine");
-    } else if (key == "byz_strategy") {
-      composition.byzantineStrategy = asString(value, "byz_strategy");
-    } else if (key == "placement") {
-      composition.placement = parsePlacement(asString(value, "placement"));
-    } else if (key == "inputs") {
-      if (value.kind != JsonValue::Kind::kArray)
-        throw std::runtime_error("json: 'inputs' must be an array");
-      composition.inputs.clear();
-      for (const JsonValue& input : value.array)
-        composition.inputs.push_back(asValue(input, "inputs[]"));
-    } else if (key == "seed") {
-      composition.seed = asU64(value, "seed");
-    } else if (key == "bias") {
-      composition.bias = asDouble(value, "bias");
-    } else if (key == "crashes") {
-      if (value.kind != JsonValue::Kind::kArray)
-        throw std::runtime_error("json: 'crashes' must be an array");
-      composition.crashes.clear();
-      for (const JsonValue& crash : value.array)
-        composition.crashes.push_back(parseCrash(asString(crash, "crashes[]")));
-    } else if (key == "min_delay") {
-      composition.minDelay = asU64(value, "min_delay");
-    } else if (key == "max_delay") {
-      composition.maxDelay = asU64(value, "max_delay");
-    } else if (key == "adversary_budget") {
-      composition.adversary.extraDelayMax = asU64(value, "adversary_budget");
-    } else if (key == "adversary_prob") {
-      composition.adversary.perturbProbability =
-          asDouble(value, "adversary_prob");
-    } else if (key == "adversary_seed") {
-      composition.adversary.seed = asU64(value, "adversary_seed");
-    } else if (key == "early_commit") {
-      composition.earlyCommitDecision = asBool(value, "early_commit");
-    } else if (key == "max_rounds") {
-      composition.maxRounds = static_cast<Round>(asU64(value, "max_rounds"));
-    } else if (key == "max_ticks") {
-      composition.maxTicks = asU64(value, "max_ticks");
-    } else if (key == "fault") {
-      composition.fault = parsePlantedFault(asString(value, "fault"));
-    } else if (key == "scheduler") {
-      const std::string& name = asString(value, "scheduler");
-      const auto policy = parseSchedulingPolicy(name);
-      if (!policy)
-        throw std::runtime_error("json: unknown scheduler '" + name +
-                                 "'; known: lockstep, event-driven, "
-                                 "ooo-driver");
-      composition.scheduler = *policy;
-    } else if (key == "oracle") {
-      composition.oracle = asString(value, "oracle");
-    } else if (key == "oracle_completeness_lag") {
-      composition.oracleKnobs.completenessLag =
-          asU64(value, "oracle_completeness_lag");
-    } else if (key == "oracle_stabilize_at") {
-      composition.oracleKnobs.stabilizeAt =
-          asU64(value, "oracle_stabilize_at");
-    } else if (key == "oracle_noise") {
-      composition.oracleKnobs.noise = asDouble(value, "oracle_noise");
-    } else if (key == "oracle_noise_epoch") {
-      composition.oracleKnobs.noiseEpoch =
-          asU64(value, "oracle_noise_epoch");
-    } else if (key == "oracle_lie") {
-      composition.oracleKnobs.lieAboutBound = asBool(value, "oracle_lie");
-    } else {
-      throw std::runtime_error("json: unknown composition key '" + key + "'");
-    }
-  }
-  resolve(composition);  // identical diagnostic to every other parse path
   return composition;
 }
 

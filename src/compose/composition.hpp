@@ -4,15 +4,14 @@
 // made literal: the pairing is data, resolved against the registry at run
 // time, not a code path.
 //
-// Three interchange forms, all strict (malformed input throws):
+// Two interchange forms, both strict (malformed input throws):
 //   * CLI spec strings:  "benor-vac+local-coin"
 //   * key=value blocks:  the scenario/counterexample wire format
 //     (family=compose in src/check/), over compose/kv.hpp
-//   * JSON objects:      for tooling that already speaks ooc.*.v1 schemas
 //
-// Every parse path re-validates the pairing against the registry, so a
+// Both parse paths re-validate the pairing against the registry, so a
 // rejected composition carries the same capability diagnostic whether it
-// arrives from a flag, a counterexample file, or a JSON document.
+// arrives from a flag or from a counterexample file.
 #pragma once
 
 #include <cstdint>
@@ -126,9 +125,5 @@ Composition parseSpec(const std::string& spec, const std::string& oracle = "",
 /// the same diagnostic the CLI prints.
 std::string serialize(const Composition& composition);
 Composition parseComposition(const std::string& text);
-
-/// JSON object form (strict single-document parse; unknown keys throw).
-std::string toJson(const Composition& composition);
-Composition fromJson(const std::string& json);
 
 }  // namespace ooc::compose

@@ -191,8 +191,17 @@ RaftScenarioResult runRaft(const RaftScenarioConfig& config,
 
   std::vector<raft::RaftConsensus*> nodes;
   for (ProcessId id = 0; id < config.n; ++id) {
-    auto node =
-        std::make_unique<raft::RaftConsensus>(inputs[id], config.raft);
+    raft::RaftConsensus::ConfidenceTap tap;
+    if (hooks.telemetry) {
+      tap = [sink = hooks.telemetry,
+             id](const raft::RaftConsensus::ConfidenceChange& change) {
+        sink->onDetectorOutcome(id, static_cast<Round>(change.term),
+                                Outcome{change.confidence, change.value},
+                                change.at);
+      };
+    }
+    auto node = std::make_unique<raft::RaftConsensus>(inputs[id], config.raft,
+                                                      std::move(tap));
     nodes.push_back(node.get());
     sim.addProcess(std::move(node));
   }
@@ -323,18 +332,6 @@ RaftScenarioResult runRaft(const RaftScenarioConfig& config,
             std::to_string(history.front()) + " then value " +
             std::to_string(history[i]);
         break;
-      }
-    }
-  }
-
-  // Replay the recorded confidence transitions (they carry their tick) to
-  // the telemetry sink; the timeline renderer orders them by tick.
-  if (hooks.telemetry) {
-    for (ProcessId id = 0; id < config.n; ++id) {
-      for (const auto& change : nodes[id]->confidenceLog()) {
-        hooks.telemetry->onDetectorOutcome(
-            id, static_cast<Round>(change.term),
-            Outcome{change.confidence, change.value}, change.at);
       }
     }
   }

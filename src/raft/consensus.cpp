@@ -1,9 +1,12 @@
 #include "raft/consensus.hpp"
 
+#include <utility>
+
 namespace ooc::raft {
 
-RaftConsensus::RaftConsensus(Value input, RaftConfig config)
-    : RaftProcess(config), input_(input) {}
+RaftConsensus::RaftConsensus(Value input, RaftConfig config,
+                             ConfidenceTap onChange)
+    : RaftProcess(config), input_(input), onChange_(std::move(onChange)) {}
 
 Value RaftConsensus::preferredValue() const noexcept {
   return log().empty() ? input_ : log().back().command;
@@ -18,6 +21,7 @@ void RaftConsensus::record(Confidence confidence, Value value) {
   }
   confidenceLog_.push_back(
       ConfidenceChange{currentTerm(), confidence, value, ctx().now()});
+  if (onChange_) onChange_(confidenceLog_.back());
 }
 
 void RaftConsensus::onApply(LogIndex index, const LogEntry& entry) {

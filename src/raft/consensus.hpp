@@ -17,6 +17,7 @@
 // transition log drives experiment E7.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "core/confidence.hpp"
@@ -26,11 +27,6 @@ namespace ooc::raft {
 
 class RaftConsensus : public RaftProcess {
  public:
-  RaftConsensus(Value input, RaftConfig config);
-
-  bool decided() const noexcept { return decided_; }
-  Value decisionValue() const noexcept { return decisionValue_; }
-
   /// One entry per confidence transition, in simulation order.
   struct ConfidenceChange {
     Term term = 0;
@@ -38,6 +34,17 @@ class RaftConsensus : public RaftProcess {
     Value value = kNoValue;
     Tick at = 0;
   };
+  /// Telemetry tap (may be empty), invoked the moment a transition is
+  /// recorded — inside the handler of the event that produced it, like
+  /// ConsensusProcess::Options::onDetectorOutcome. Observation only: it
+  /// must not send, arm timers, or otherwise touch the run.
+  using ConfidenceTap = std::function<void(const ConfidenceChange&)>;
+
+  RaftConsensus(Value input, RaftConfig config, ConfidenceTap onChange = {});
+
+  bool decided() const noexcept { return decided_; }
+  Value decisionValue() const noexcept { return decisionValue_; }
+
   const std::vector<ConfidenceChange>& confidenceLog() const noexcept {
     return confidenceLog_;
   }
@@ -89,6 +96,7 @@ class RaftConsensus : public RaftProcess {
   Value preferredValue() const noexcept;
 
   Value input_;
+  ConfidenceTap onChange_;
   bool decided_ = false;
   bool stopApplying_ = false;
   Value decisionValue_ = kNoValue;

@@ -1,21 +1,24 @@
 #include "svc/raft_log.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "util/logging.hpp"
 
 namespace ooc::svc {
+namespace {
 
-RaftLogNode::RaftLogNode(RaftLogOptions options, ClientFront front)
-    : raft::RaftProcess(options.raft),
-      front_(std::move(front)),
-      resubmitEvery_(std::max<Tick>(1, options.resubmitEvery)) {}
+/// Period of the unapplied-command re-fanout (the failover bridge).
+constexpr Tick kResubmitEvery = 80;
+
+}  // namespace
+
+RaftLogNode::RaftLogNode(raft::RaftConfig config, ClientFront front)
+    : raft::RaftProcess(config), front_(std::move(front)) {}
 
 void RaftLogNode::onStart() {
   raft::RaftProcess::onStart();
   front_.armArrivals(ctx());
-  resubmitTimer_ = ctx().setTimer(resubmitEvery_);
+  resubmitTimer_ = ctx().setTimer(kResubmitEvery);
 }
 
 void RaftLogNode::onVolatileReset() {
@@ -34,7 +37,7 @@ void RaftLogNode::onRestart() {
   raft::RaftProcess::onRestart();
   replaying_ = false;
   front_.armArrivals(ctx());
-  resubmitTimer_ = ctx().setTimer(resubmitEvery_);
+  resubmitTimer_ = ctx().setTimer(kResubmitEvery);
 }
 
 void RaftLogNode::handleArrivals() {
@@ -63,7 +66,7 @@ void RaftLogNode::offerCommands(const std::vector<Value>& commands) {
 }
 
 void RaftLogNode::resubmitUnapplied() {
-  resubmitTimer_ = ctx().setTimer(resubmitEvery_);
+  resubmitTimer_ = ctx().setTimer(kResubmitEvery);
   while (!pendingLocal_.empty() && front_.isApplied(pendingLocal_.front()))
     pendingLocal_.pop_front();
   if (pendingLocal_.empty()) return;

@@ -49,15 +49,9 @@ class CmdForward final : public MessageBase<CmdForward> {
   std::vector<Value> commands_;
 };
 
-struct RaftLogOptions {
-  raft::RaftConfig raft;
-  /// Period of the unapplied-command re-fanout (the failover bridge).
-  Tick resubmitEvery = 80;
-};
-
 class RaftLogNode final : public raft::RaftProcess {
  public:
-  RaftLogNode(RaftLogOptions options, ClientFront front);
+  RaftLogNode(raft::RaftConfig config, ClientFront front);
 
   void onStart() override;
   void onRestart() override;
@@ -111,8 +105,6 @@ class RaftLogNode final : public raft::RaftProcess {
   /// True while the base class replays the journal in onRestart: replayed
   /// applies must not re-trigger closed-loop client feedback.
   bool replaying_ = false;
-
-  Tick resubmitEvery_;
 };
 
 }  // namespace ooc::svc

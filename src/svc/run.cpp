@@ -17,6 +17,14 @@
 namespace ooc::svc {
 namespace {
 
+/// Per-decree round cap of the composed engines.
+constexpr Round kMaxRoundsPerDecree = 2000;
+/// Paxos proposer retry bounds. They must be small: a decree's first
+/// ballot fires from this timer. Reactive (no-op) joiners use 8x these
+/// bounds as the failover rescue when the run has faults.
+constexpr Tick kPaxosRetryMin = 4;
+constexpr Tick kPaxosRetryMax = 12;
+
 /// Decrees restart the template's rounds at 1, so every per-decree engine
 /// seed must mix the decree in (see EngineFactory: a shared lottery draw
 /// would otherwise repeat in every decree and can livelock the log).
@@ -139,16 +147,12 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   };
 
   if (config.engine == "raft") {
-    RaftLogOptions options;
-    options.raft.electionTimeoutMin = config.raftElectionMin;
-    options.raft.electionTimeoutMax = config.raftElectionMax;
-    options.raft.heartbeatInterval = config.raftHeartbeat;
-    options.raft.durable = config.service.durable;
-    options.raft.syncBeforeReply = config.service.syncBeforeReply;
-    options.raft.storage = config.service.storage;
-    options.resubmitEvery = config.resubmitEvery;
+    raft::RaftConfig raftConfig;  // default timeouts and heartbeat
+    raftConfig.durable = config.service.durable;
+    raftConfig.syncBeforeReply = config.service.syncBeforeReply;
+    raftConfig.storage = config.service.storage;
     for (ProcessId id = 0; id < n; ++id) {
-      auto node = std::make_unique<RaftLogNode>(options, front(id));
+      auto node = std::make_unique<RaftLogNode>(raftConfig, front(id));
       raftNodes[id] = node.get();
       fronts[id] = &node->front();
       sim.addProcess(std::move(node));
@@ -162,35 +166,25 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
       // decrees whose proposer died mid-ballot.
       const bool rescue =
           !config.crashes.empty() || !config.restarts.empty();
-      const paxos::PaxosConfig base = [&] {
+      factory = [rescue](std::uint64_t /*decree*/, Value proposal,
+                         bool proposer) -> std::unique_ptr<Process> {
+        const Tick scale = proposer ? 1 : 8;
         paxos::PaxosConfig pc;
-        pc.retryMin = config.paxosRetryMin;
-        pc.retryMax = config.paxosRetryMax;
-        return pc;
-      }();
-      factory = [base, rescue](std::uint64_t /*decree*/, Value proposal,
-                               bool proposer) -> std::unique_ptr<Process> {
-        paxos::PaxosConfig pc = base;
-        if (!proposer) {
-          pc.propose = rescue;
-          pc.retryMin = base.retryMin * 8;
-          pc.retryMax = base.retryMax * 8;
-        }
+        pc.propose = proposer || rescue;
+        pc.retryMin = kPaxosRetryMin * scale;
+        pc.retryMax = kPaxosRetryMax * scale;
         return std::make_unique<paxos::PaxosNode>(proposal, pc);
       };
     } else {
       const auto* detector = &compose::registry().detector(config.detector);
       const auto* driver = &compose::registry().driver(config.driver);
-      const std::size_t t = config.t.value_or(
-          (n - 1) / std::max<std::size_t>(1, detector->capability.tDivisor));
       compose::ObjectParams params;
       params.n = n;
-      params.t = t;
+      params.t =
+          (n - 1) / std::max<std::size_t>(1, detector->capability.tDivisor);
       params.seed = config.seed;
-      params.bias = config.bias;
-      const Round maxRounds = config.maxRoundsPerDecree;
       const SchedulingPolicy scheduling = config.scheduler;
-      factory = [detector, driver, params, maxRounds, scheduling](
+      factory = [detector, driver, params, scheduling](
                     std::uint64_t decree, Value proposal,
                     bool /*proposer*/) -> std::unique_ptr<Process> {
         compose::ObjectParams p = params;
@@ -202,7 +196,7 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
         // drive wave; one round after deciding lets each engine quiesce.
         options.alwaysRunDriver = true;
         options.participateRoundsAfterDecide = 1;
-        options.maxRounds = maxRounds;
+        options.maxRounds = kMaxRoundsPerDecree;
         return std::make_unique<ConsensusProcess>(
             proposal, detector->make(p), driver->make(p), options);
       };
@@ -378,14 +372,10 @@ std::string serializeSvcConfig(const SvcConfig& config) {
       kv.put("scheduler", toString(config.scheduler));
   }
   kv.put("n", static_cast<std::uint64_t>(config.n));
-  if (config.t) kv.put("t", static_cast<std::uint64_t>(*config.t));
   kv.put("seed", config.seed);
-  kv.put("bias", config.bias);
   kv.put("window", config.service.window);
   kv.put("batch-max", static_cast<std::uint64_t>(config.service.batchMax));
   kv.put("max-decrees", config.service.maxDecrees);
-  kv.put("fetch-retry", config.service.fetchRetry);
-  kv.put("catchup-retry", config.service.catchupRetry);
   kv.put("durable", static_cast<std::uint64_t>(config.service.durable));
   kv.put("sync-before-reply",
          static_cast<std::uint64_t>(config.service.syncBeforeReply));
@@ -413,14 +403,7 @@ std::string serializeSvcConfig(const SvcConfig& config) {
                           std::to_string(event.downtime));
   }
   compose::putAdversary(kv, config.adversary);
-  kv.put("max-rounds", static_cast<std::uint64_t>(config.maxRoundsPerDecree));
   kv.put("max-ticks", config.maxTicks);
-  kv.put("paxos-retry-min", config.paxosRetryMin);
-  kv.put("paxos-retry-max", config.paxosRetryMax);
-  kv.put("election-min", config.raftElectionMin);
-  kv.put("election-max", config.raftElectionMax);
-  kv.put("heartbeat", config.raftHeartbeat);
-  kv.put("resubmit-every", config.resubmitEvery);
   return compose::stampRunId(kv.str());
 }
 
@@ -439,17 +422,11 @@ SvcConfig parseSvcConfig(const std::string& text) {
     config.scheduler = *policy;
   }
   config.n = kv.getU64("n", config.n);
-  if (kv.has("t")) config.t = kv.getU64("t", 0);
   config.seed = kv.getU64("seed", config.seed);
-  config.bias = kv.getDouble("bias", config.bias);
   config.service.window = kv.getU64("window", config.service.window);
   config.service.batchMax = kv.getU64("batch-max", config.service.batchMax);
   config.service.maxDecrees =
       kv.getU64("max-decrees", config.service.maxDecrees);
-  config.service.fetchRetry =
-      kv.getU64("fetch-retry", config.service.fetchRetry);
-  config.service.catchupRetry =
-      kv.getU64("catchup-retry", config.service.catchupRetry);
   config.service.durable =
       kv.getU64("durable", config.service.durable ? 1 : 0) != 0;
   config.service.syncBeforeReply =
@@ -488,15 +465,7 @@ SvcConfig parseSvcConfig(const std::string& text) {
     config.restarts.push_back({restart.id, restart.at, restart.downtime});
   }
   config.adversary = compose::getAdversary(kv);
-  config.maxRoundsPerDecree = static_cast<Round>(
-      kv.getU64("max-rounds", config.maxRoundsPerDecree));
   config.maxTicks = kv.getU64("max-ticks", config.maxTicks);
-  config.paxosRetryMin = kv.getU64("paxos-retry-min", config.paxosRetryMin);
-  config.paxosRetryMax = kv.getU64("paxos-retry-max", config.paxosRetryMax);
-  config.raftElectionMin = kv.getU64("election-min", config.raftElectionMin);
-  config.raftElectionMax = kv.getU64("election-max", config.raftElectionMax);
-  config.raftHeartbeat = kv.getU64("heartbeat", config.raftHeartbeat);
-  config.resubmitEvery = kv.getU64("resubmit-every", config.resubmitEvery);
   if (const auto rejected = validateEngine(config))
     throw std::invalid_argument(*rejected);
   return config;

@@ -72,11 +72,7 @@ struct SvcConfig {
   SchedulingPolicy scheduler = SchedulingPolicy::kLockstep;
 
   std::size_t n = 5;
-  /// Protocol parameter t; defaults to the detector's tDivisor rule
-  /// (composed engines) or the crash-quorum floor((n-1)/2).
-  std::optional<std::size_t> t;
   std::uint64_t seed = 1;
-  double bias = 0.5;
 
   SvcNodeOptions service;
   WorkloadOptions workload;
@@ -88,21 +84,7 @@ struct SvcConfig {
   std::vector<std::pair<ProcessId, Tick>> crashes;
   std::vector<RestartEvent> restarts;
 
-  /// Per-decree engine round cap (composed engines).
-  Round maxRoundsPerDecree = 2000;
   Tick maxTicks = 2'000'000;
-
-  /// Paxos engine: proposer retry bounds. Must be small — a decree's
-  /// first ballot fires from this timer. Reactive (no-op) joiners use 8x
-  /// these bounds as the failover rescue when the run has faults.
-  Tick paxosRetryMin = 4;
-  Tick paxosRetryMax = 12;
-
-  /// Raft engine knobs (durability comes from `service`).
-  Tick raftElectionMin = 150;
-  Tick raftElectionMax = 300;
-  Tick raftHeartbeat = 40;
-  Tick resubmitEvery = 80;
 };
 
 struct SvcResult {

@@ -16,6 +16,10 @@ constexpr int kMaxCatchupTries = 6;
 /// past them: every node ships a decree's rounds before advancing past it,
 /// so no correct straggler can still need their traffic.
 constexpr std::uint64_t kRetireHorizon = 4;
+/// Retry period for fetching a missing batch payload.
+constexpr Tick kFetchRetry = 32;
+/// Retry period for restart catch-up rounds.
+constexpr Tick kCatchupRetry = 64;
 }  // namespace
 
 /// Per-decree view of the node's Context: wraps engine traffic in a
@@ -389,7 +393,7 @@ void SvcNode::applyReady() {
     // remaining outcomes, so keep rounds coming while they make progress.
     if (commitIndex_ < quarantine_ && !recovering_ && catchupTimer_ == 0) {
       catchupTries_ = 0;
-      catchupTimer_ = ctx().setTimer(options_.catchupRetry);
+      catchupTimer_ = ctx().setTimer(kCatchupRetry);
     }
   }
 }
@@ -397,7 +401,7 @@ void SvcNode::applyReady() {
 void SvcNode::requestMissingBatch(Value batchId) {
   if (fetchTimer_ != 0) return;  // one head-of-line fetch at a time
   ctx().fanout(makeMessage<BatchFetch>(batchId));
-  fetchTimer_ = ctx().setTimer(options_.fetchRetry);
+  fetchTimer_ = ctx().setTimer(kFetchRetry);
 }
 
 void SvcNode::pruneRetired() {
@@ -417,7 +421,7 @@ void SvcNode::fireCatchup() {
   if (catchupTries_ >= kMaxCatchupTries) return;
   ++catchupTries_;
   ctx().fanout(makeMessage<CatchupRequest>(commitIndex_));
-  catchupTimer_ = ctx().setTimer(options_.catchupRetry);
+  catchupTimer_ = ctx().setTimer(kCatchupRetry);
 }
 
 void SvcNode::replyCatchup(ProcessId to, std::uint64_t fromDecree) {

@@ -113,10 +113,6 @@ struct SvcNodeOptions {
   std::size_t batchMax = 4;
   /// Upper bound on decrees, as a runaway guard.
   std::uint64_t maxDecrees = 10000;
-  /// Retry period for fetching a missing batch payload.
-  Tick fetchRetry = 32;
-  /// Retry period for restart catch-up rounds.
-  Tick catchupRetry = 64;
   /// Journal commands/batches/opens/commits to a write-ahead log.
   bool durable = false;
   /// Sync the journal inside persist() (the safe discipline); false

@@ -1,15 +1,17 @@
 // The composition engine: registry semantics (lookup, open registration,
 // duplicate rejection), capability validation with the paper's §5
-// diagnostics, the three Composition interchange forms (spec string,
-// key=value, JSON), and the guarantee the legacy scenario spellings rest
-// on — family=benor/phaseking/fd parse into the composition that ran
-// them without moving a single scheduler event.
+// diagnostics, the two Composition interchange forms (spec string and
+// key=value), the oracle role, the composition matrices, and the guarantee
+// scenario files rest on: a family=compose section parses into the
+// composition that ran it without moving a single scheduler event.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "benor/reconciliators.hpp"
 #include "check/replay.hpp"
@@ -183,26 +185,25 @@ Composition sampleComposition() {
 }
 
 TEST(ComposeSerialize, KeyValueRoundTrips) {
-  const Composition original = sampleComposition();
-  const std::string text = compose::serialize(original);
-  const Composition parsed = compose::parseComposition(text);
-  EXPECT_EQ(compose::serialize(parsed), text);
-  EXPECT_EQ(parsed.detector, original.detector);
-  EXPECT_EQ(parsed.driver, original.driver);
-  EXPECT_EQ(parsed.n, original.n);
-  EXPECT_EQ(parsed.t, original.t);
-  EXPECT_EQ(parsed.inputs, original.inputs);
-  EXPECT_EQ(parsed.crashes, original.crashes);
-  EXPECT_EQ(parsed.adversary.extraDelayMax, original.adversary.extraDelayMax);
-  EXPECT_EQ(parsed.bias, original.bias);
-}
-
-TEST(ComposeSerialize, JsonRoundTrips) {
-  const Composition original = sampleComposition();
-  const std::string json = compose::toJson(original);
-  const Composition parsed = compose::fromJson(json);
-  EXPECT_EQ(compose::toJson(parsed), json);
-  EXPECT_EQ(compose::serialize(parsed), compose::serialize(original));
+  // 2^53 + 1 has no double: a reader that parses through one lands on
+  // 2^53, which is a different run.
+  for (const std::uint64_t seed : {42ULL, 9'007'199'254'740'993ULL}) {
+    Composition original = sampleComposition();
+    original.seed = seed;
+    const std::string text = compose::serialize(original);
+    const Composition parsed = compose::parseComposition(text);
+    EXPECT_EQ(compose::serialize(parsed), text);
+    EXPECT_EQ(parsed.detector, original.detector);
+    EXPECT_EQ(parsed.driver, original.driver);
+    EXPECT_EQ(parsed.n, original.n);
+    EXPECT_EQ(parsed.t, original.t);
+    EXPECT_EQ(parsed.inputs, original.inputs);
+    EXPECT_EQ(parsed.seed, original.seed);
+    EXPECT_EQ(parsed.crashes, original.crashes);
+    EXPECT_EQ(parsed.adversary.extraDelayMax,
+              original.adversary.extraDelayMax);
+    EXPECT_EQ(parsed.bias, original.bias);
+  }
 }
 
 TEST(ComposeSerialize, ParsePathsRejectInvalidPairingsWithTheSameText) {
@@ -217,37 +218,6 @@ TEST(ComposeSerialize, ParsePathsRejectInvalidPairingsWithTheSameText) {
               compose::parseComposition(compose::serialize(invalid));
             }),
             expected);
-  EXPECT_EQ(throwText([&] { compose::fromJson(compose::toJson(invalid)); }),
-            expected);
-}
-
-TEST(ComposeSerialize, JsonKeepsEverySeedExactly) {
-  // 2^53 + 1 has no double: a reader that parses through one lands on
-  // 2^53, which is a different run.
-  Composition original = sampleComposition();
-  original.seed = 9'007'199'254'740'993ULL;
-  const Composition parsed = compose::fromJson(compose::toJson(original));
-  EXPECT_EQ(parsed.seed, original.seed);
-  EXPECT_EQ(compose::toJson(parsed), compose::toJson(original));
-}
-
-TEST(ComposeSerialize, JsonRejectsNumbersItCannotReadExactly) {
-  const std::string json = compose::toJson(sampleComposition());
-  const auto withToken = [&](const std::string& from, const std::string& to) {
-    const auto at = json.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    return std::string(json).replace(at, from.size(), to);
-  };
-  for (const auto& [from, to, key] :
-       {std::tuple<std::string, std::string, std::string>{
-            "\"n\":9,", "\"n\":5.9,", "'n'"},
-        {"\"seed\":42,", "\"seed\":-1,", "'seed'"},
-        {"\"inputs\":[1,", "\"inputs\":[0.5,", "'inputs[]'"},
-        {"\"n\":9,", "\"n\":1e300,", "'n'"}}) {
-    const std::string error =
-        throwText([&] { compose::fromJson(withToken(from, to)); });
-    EXPECT_NE(error.find(key), std::string::npos) << to << ": " << error;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -287,8 +257,6 @@ TEST(ComposeOracle, MissingOracleDiagnosticIsIdenticalAcrossParsePaths) {
               compose::parseComposition(compose::serialize(composition));
             }),
             *diagnostic);
-  EXPECT_EQ(throwText([&] { compose::fromJson(compose::toJson(composition)); }),
-            *diagnostic);
 }
 
 TEST(ComposeOracle, TooWeakAnOracleCitesTheClassGap) {
@@ -321,7 +289,9 @@ TEST(ComposeOracle, NoisyPerfectOracleIsIncoherent) {
   composition.oracle = "perfect-p";
   composition.oracleKnobs.noise = 0.25;
   EXPECT_EQ(throwText([&] { compose::resolve(composition); }), *diagnostic);
-  EXPECT_EQ(throwText([&] { compose::fromJson(compose::toJson(composition)); }),
+  EXPECT_EQ(throwText([&] {
+              compose::parseComposition(compose::serialize(composition));
+            }),
             *diagnostic);
 }
 
@@ -353,11 +323,6 @@ TEST(ComposeOracle, SerializationRoundTripsTheOracleAndItsKnobs) {
   EXPECT_EQ(parsed.oracleKnobs.stabilizeAt, Tick{90});
   EXPECT_EQ(parsed.oracleKnobs.noise, 0.375);
   EXPECT_EQ(parsed.oracleKnobs.noiseEpoch, Tick{12});
-
-  const std::string json = compose::toJson(original);
-  const Composition fromJson = compose::fromJson(json);
-  EXPECT_EQ(compose::toJson(fromJson), json);
-  EXPECT_EQ(compose::serialize(fromJson), text);
 }
 
 TEST(ComposeOracle, OracleFreeCompositionsSerializeWithoutOracleKeys) {
@@ -366,7 +331,6 @@ TEST(ComposeOracle, OracleFreeCompositionsSerializeWithoutOracleKeys) {
   // goldens stay byte-identical.
   const Composition original = sampleComposition();
   EXPECT_EQ(compose::serialize(original).find("oracle"), std::string::npos);
-  EXPECT_EQ(compose::toJson(original).find("oracle"), std::string::npos);
 }
 
 TEST(ComposeOracle, E22MatrixReportsRejectedCellsWithDiagnostics) {
@@ -485,22 +449,24 @@ TEST(ComposeMatrix, EveryExperimentGatesLikeResolveAndIsThreadInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy family spellings: parse-time aliases of family=compose. Each alias
-// must lower to the composition that ran it, with an identical trace.
+// Scenario sections: a Ben-Or mode, a Phase-King variant or an oracle run
+// is written as a family=compose section. A hand-written section names only
+// the keys it changes; the rest take the Composition defaults. Each must
+// lower to the composition that ran it, with an identical trace.
 
-void expectAliasLowersTo(const std::string& legacyText,
-                         const Composition& direct) {
-  const check::Scenario alias = check::parseScenario(legacyText);
-  ASSERT_EQ(alias.family, check::Family::kCompose);
+void expectSectionLowersTo(const std::string& section,
+                           const Composition& direct) {
+  const check::Scenario parsed = check::parseScenario(section);
+  ASSERT_EQ(parsed.family, check::Family::kCompose);
   check::Scenario expected;
   expected.compose = direct;
-  EXPECT_EQ(check::serialize(alias), check::serialize(expected));
-  const auto aliasRun = check::recordRun(alias);
+  EXPECT_EQ(check::serialize(parsed), check::serialize(expected));
+  const auto parsedRun = check::recordRun(parsed);
   const auto directRun = check::recordRun(expected);
   EXPECT_FALSE(directRun.trace.events.empty());
-  EXPECT_TRUE(aliasRun.trace == directRun.trace)
-      << "alias moved a scheduler event:\n"
-      << legacyText;
+  EXPECT_TRUE(parsedRun.trace == directRun.trace)
+      << "the section moved a scheduler event:\n"
+      << section;
 }
 
 class BenOrAlias
@@ -509,20 +475,22 @@ class BenOrAlias
 
 TEST_P(BenOrAlias, LowersToItsComposition) {
   const auto [mode, reconciliator] = GetParam();
+  // The paper's three Ben-Or modes; "decomposed" is the benor-vac detector.
+  const std::string detector = mode == "decomposed" ? "benor-vac" : mode;
   // Capped rounds keep the keep-value negative control (which stalls on
   // split inputs) short; every other pairing decides well inside them.
-  const std::string text = std::string("family=benor\n") +
-                           "n=5\ninputs=0,1,0,1,1\nseed=33\n" +
-                           "mode=" + mode + "\nreconciliator=" +
-                           reconciliator + "\nmax-rounds=30\n";
+  const std::string text = "family=compose\ndetector=" + detector +
+                           "\ndriver=" + reconciliator +
+                           "\nn=5\ninputs=0,1,0,1,1\nseed=33\n" +
+                           "max-rounds=30\n";
   Composition direct;
-  direct.detector = mode == "decomposed" ? "benor-vac" : mode;
+  direct.detector = detector;
   direct.driver = reconciliator;
   direct.n = 5;
   direct.inputs = {0, 1, 0, 1, 1};
   direct.seed = 33;
   direct.maxRounds = 30;
-  expectAliasLowersTo(text, direct);
+  expectSectionLowersTo(text, direct);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -538,12 +506,14 @@ class PhaseKingAlias
 
 TEST_P(PhaseKingAlias, LowersToItsComposition) {
   const auto [queen, earlyCommit] = GetParam();
+  // The phaseking-lockstep-n7 golden's shape: two equivocators at the
+  // front, 300 rounds, 100000 ticks.
   const std::string text =
-      std::string("family=phaseking\nalgorithm=") +
-      (queen ? "queen\nn=9\n" : "king\n") +
-      "seed=11\nearly-commit=" + (earlyCommit ? "1" : "0") + "\n";
-  // The legacy Phase-King defaults: n = 7, two equivocators at the front,
-  // 300 rounds, 100000 ticks.
+      std::string("family=compose\n") +
+      (queen ? "detector=phasequeen-ac\ndriver=queen-conciliator\nn=9\n"
+             : "detector=phaseking-ac\ndriver=king-conciliator\nn=7\n") +
+      "byzantine=2\nseed=11\nearly-commit=" + (earlyCommit ? "1" : "0") +
+      "\nmax-rounds=300\nmax-ticks=100000\n";
   Composition direct;
   direct.detector = queen ? "phasequeen-ac" : "phaseking-ac";
   direct.driver = queen ? "queen-conciliator" : "king-conciliator";
@@ -553,13 +523,15 @@ TEST_P(PhaseKingAlias, LowersToItsComposition) {
   direct.seed = 11;
   direct.maxRounds = 300;
   direct.maxTicks = 100000;
-  expectAliasLowersTo(text, direct);
+  expectSectionLowersTo(text, direct);
 }
 
 INSTANTIATE_TEST_SUITE_P(RoyalsByDecisionRule, PhaseKingAlias,
                          ::testing::Combine(::testing::Bool(),
                                             ::testing::Bool()));
 
+// An oracle run has no family of its own: its keys ride the compose key
+// set, and fd is an unknown family name.
 TEST(LegacyAlias, FdIsTheComposeKeySet) {
   Composition direct;
   direct.driver = "ct-coordinator";
@@ -569,22 +541,34 @@ TEST(LegacyAlias, FdIsTheComposeKeySet) {
   direct.inputs = {0, 1, 0, 1, 1};
   direct.crashes = {{4, 30}};
   direct.seed = 23;
-  expectAliasLowersTo("family=fd\n" + compose::serialize(direct), direct);
+  expectSectionLowersTo("family=compose\n" + compose::serialize(direct),
+                        direct);
+  const std::string fd = "fd";
+  EXPECT_EQ(throwText([&] {
+              check::parseScenario("family=" + fd + "\n" +
+                                   compose::serialize(direct));
+            }),
+            "unknown scenario family 'fd'");
 }
 
+// The monolithic baselines are bespoke runners, not compositions, so no
+// scenario file can name one: not under the retired family names, and not
+// as a compose detector.
 TEST(LegacyAlias, MonolithicBaselinesAreRejected) {
-  for (const char* text :
-       {"family=benor\nmode=monolithic\nn=3\ninputs=0,1,0\n",
-        "family=phaseking\nmonolithic=1\n"}) {
-    try {
-      check::parseScenario(text);
-      FAIL() << "monolithic scenario parsed: " << text;
-    } catch (const std::runtime_error& error) {
-      EXPECT_NE(std::string(error.what()).find("monolithic"),
-                std::string::npos)
-          << error.what();
-    }
+  for (const auto& [family, keys] :
+       {std::pair<std::string, std::string>{
+            "benor", "mode=monolithic\nn=3\ninputs=0,1,0\n"},
+        {"phaseking", "monolithic=1\n"}}) {
+    const std::string error = throwText(
+        [&] { check::parseScenario("family=" + family + "\n" + keys); });
+    EXPECT_EQ(error, "unknown scenario family '" + family + "'");
   }
+  const std::string error = throwText([] {
+    check::parseScenario(
+        "family=compose\ndetector=monolithic\nn=3\ninputs=0,1,0\n");
+  });
+  EXPECT_NE(error.find("unknown detector 'monolithic'"), std::string::npos)
+      << error;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 // VAC instrumentation (Algorithms 10-11), and the replicated KV store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "compose/hooks.hpp"
 #include "harness/scenarios.hpp"
 #include "raft/kv_store.hpp"
 #include "sim/simulator.hpp"
@@ -188,6 +191,37 @@ TEST(RaftConsensus, DeterministicAcrossRuns) {
   EXPECT_EQ(a.firstDecisionTick, b.firstDecisionTick);
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.electionsStarted, b.electionsStarted);
+}
+
+// Confidence transitions reach the telemetry sink as they are recorded, so
+// across all nodes they arrive in simulation order and their ticks never
+// go back; watching them changes nothing in the run.
+TEST(RaftConsensus, ConfidenceTapObservesInSimulationOrder) {
+  struct TickSink final : compose::TelemetrySink {
+    void onDetectorOutcome(ProcessId, Round, const Outcome&,
+                           Tick at) override {
+      ticks.push_back(at);
+    }
+    void onDriverValue(ProcessId, Round, Value, Tick) override {}
+    std::vector<Tick> ticks;
+  };
+  RaftScenarioConfig config;
+  config.n = 5;
+  config.seed = 17;
+  config.dropProbability = 0.1;
+  TickSink sink;
+  compose::RunHooks hooks;
+  hooks.telemetry = &sink;
+  const RaftScenarioResult watched = runRaft(config, hooks);
+  const RaftScenarioResult bare = runRaft(config);
+  expectClean(watched);
+  EXPECT_EQ(sink.ticks.size(), watched.confidenceTransitions);
+  EXPECT_TRUE(std::is_sorted(sink.ticks.begin(), sink.ticks.end()));
+  EXPECT_EQ(watched.decidedValue, bare.decidedValue);
+  EXPECT_EQ(watched.firstDecisionTick, bare.firstDecisionTick);
+  EXPECT_EQ(watched.messages, bare.messages);
+  EXPECT_EQ(watched.electionsStarted, bare.electionsStarted);
+  EXPECT_EQ(watched.confidenceTransitions, bare.confidenceTransitions);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <tuple>
 
 #include "check/replay.hpp"
 #include "check/scenario.hpp"
@@ -132,6 +134,39 @@ TEST(Replay, ScenarioSerializationRoundTrips) {
   }
 }
 
+// compose, raft and svc are the only family names: a file whose scenario
+// carries a retired one (benor, phaseking or fd) fails to load, and the
+// diagnostic names the family.
+TEST(Replay, RetiredFamilyNamesFailToLoad) {
+  CounterexampleFile file;
+  file.scenario = benOrScenario();
+  file.invariant = "agreement";
+  file.trace = recordRun(file.scenario).trace;
+  const std::string text = serializeCounterexample(file);
+  const auto at = text.find("\nfamily=compose\n");
+  ASSERT_NE(at, std::string::npos);
+  for (const std::string name : {"benor", "phaseking", "fd"}) {
+    try {
+      parseScenario("family=" + name + "\nn=5\n");
+      FAIL() << name << " parsed";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "unknown scenario family '" + name + "'");
+    }
+    const std::string retired =
+        std::string(text).replace(at + 1, 14, "family=" + name);
+    try {
+      parseCounterexample(retired);
+      FAIL() << name << " file parsed";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("unknown scenario family '" + name + "'"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(Replay, CounterexampleFileRoundTrips) {
   const Scenario scenario = raftScenario();
   CounterexampleFile file;
@@ -170,7 +205,9 @@ TEST(Replay, AdversaryScheduleIsPartOfTheConfig) {
 TEST(Replay, NumbersMustBeWholeUnsignedTokens) {
   // A trailing-garbage count used to read as its numeric prefix, and a
   // negative one wrapped to 2^64-1 (and aborted the replay allocating the
-  // process table). Both must be parse errors naming the key.
+  // process table). Both must be parse errors naming the key, and so must
+  // every number that is not exactly a whole token of the key's type: a
+  // fraction, an exponent, a negative seed, a fractional input.
   Scenario scenario;
   scenario.compose.driver = "timer";
   scenario.compose.inputs = {0, 1, 0, 1, 1};
@@ -183,16 +220,25 @@ TEST(Replay, NumbersMustBeWholeUnsignedTokens) {
   const std::string text = serializeCounterexample(file);
   ASSERT_NO_THROW(parseCounterexample(text));
 
-  for (const char* bad : {"n=5abc", "n=-1", "n= 5", "n="}) {
+  for (const auto& [line, bad, key] :
+       {std::tuple<std::string, std::string, std::string>{"n=5", "n=5abc",
+                                                          "'n'"},
+        {"n=5", "n=-1", "'n'"},
+        {"n=5", "n= 5", "'n'"},
+        {"n=5", "n=", "'n'"},
+        {"n=5", "n=5.9", "'n'"},
+        {"n=5", "n=1e300", "'n'"},
+        {"seed=17", "seed=-1", "'seed'"},
+        {"inputs=0,1,0,1,1", "inputs=0.5,1,0,1,1", "'inputs'"}}) {
     std::string mutated = text;
-    const auto at = mutated.find("\nn=5\n");
-    ASSERT_NE(at, std::string::npos);
-    mutated.replace(at + 1, 3, bad);
+    const auto at = mutated.find("\n" + line + "\n");
+    ASSERT_NE(at, std::string::npos) << line;
+    mutated.replace(at + 1, line.size(), bad);
     try {
       parseCounterexample(mutated);
       FAIL() << bad << " parsed";
     } catch (const std::runtime_error& error) {
-      EXPECT_NE(std::string(error.what()).find("'n'"), std::string::npos)
+      EXPECT_NE(std::string(error.what()).find(key), std::string::npos)
           << error.what();
     }
   }

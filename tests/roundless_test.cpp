@@ -6,7 +6,7 @@
 //    deferral to zero, event-driven defers without overlapping, the
 //    ooo-driver overlaps without deferring;
 //  * registry capability gating with the §5-citing diagnostics;
-//  * wire purity — nothing serialized when lockstep, full kv/JSON
+//  * wire purity — nothing serialized when lockstep, full key=value
 //    round-trips otherwise, for both compositions and service configs;
 //  * the scheduler-coherence invariant, the round-skew exploration
 //    strategy, and the shrinker's policy → lockstep reduction.
@@ -187,7 +187,6 @@ TEST(SchedulingGate, RejectedPolicyThrowsFromTheRunner) {
 TEST(SchedulerWire, NothingSerializedWhenLockstep) {
   auto c = skewBase("lottery", SchedulingPolicy::kLockstep);
   EXPECT_EQ(compose::serialize(c).find("scheduler"), std::string::npos);
-  EXPECT_EQ(compose::toJson(c).find("scheduler"), std::string::npos);
 }
 
 TEST(SchedulerWire, CompositionKvRoundTripsEveryPolicy) {
@@ -200,18 +199,6 @@ TEST(SchedulerWire, CompositionKvRoundTripsEveryPolicy) {
     EXPECT_EQ(parsed.scheduler, policy) << toString(policy);
     // A full round-trip re-serializes byte-identically (run-id stability).
     EXPECT_EQ(compose::serialize(parsed), text) << toString(policy);
-  }
-}
-
-TEST(SchedulerWire, CompositionJsonRoundTripsEveryPolicy) {
-  for (const SchedulingPolicy policy :
-       {SchedulingPolicy::kLockstep, SchedulingPolicy::kEventDriven,
-        SchedulingPolicy::kOooDriver}) {
-    const auto c = skewBase("lottery", policy);
-    const std::string json = compose::toJson(c);
-    const auto parsed = compose::fromJson(json);
-    EXPECT_EQ(parsed.scheduler, policy) << toString(policy);
-    EXPECT_EQ(compose::toJson(parsed), json) << toString(policy);
   }
 }
 

@@ -228,6 +228,22 @@ TEST(Svc, SerializeRoundTrip) {
   EXPECT_EQ(serializeSvcConfig(parsed), wire);
 }
 
+// Files written while t, bias, the per-decree round cap and the retry,
+// election, heartbeat and resubmit periods were options still load: the
+// reader skips those keys, and the values below are the constants the
+// service now runs with.
+TEST(Svc, OlderFilesWithRetiredKnobsStillLoad) {
+  const std::string retired =
+      "t=2\nbias=0.5\nmax-rounds=2000\nfetch-retry=32\ncatchup-retry=64\n"
+      "paxos-retry-min=4\npaxos-retry-max=12\nelection-min=150\n"
+      "election-max=300\nheartbeat=40\nresubmit-every=80\n";
+  for (const std::string engine : {"compose", "paxos", "raft"}) {
+    const std::string wire = serializeSvcConfig(smokeConfig(engine));
+    EXPECT_EQ(serializeSvcConfig(parseSvcConfig(wire + retired)), wire)
+        << engine;
+  }
+}
+
 // The capability gate: admission is decided by the registry descriptor,
 // not a name list, and each rejection names the failed capability.
 TEST(Svc, EngineGateRejectsByCapability) {

@@ -4,8 +4,11 @@
 // decisions) merged into the schedule.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
+#include "check/causal_run.hpp"
+#include "check/golden.hpp"
 #include "check/replay.hpp"
 #include "check/scenario.hpp"
 #include "check/timeline.hpp"
@@ -180,6 +183,68 @@ TEST(Timeline, RoundTripThroughFileFormatRendersIdentically) {
   const check::CounterexampleFile reparsed =
       check::parseCounterexample(check::serializeCounterexample(file));
   EXPECT_EQ(check::renderTimeline(file), check::renderTimeline(reparsed));
+}
+
+/// Each lane's "  t=" entries never go back in time.
+void expectLanesInTickOrder(const std::string& timeline,
+                            const std::string& label) {
+  std::istringstream text(timeline);
+  std::string line;
+  Tick last = 0;
+  while (std::getline(text, line)) {
+    if (line.rfind("  t=", 0) != 0) {
+      last = 0;  // a header or a lane label starts a new lane
+      continue;
+    }
+    const Tick at = std::stoull(line.substr(4));
+    EXPECT_GE(at, last) << label << ": " << line;
+    last = at;
+  }
+}
+
+// Raft's confidence transitions must be annotated from inside the handler
+// that produced them: on an event of their own process, at its tick. The
+// committed golden mixes drops, duplicates and a restart.
+TEST(Timeline, RaftTransitionsAnnotateTheEventThatProducedThem) {
+  const check::CounterexampleFile file = check::loadCounterexampleFile(
+      OOC_GOLDEN_DIR "/raft-faultmix-restart.golden");
+  const check::CausalRun run =
+      check::collectCausalRun(file.scenario, &file.trace);
+  ASSERT_TRUE(run.replayIdentical);
+  EXPECT_EQ(run.trace.annotations.size(), 12u);
+  for (const causal::Annotation& a : run.trace.annotations) {
+    const causal::CausalNode& node = run.trace.nodes[a.node];
+    EXPECT_EQ(a.kind, causal::Annotation::Kind::kDetector);
+    EXPECT_EQ(node.lane, a.process) << "annotation on node " << a.node;
+    EXPECT_EQ(node.event.at, a.at) << "annotation on node " << a.node;
+  }
+
+  // So every lane of the timeline reads in tick order.
+  expectLanesInTickOrder(check::renderTimeline(file), "raft-faultmix-restart");
+}
+
+// Every committed golden replays bit-identically and reads in tick order in
+// each lane, whatever the view: everything, protocol entries only, or
+// scheduler noise capped per lane.
+TEST(Timeline, EveryGoldenReplaysWithItsLanesInTickOrder) {
+  check::TimelineOptions everything;
+  check::TimelineOptions protocolOnly;
+  protocolOnly.showDeliveries = false;
+  protocolOnly.showTimers = false;
+  check::TimelineOptions capped;
+  capped.maxEventsPerProcess = 20;
+  for (const auto& fixture : check::goldenFixtures()) {
+    const check::CounterexampleFile file = check::loadCounterexampleFile(
+        std::string(OOC_GOLDEN_DIR "/") + fixture.name + ".golden");
+    for (const check::TimelineOptions& options :
+         {everything, protocolOnly, capped}) {
+      const std::string text = check::renderTimeline(file, options);
+      EXPECT_NE(text.find("replay:    bit-identical to recorded trace\n"),
+                std::string::npos)
+          << fixture.name;
+      expectLanesInTickOrder(text, fixture.name);
+    }
+  }
 }
 
 }  // namespace
