@@ -151,17 +151,18 @@ std::string renderTimeline(const CounterexampleFile& file,
     std::size_t elidableShown = 0;
     std::size_t elided = 0;
     for (const Entry* entry : lane) {
-      if (entry->elidable && options.maxEventsPerProcess > 0 &&
-          elidableShown >= options.maxEventsPerProcess) {
-        ++elided;
-        continue;
-      }
       if (entry->elidable) {
+        // Filter first: an entry the view hides is not counted as elided.
         if (!options.showDeliveries &&
             entry->text.rfind("deliver", 0) == 0) {
           continue;
         }
         if (!options.showTimers && entry->text.rfind("timer", 0) == 0) {
+          continue;
+        }
+        if (options.maxEventsPerProcess > 0 &&
+            elidableShown >= options.maxEventsPerProcess) {
+          ++elided;
           continue;
         }
         ++elidableShown;

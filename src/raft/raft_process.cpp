@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <stdexcept>
 
 #include "util/logging.hpp"
@@ -291,10 +292,13 @@ void RaftProcess::sendAppendTo(ProcessId peer) {
   }
   const LogIndex prevIndex = next - 1;
   const Term prevTerm = prevIndex == 0 ? 0 : termAt(prevIndex);
-  std::vector<LogEntry> entries;
   const LogIndex last = std::min<LogIndex>(
       lastLogIndex(), prevIndex + config_.maxEntriesPerAppend);
-  for (LogIndex i = next; i <= last; ++i) entries.push_back(entryAt(i));
+  // Entries next..last in one copy; next > snapshotIndex_ here.
+  const auto first = log_.begin() + static_cast<std::ptrdiff_t>(
+                                        prevIndex - snapshotIndex_);
+  std::vector<LogEntry> entries(
+      first, first + static_cast<std::ptrdiff_t>(last - prevIndex));
   ctx().post(peer, makeMessage<AppendEntries>(
                        currentTerm_, ctx().self(), prevIndex, prevTerm,
                        std::move(entries), commitIndex_));
@@ -310,24 +314,23 @@ void RaftProcess::broadcastAppends() {
 void RaftProcess::advanceCommitIndex() {
   // Find the highest N > commitIndex replicated on a majority with
   // log[N].term == currentTerm (the Raft commit rule; committing only
-  // current-term entries is what makes Leader Completeness hold).
-  const std::size_t n = ctx().processCount();
-  for (LogIndex candidate = lastLogIndex(); candidate > commitIndex_;
-       --candidate) {
-    if (entryAt(candidate).term != currentTerm_) break;
-    std::size_t replicas = 0;
-    for (ProcessId peer = 0; peer < n; ++peer)
-      if (matchIndex_[peer] >= candidate) ++replicas;
-    if (2 * replicas > n) {
-      commitIndex_ = candidate;
-      applyCommitted();
-      onCommitAdvanced();
-      // Tell followers promptly so they can advance too (the "second kind"
-      // of AppendEntries — here an empty append carrying the new index).
-      broadcastAppends();
-      return;
-    }
-  }
+  // current-term entries is what makes Leader Completeness hold). The
+  // (n/2+1)-th largest matchIndex is the highest index a majority holds;
+  // log terms never decrease, so if its term is not current no lower
+  // index's is either.
+  std::vector<LogIndex> match = matchIndex_;
+  const auto quorum = match.begin() + static_cast<std::ptrdiff_t>(
+                                          match.size() / 2);
+  std::nth_element(match.begin(), quorum, match.end(), std::greater<>());
+  const LogIndex candidate = *quorum;
+  if (candidate <= commitIndex_ || entryAt(candidate).term != currentTerm_)
+    return;
+  commitIndex_ = candidate;
+  applyCommitted();
+  onCommitAdvanced();
+  // Tell followers promptly so they can advance too (the "second kind" of
+  // AppendEntries — here an empty append carrying the new index).
+  broadcastAppends();
 }
 
 void RaftProcess::applyCommitted() {
@@ -440,23 +443,38 @@ void RaftProcess::handleAppendEntries(ProcessId from,
     return;
   }
 
-  // Append new entries, removing conflicting suffixes.
-  bool appended = false;
-  LogIndex index = msg.prevLogIndex;
-  for (const LogEntry& entry : msg.entries) {
-    ++index;
-    if (index <= snapshotIndex_) continue;  // covered by our snapshot
-    if (index <= lastLogIndex()) {
-      if (entryAt(index).term == entry.term) continue;  // already have it
+  // Skip the entries this log already holds: those its snapshot covers,
+  // then the run whose terms match (by Log Matching, equal terms at an index
+  // mean equal entries). From the first entry that differs, drop any
+  // conflicting suffix and append the rest.
+  const std::vector<LogEntry>& entries = msg.entries;
+  const LogIndex last = msg.prevLogIndex + entries.size();
+  const LogIndex base = std::max(msg.prevLogIndex, snapshotIndex_);
+  // Indices (lo, hi] are in the message and in the retained log.
+  const LogIndex lo = std::min(last, base);
+  const LogIndex hi = std::min(last, lastLogIndex());
+  const auto first =
+      entries.begin() + static_cast<std::ptrdiff_t>(lo - msg.prevLogIndex);
+  const auto next =
+      std::mismatch(first, first + static_cast<std::ptrdiff_t>(hi - lo),
+                    log_.begin() +
+                        static_cast<std::ptrdiff_t>(base - snapshotIndex_),
+                    [](const LogEntry& a, const LogEntry& b) {
+                      return a.term == b.term;
+                    })
+          .first;
+  if (next != entries.end()) {
+    const LogIndex kept =
+        msg.prevLogIndex + static_cast<LogIndex>(next - entries.begin());
+    if (kept < lastLogIndex()) {
       // Conflict: drop it and everything after.
-      log_.resize(index - snapshotIndex_ - 1);
+      log_.resize(kept - snapshotIndex_);
       persistTruncate();
     }
-    log_.push_back(entry);
-    persistEntry(entry);
-    appended = true;
+    for (auto it = next; it != entries.end(); ++it) persistEntry(*it);
+    log_.insert(log_.end(), next, entries.end());
+    onEntriesAccepted();
   }
-  if (appended) onEntriesAccepted();
 
   if (msg.leaderCommit > commitIndex_) {
     commitIndex_ = std::min<LogIndex>(msg.leaderCommit, lastLogIndex());
@@ -465,7 +483,7 @@ void RaftProcess::handleAppendEntries(ProcessId from,
   }
   ctx().post(from, makeMessage<AppendEntriesReply>(
                        currentTerm_, true,
-                       std::min<LogIndex>(index, lastLogIndex())));
+                       std::min(last, lastLogIndex())));
 }
 
 void RaftProcess::handleAppendEntriesReply(ProcessId from,

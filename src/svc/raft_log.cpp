@@ -1,7 +1,5 @@
 #include "svc/raft_log.hpp"
 
-#include <unordered_set>
-
 #include "util/logging.hpp"
 
 namespace ooc::svc {
@@ -26,6 +24,7 @@ void RaftLogNode::onVolatileReset() {
   // replay re-applies the recovered prefix under the new incarnation.
   front_.reset();
   pendingLocal_.clear();
+  inLog_.clear();
   noopsApplied_ = 0;
   lastBatchCommit_ = 0;
   resubmitTimer_ = 0;
@@ -51,17 +50,14 @@ void RaftLogNode::handleArrivals() {
 
 void RaftLogNode::offerCommands(const std::vector<Value>& commands) {
   if (role() != raft::Role::kLeader) return;
-  // Dedup against the applied prefix and the retained log suffix (the
-  // compacted prefix is applied by definition). Failover retries can still
-  // slip a duplicate past this — a prior leader's append may be committed
-  // but not yet visible here — which is exactly what the apply-level dedup
-  // is for.
-  std::unordered_set<Value> inLog;
-  for (const raft::LogEntry& entry : log()) inLog.insert(entry.command);
+  // Dedup against the applied prefix and the log (kept in inLog_ while this
+  // node leads). Failover retries can still slip a duplicate past this — a
+  // prior leader's append may be committed but not yet visible here —
+  // which is exactly what the apply-level dedup is for.
   for (Value cmd : commands) {
-    if (front_.isApplied(cmd) || inLog.contains(cmd)) continue;
+    if (front_.isApplied(cmd) || inLog_.contains(cmd)) continue;
     submit(cmd);
-    inLog.insert(cmd);
+    inLog_.insert(cmd);
   }
 }
 
@@ -124,8 +120,9 @@ std::optional<Value> RaftLogNode::leaderBarrier() const {
 }
 
 bool RaftLogNode::drained() const noexcept {
-  for (Value cmd : pendingLocal_)
-    if (!front_.isApplied(cmd)) return false;
+  // Every command this incarnation minted is applied: a count, not a walk
+  // over pendingLocal_, because the stop predicate asks after every event.
+  if (front_.inFlight() != 0) return false;
   // No future arrival is scheduled. This deliberately also covers a
   // closed-loop client stalled on a command the crash erased before
   // replication (nothing will ever unstall it): the run should end, and
@@ -136,6 +133,11 @@ bool RaftLogNode::drained() const noexcept {
 void RaftLogNode::onBecameLeader() {
   leaderEvents_.push_back({ctx().now(), currentTerm()});
   OOC_TRACE("svc-raft p", ctx().self(), " leads term ", currentTerm());
+  // While this node leads, its log changes only through its own submits
+  // (the barrier is already appended) and the service never compacts, so
+  // the set built here stays the log's command set.
+  inLog_.clear();
+  for (const raft::LogEntry& entry : log()) inLog_.insert(entry.command);
   // A fresh leader immediately appends everything it knows is unapplied —
   // its own pending commands; forwarded ones re-arrive via peers' retries.
   std::vector<Value> unapplied;

@@ -25,6 +25,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "raft/raft_process.hpp"
@@ -97,6 +98,9 @@ class RaftLogNode final : public raft::RaftProcess {
   ClientFront front_;
   /// Own commands in mint order, retried until applied.
   std::deque<Value> pendingLocal_;
+  /// The commands in the log, built when this node wins an election and
+  /// extended by each of its submits; read only while it leads.
+  std::unordered_set<Value> inLog_;
   std::uint64_t noopsApplied_ = 0;
   raft::LogIndex lastBatchCommit_ = 0;
   std::vector<LeaderEvent> leaderEvents_;

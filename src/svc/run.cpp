@@ -142,8 +142,9 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   std::vector<const ClientFront*> fronts(n, nullptr);
   std::vector<SvcNode*> svcNodes(n, nullptr);
   std::vector<RaftLogNode*> raftNodes(n, nullptr);
-  const auto front = [&config, n](ProcessId id) {
-    return ClientFront(config.workload, id, n, config.seed);
+  const std::shared_ptr<const ZipfCdf> zipf = makeZipfCdf(config.workload);
+  const auto front = [&config, &zipf, n](ProcessId id) {
+    return ClientFront(config.workload, zipf, id, n, config.seed);
   };
 
   if (config.engine == "raft") {

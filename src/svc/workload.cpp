@@ -4,31 +4,38 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ooc::svc {
 
-Workload::Workload(const WorkloadOptions& options, ProcessId node,
+std::shared_ptr<const ZipfCdf> makeZipfCdf(const WorkloadOptions& options) {
+  if (options.keySpace == 0)
+    throw std::invalid_argument("workload: keySpace must be positive");
+  // Draws binary-search the CDF with a uniform double.
+  auto cdf = std::make_shared<ZipfCdf>(options.keySpace);
+  double sum = 0.0;
+  for (std::uint32_t k = 0; k < options.keySpace; ++k) {
+    sum += 1.0 / std::pow(static_cast<double>(k) + 1.0, options.zipfTheta);
+    (*cdf)[k] = sum;
+  }
+  for (double& c : *cdf) c /= sum;
+  return cdf;
+}
+
+Workload::Workload(const WorkloadOptions& options,
+                   std::shared_ptr<const ZipfCdf> zipf, ProcessId node,
                    std::size_t n, std::uint64_t seed)
     : options_(options),
-      rng_(Rng(seed).split(0x776Cull + node)) {
+      rng_(Rng(seed).split(0x776Cull + node)),
+      zipfCdf_(std::move(zipf)) {
   if (n == 0) throw std::invalid_argument("workload: n must be positive");
-  if (options_.keySpace == 0)
-    throw std::invalid_argument("workload: keySpace must be positive");
+  if (!zipfCdf_ || zipfCdf_->empty())
+    throw std::invalid_argument("workload: needs the run's zipf table");
   if (options_.thinkMax < options_.thinkMin)
     throw std::invalid_argument("workload: thinkMax < thinkMin");
   // Clients are partitioned by home node; remainders go to the low ids.
   population_ = options_.clients / n +
                 (node < options_.clients % n ? 1 : 0);
-
-  // Zipf CDF: cum[k] = sum_{i<=k} 1/(i+1)^theta, normalized. Built once;
-  // draws binary-search it with a uniform double.
-  zipfCdf_.resize(options_.keySpace);
-  double sum = 0.0;
-  for (std::uint32_t k = 0; k < options_.keySpace; ++k) {
-    sum += 1.0 / std::pow(static_cast<double>(k) + 1.0, options_.zipfTheta);
-    zipfCdf_[k] = sum;
-  }
-  for (double& c : zipfCdf_) c /= sum;
 
   const std::uint64_t cap = options_.commandsPerNode;
   if (options_.closedLoop) {
@@ -98,11 +105,11 @@ void Workload::onCommit(Tick now) {
 }
 
 std::uint32_t Workload::drawKey() {
+  const ZipfCdf& cdf = *zipfCdf_;
   const double u = rng_.uniform01();
-  const auto it = std::lower_bound(zipfCdf_.begin(), zipfCdf_.end(), u);
-  return static_cast<std::uint32_t>(
-      std::min<std::size_t>(static_cast<std::size_t>(it - zipfCdf_.begin()),
-                            zipfCdf_.size() - 1));
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return static_cast<std::uint32_t>(std::min<std::size_t>(
+      static_cast<std::size_t>(it - cdf.begin()), cdf.size() - 1));
 }
 
 std::uint32_t incarnationSequence(std::uint32_t incarnation,
@@ -120,9 +127,10 @@ std::uint32_t incarnationSequence(std::uint32_t incarnation,
 
 // --- ClientFront -------------------------------------------------------------
 
-ClientFront::ClientFront(const WorkloadOptions& options, ProcessId node,
+ClientFront::ClientFront(const WorkloadOptions& options,
+                         std::shared_ptr<const ZipfCdf> zipf, ProcessId node,
                          std::size_t n, std::uint64_t seed)
-    : node_(node), workload_(options, node, n, seed) {}
+    : node_(node), workload_(options, std::move(zipf), node, n, seed) {}
 
 void ClientFront::armArrivals(Context& ctx) {
   const Tick now = ctx.now();

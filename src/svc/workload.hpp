@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -89,6 +90,12 @@ struct WorkloadOptions {
   std::uint32_t keySpace = 1 << 16;
 };
 
+/// The zipf key-popularity CDF over [0, keySpace): cdf[k] = sum_{i<=k}
+/// 1/(i+1)^theta, normalized. Only (keySpace, zipfTheta) shape it, so a run
+/// builds one and every node's Workload draws from it.
+using ZipfCdf = std::vector<double>;
+std::shared_ptr<const ZipfCdf> makeZipfCdf(const WorkloadOptions& options);
+
 /// One client command arrival: which logical client issued it, against
 /// which key, and the tick it fell due (a collection after a downtime comes
 /// later). The command id itself is minted by the client front.
@@ -103,8 +110,9 @@ struct Arrival {
 /// when it fires; commits feed back through onCommit() in closed-loop mode.
 class Workload {
  public:
-  Workload(const WorkloadOptions& options, ProcessId node, std::size_t n,
-           std::uint64_t seed);
+  /// `zipf` is the run's shared key table (makeZipfCdf); it must be set.
+  Workload(const WorkloadOptions& options, std::shared_ptr<const ZipfCdf> zipf,
+           ProcessId node, std::size_t n, std::uint64_t seed);
 
   /// Earliest tick (strictly greater than `now`) with pending arrivals;
   /// 0 when the calendar is empty (cap reached and nothing scheduled).
@@ -130,8 +138,8 @@ class Workload {
   Rng rng_;
   /// tick -> number of arrivals scheduled there (drawn lazily at collect).
   std::map<Tick, std::uint32_t> calendar_;
-  /// Zipf CDF over [0, keySpace), built once per workload.
-  std::vector<double> zipfCdf_;
+  /// The run's zipf CDF, shared with every other node's workload.
+  std::shared_ptr<const ZipfCdf> zipfCdf_;
   std::uint64_t planned_ = 0;  ///< arrivals scheduled (cap applies here)
   std::uint64_t emitted_ = 0;  ///< arrivals actually collected
 };
@@ -139,8 +147,9 @@ class Workload {
 /// The client side of one service node (see the header comment).
 class ClientFront {
  public:
-  ClientFront(const WorkloadOptions& options, ProcessId node, std::size_t n,
-              std::uint64_t seed);
+  ClientFront(const WorkloadOptions& options,
+              std::shared_ptr<const ZipfCdf> zipf, ProcessId node,
+              std::size_t n, std::uint64_t seed);
 
   // --- arrivals ---
 
@@ -178,6 +187,12 @@ class ClientFront {
   // --- the read interface runSvc collects through ---
 
   const Workload& workload() const noexcept { return workload_; }
+  /// Own commands this incarnation minted and has not applied yet: the
+  /// arrival stamps, which reset() clears with the rest of the ledger. It
+  /// covers the current incarnation only. Stamps kept across a restart
+  /// would need a count of their own here, or RaftLogNode::drained() would
+  /// wait on commands the crash erased.
+  std::size_t inFlight() const noexcept { return stamps_.size(); }
   /// Applied client commands, in apply order (no-ops excluded).
   const std::vector<Value>& applied() const noexcept { return applied_; }
   bool isApplied(Value command) const { return appliedSet_.contains(command); }

@@ -196,6 +196,18 @@ TEST(RaftUnit, LeaderAppendsAndCommitsWithQuorum) {
   EXPECT_EQ(bench.node.commitIndex(), 0u) << "2 of 5 is not a quorum";
   bench.node.onMessage(2, raft::AppendEntriesReply(term, true, 1));
   EXPECT_EQ(bench.node.commitIndex(), 1u) << "leader + 2 replicas = quorum";
+
+  // Uneven acks over five entries: the commit point is the highest index a
+  // majority holds, reached in one step however far it lies.
+  for (Value command : {78, 79, 80, 81})
+    ASSERT_TRUE(bench.node.submit(command));
+  ASSERT_EQ(bench.node.lastLogIndex(), 5u);
+  bench.node.onMessage(1, raft::AppendEntriesReply(term, true, 5));
+  EXPECT_EQ(bench.node.commitIndex(), 1u) << "matches {5, 5, 1, 0, 0}";
+  bench.node.onMessage(2, raft::AppendEntriesReply(term, true, 3));
+  EXPECT_EQ(bench.node.commitIndex(), 3u) << "matches {5, 5, 3, 0, 0}";
+  bench.node.onMessage(2, raft::AppendEntriesReply(term, true, 5));
+  EXPECT_EQ(bench.node.commitIndex(), 5u) << "matches {5, 5, 5, 0, 0}";
 }
 
 TEST(RaftUnit, FollowerCannotSubmit) {
@@ -249,6 +261,43 @@ TEST(RaftUnit, AppendEntriesTruncatesConflictingSuffix) {
   ASSERT_EQ(bench.node.lastLogIndex(), 2u) << "conflict suffix kept";
   EXPECT_EQ(bench.node.log()[1], (raft::LogEntry{2, 99}));
   EXPECT_EQ(bench.node.log()[0], (raft::LogEntry{1, 10}));
+
+  // The term-2 leader grows the log to five entries.
+  bench.node.onMessage(
+      4, raft::AppendEntries(2, 4, 2, 2,
+                             {raft::LogEntry{2, 100}, raft::LogEntry{2, 101},
+                              raft::LogEntry{2, 102}},
+                             0));
+  ASSERT_EQ(bench.node.lastLogIndex(), 5u);
+  // A term-3 leader resends from the start: the first two entries are
+  // held, the third conflicts, so the log truncates mid-message.
+  bench.node.onMessage(
+      1, raft::AppendEntries(3, 1, 0, 0,
+                             {raft::LogEntry{1, 10}, raft::LogEntry{2, 99},
+                              raft::LogEntry{3, 7}},
+                             0));
+  const auto* reply = bench.ctx.lastTo<raft::AppendEntriesReply>(1);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_TRUE(reply->success);
+  EXPECT_EQ(reply->matchIndex, 3u);
+  EXPECT_EQ(bench.node.log(),
+            (std::vector<raft::LogEntry>{raft::LogEntry{1, 10},
+                                         raft::LogEntry{2, 99},
+                                         raft::LogEntry{3, 7}}));
+
+  // A term-4 leader's first entry conflicts with the last one held: only
+  // that entry is dropped before the new ones are appended.
+  bench.node.onMessage(
+      2, raft::AppendEntries(4, 2, 2, 2,
+                             {raft::LogEntry{4, 8}, raft::LogEntry{4, 9}}, 0));
+  reply = bench.ctx.lastTo<raft::AppendEntriesReply>(2);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_TRUE(reply->success);
+  EXPECT_EQ(reply->matchIndex, 4u);
+  EXPECT_EQ(bench.node.log(),
+            (std::vector<raft::LogEntry>{
+                raft::LogEntry{1, 10}, raft::LogEntry{2, 99},
+                raft::LogEntry{4, 8}, raft::LogEntry{4, 9}}));
 }
 
 TEST(RaftUnit, AppendEntriesIdempotentOnDuplicates) {
@@ -343,6 +392,39 @@ TEST(RaftUnit, SnapshotInstallAndStaleSnapshotIgnored) {
                                         4));
   EXPECT_EQ(node.lastLogIndex(), 4u);
   EXPECT_EQ(node.data().at(7), 700u);
+
+  // An append from below the snapshot boundary that overlaps it: indices
+  // 2-3 are covered, 4 is held, and only 5 is new.
+  ctx.clear();
+  node.onMessage(
+      3, raft::AppendEntries(1, 3, 1, 1,
+                             {raft::LogEntry{1, raft::packKv(2, 200)},
+                              raft::LogEntry{1, raft::packKv(1, 100)},
+                              raft::LogEntry{1, raft::packKv(7, 700)},
+                              raft::LogEntry{1, raft::packKv(8, 800)}},
+                             5));
+  const auto* overlap = ctx.lastTo<raft::AppendEntriesReply>(3);
+  ASSERT_NE(overlap, nullptr);
+  EXPECT_TRUE(overlap->success);
+  EXPECT_EQ(overlap->matchIndex, 5u);
+  EXPECT_EQ(node.snapshotIndex(), 3u);
+  EXPECT_EQ(node.log(),
+            (std::vector<raft::LogEntry>{
+                raft::LogEntry{1, raft::packKv(7, 700)},
+                raft::LogEntry{1, raft::packKv(8, 800)}}));
+  EXPECT_EQ(node.data().at(8), 800u);
+
+  // One that lies wholly inside the snapshot changes nothing.
+  node.onMessage(3, raft::AppendEntries(
+                        1, 3, 0, 0,
+                        {raft::LogEntry{1, raft::packKv(1, 100)},
+                         raft::LogEntry{1, raft::packKv(2, 200)}},
+                        5));
+  const auto* covered = ctx.lastTo<raft::AppendEntriesReply>(3);
+  ASSERT_NE(covered, nullptr);
+  EXPECT_TRUE(covered->success);
+  EXPECT_EQ(covered->matchIndex, 2u);
+  EXPECT_EQ(node.lastLogIndex(), 5u);
 }
 
 TEST(RaftUnit, CompactToRejectsUnappliedPrefix) {

@@ -214,6 +214,55 @@ TEST(Svc, RestartRunsMatchTheirPinnedDigests) {
   }
 }
 
+/// The repository benchmark's service shape: n=5, delays 1..6, window 4,
+/// batches of up to 4, a journal synced before each reply, and a closed
+/// loop of 100k zipfian clients (think 5..40 ticks) emitting 200 commands
+/// per node.
+SvcConfig benchmarkShape(const std::string& engine) {
+  SvcConfig config;
+  config.engine = engine;
+  config.n = 5;
+  config.seed = 4242;
+  config.minDelay = 1;
+  config.maxDelay = 6;
+  config.service.window = 4;
+  config.service.batchMax = 4;
+  config.service.durable = true;
+  config.service.syncBeforeReply = true;
+  config.workload.clients = 100000;
+  config.workload.commandsPerNode = 200;
+  config.workload.closedLoop = true;
+  config.workload.thinkMin = 5;
+  config.workload.thinkMax = 40;
+  return config;
+}
+
+// Long-log pins: one run per engine in the benchmark's shape, fixed by the
+// same digests as the restart pins. Raft's log reaches 1,000 entries, so
+// full 64-entry appends, followers re-sent entries they hold and commits
+// that jump several entries at once are all under the pin.
+TEST(Svc, LongLogRunsMatchTheirPinnedDigests) {
+  struct Pin {
+    const char* engine;
+    const char* schedule;
+    const char* latency;
+  };
+  const Pin pins[] = {
+      {"compose", "5f105c54ea4f0aea", "713b7a9682896845"},
+      {"paxos", "d4fa1ff00af3bb9a", "c794d47aceef083f"},
+      {"raft", "07f2fa19a0aa55d4", "203e288aea350539"},
+  };
+  for (const Pin& pin : pins) {
+    const SvcResult result = runSvc(benchmarkShape(pin.engine));
+    EXPECT_TRUE(result.allApplied) << pin.engine;
+    EXPECT_EQ(result.commandsCommitted, 1000u) << pin.engine;
+    EXPECT_EQ(obs::toHex(obs::fnv1a(scheduleOf(result))), pin.schedule)
+        << pin.engine << " schedule";
+    EXPECT_EQ(obs::toHex(obs::fnv1a(latenciesOf(result))), pin.latency)
+        << pin.engine << " latencies";
+  }
+}
+
 TEST(Svc, SerializeRoundTrip) {
   SvcConfig config = smokeConfig("compose");
   config.service.durable = true;
@@ -445,7 +494,8 @@ ClientFront everyTickFront(std::uint64_t commands) {
   options.closedLoop = false;
   options.arrivalsPerTick = 1.0;
   options.commandsPerNode = commands;
-  return ClientFront(options, /*node=*/0, /*n=*/1, /*seed=*/1);
+  return ClientFront(options, makeZipfCdf(options), /*node=*/0, /*n=*/1,
+                     /*seed=*/1);
 }
 
 // A latency sample is what a client saw, not replica state: a restart
@@ -469,6 +519,35 @@ TEST(ClientFront, ResetKeepsLatencySamples) {
   EXPECT_TRUE(front.commitTicks().empty());
   EXPECT_TRUE(front.batchSizes().empty());
   EXPECT_EQ(front.duplicatesSuppressed(), 0u);
+}
+
+// The in-flight count is what RaftLogNode::drained() reads after every
+// event: this incarnation's own commands, minted and not yet applied.
+TEST(ClientFront, InFlightCountsThisIncarnationsUnappliedCommands) {
+  FrontContext ctx;
+  ClientFront front = everyTickFront(4);
+  EXPECT_EQ(front.inFlight(), 0u);
+  ctx.now_ = 2;
+  const std::vector<Value> commands = front.takeArrivals(ctx);
+  ASSERT_EQ(commands.size(), 2u);
+  EXPECT_EQ(front.inFlight(), 2u) << "minting adds";
+  EXPECT_TRUE(front.apply(commands[0], 3));
+  EXPECT_EQ(front.inFlight(), 1u) << "an own first apply takes one off";
+  EXPECT_FALSE(front.apply(commands[0], 4));
+  EXPECT_EQ(front.inFlight(), 1u) << "a duplicate changes nothing";
+  EXPECT_TRUE(front.apply(makeCommand(1, 1), 4));
+  EXPECT_EQ(front.inFlight(), 1u) << "a foreign command changes nothing";
+
+  ctx.incarnation_ = 1;
+  front.reset();
+  EXPECT_EQ(front.inFlight(), 0u) << "reset zeroes it";
+  // The crashed incarnation's command, applied after the restart, was
+  // never in flight here.
+  EXPECT_TRUE(front.apply(commands[1], 5));
+  EXPECT_EQ(front.inFlight(), 0u);
+  ctx.now_ = 6;
+  EXPECT_EQ(front.takeArrivals(ctx).size(), 2u);
+  EXPECT_EQ(front.inFlight(), 2u);
 }
 
 // Arrivals due during a downtime are collected at the first firing after

@@ -4,8 +4,11 @@
 // decisions) merged into the schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "check/causal_run.hpp"
 #include "check/golden.hpp"
@@ -221,6 +224,53 @@ TEST(Timeline, RaftTransitionsAnnotateTheEventThatProducedThem) {
 
   // So every lane of the timeline reads in tick order.
   expectLanesInTickOrder(check::renderTimeline(file), "raft-faultmix-restart");
+}
+
+/// The indented lines of each lane (its entries and any elided marker),
+/// keyed by the lane's "pN:" label.
+std::map<std::string, std::vector<std::string>> lanesOf(
+    const std::string& timeline) {
+  std::map<std::string, std::vector<std::string>> lanes;
+  std::istringstream text(timeline);
+  std::string line;
+  std::string lane;
+  while (std::getline(text, line)) {
+    if (!line.empty() && line[0] == 'p' && line.back() == ':') {
+      lane = line;
+      lanes[lane];
+    } else if (!lane.empty() && line.rfind("  ", 0) == 0) {
+      lanes[lane].push_back(line);
+    }
+  }
+  return lanes;
+}
+
+// The delivery and timer filters apply before the cap: what they hide is
+// not counted as elided. With both filters on, this golden's only
+// elidable lines are its oracle queries, so a lane with at most one of
+// them loses nothing to a cap of one.
+TEST(Timeline, FilteredEntriesAreNotCountedAsElided) {
+  const check::CounterexampleFile file = check::loadCounterexampleFile(
+      OOC_GOLDEN_DIR "/fd-ct-omega-n5.golden");
+  check::TimelineOptions filtered;
+  filtered.showDeliveries = false;
+  filtered.showTimers = false;
+  check::TimelineOptions capped = filtered;
+  capped.maxEventsPerProcess = 1;
+  const auto uncapped = lanesOf(check::renderTimeline(file, filtered));
+  const auto lanes = lanesOf(check::renderTimeline(file, capped));
+  ASSERT_EQ(lanes.size(), 5u);
+  std::size_t checked = 0;
+  for (const auto& [lane, lines] : uncapped) {
+    const auto queries = std::count_if(
+        lines.begin(), lines.end(), [](const std::string& line) {
+          return line.find("\toracle? ") != std::string::npos;
+        });
+    if (queries > 1) continue;
+    ++checked;
+    EXPECT_EQ(lanes.at(lane), lines) << lane;
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 // Every committed golden replays bit-identically and reads in tick order in
