@@ -6,6 +6,10 @@
 // failure surface Raft's term and consistency-check machinery exists for.
 #pragma once
 
+#include <cstddef>
+#include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,31 +54,54 @@ struct RequestVoteReply final : MessageBase<RequestVoteReply> {
 /// AppendEntries[term, leaderId, prevLogIndex, prevLogTerm, entries,
 /// leaderCommit]. An empty `entries` is a heartbeat / pure commit-index
 /// advance — the paper's "second kind" of AppendEntries.
+///
+/// The entries are not copied into the message: it holds the sender's
+/// retained log and the `count` positions from `offset`. This is sound
+/// under the sender's copy-on-write rule (RaftProcess): while any message
+/// holds the vector, positions below its size never change. The sender may
+/// append to it, which can reallocate its buffer, so `entries()` builds the
+/// span on each access and no caller keeps one across events.
 struct AppendEntries final : MessageBase<AppendEntries> {
   AppendEntries(Term term, ProcessId leader, LogIndex prevLogIndex,
-                Term prevLogTerm, std::vector<LogEntry> entries,
-                LogIndex leaderCommit)
+                Term prevLogTerm,
+                std::shared_ptr<const std::vector<LogEntry>> source,
+                std::size_t offset, std::size_t count, LogIndex leaderCommit)
       : term(term),
         leader(leader),
         prevLogIndex(prevLogIndex),
         prevLogTerm(prevLogTerm),
-        entries(std::move(entries)),
-        leaderCommit(leaderCommit) {}
+        leaderCommit(leaderCommit),
+        source_(std::move(source)),
+        offset_(offset),
+        count_(count) {}
 
   Term term;
   ProcessId leader;
   LogIndex prevLogIndex;
   Term prevLogTerm;
-  std::vector<LogEntry> entries;
   LogIndex leaderCommit;
+
+  /// The shipped entries, for indices prevLogIndex+1 onwards. Throws
+  /// std::out_of_range if the source no longer covers them, which only a
+  /// sender breaking the copy-on-write rule can cause.
+  std::span<const LogEntry> entries() const {
+    if (count_ > source_->size() || offset_ > source_->size() - count_)
+      throw std::out_of_range("AppendEntries: source log shrank");
+    return std::span<const LogEntry>(*source_).subspan(offset_, count_);
+  }
 
   std::string describe() const override {
     return "AppendEntries{t=" + std::to_string(term) +
            ",l=" + std::to_string(leader) +
            ",prev=" + std::to_string(prevLogIndex) +
-           ",n=" + std::to_string(entries.size()) +
+           ",n=" + std::to_string(count_) +
            ",commit=" + std::to_string(leaderCommit) + "}";
   }
+
+ private:
+  std::shared_ptr<const std::vector<LogEntry>> source_;
+  std::size_t offset_;
+  std::size_t count_;
 };
 
 /// ack_AppendEntries[term, success] (+ matchIndex so the leader can update

@@ -50,7 +50,9 @@ void RaftProcess::onRestart() {
   // rebuilds the persistent fields from whatever survived the crash.
   currentTerm_ = 0;
   votedFor_.reset();
-  log_.clear();
+  // A fresh vector: messages sent before the crash may still ship from the
+  // old one.
+  log_ = std::make_shared<std::vector<LogEntry>>();
   snapshotIndex_ = 0;
   snapshotTerm_ = 0;
   role_ = Role::kFollower;
@@ -81,28 +83,30 @@ void RaftProcess::onRestart() {
           break;
         case kRecEntry:
           if (rec.size() == 3)
-            log_.push_back(LogEntry{rec[1], decodeValue(rec[2])});
+            log_->push_back(LogEntry{rec[1], decodeValue(rec[2])});
           break;
         case kRecTruncate:
           if (rec.size() == 2 && rec[1] >= snapshotIndex_ &&
-              rec[1] - snapshotIndex_ <= log_.size()) {
-            log_.resize(rec[1] - snapshotIndex_);
+              rec[1] - snapshotIndex_ <= log_->size()) {
+            keepLogRange(0, rec[1] - snapshotIndex_);
           }
           break;
         case kRecSnapshot: {
-          if (rec.size() < 4) break;
-          snapshotIndex_ = rec[1];
-          snapshotTerm_ = rec[2];
+          // The counts come from the record, so each is checked against
+          // what is left of it by subtraction: a sum could wrap.
+          if (rec.size() < 5) break;
           const std::uint64_t logLen = rec[3];
-          if (rec.size() < 4 + 2 * logLen + 1) break;
-          log_.clear();
-          for (std::uint64_t i = 0; i < logLen; ++i) {
-            log_.push_back(LogEntry{rec[4 + 2 * i],
-                                    decodeValue(rec[4 + 2 * i + 1])});
-          }
+          if (logLen > (rec.size() - 5) / 2) break;
           const std::size_t stateAt = 4 + 2 * logLen;
           const std::uint64_t stateLen = rec[stateAt];
-          if (rec.size() < stateAt + 1 + stateLen) break;
+          if (stateLen > rec.size() - stateAt - 1) break;
+          snapshotIndex_ = rec[1];
+          snapshotTerm_ = rec[2];
+          keepLogRange(0, 0);
+          for (std::uint64_t i = 0; i < logLen; ++i) {
+            log_->push_back(LogEntry{rec[4 + 2 * i],
+                                     decodeValue(rec[4 + 2 * i + 1])});
+          }
           std::vector<Value> state;
           for (std::uint64_t i = 0; i < stateLen; ++i)
             state.push_back(decodeValue(rec[stateAt + 1 + i]));
@@ -119,7 +123,7 @@ void RaftProcess::onRestart() {
     lastApplied_ = snapshotIndex_;
   }
   OOC_DEBUG("raft p", ctx().self(), " recovered: t=", currentTerm_,
-            " log=", log_.size(), " snap=", snapshotIndex_);
+            " log=", log_->size(), " snap=", snapshotIndex_);
   resetElectionTimer();
 }
 
@@ -147,8 +151,8 @@ void RaftProcess::persistTruncate() {
 void RaftProcess::persistSnapshot() {
   if (!wal_) return;
   std::vector<std::uint64_t> rec{kRecSnapshot, snapshotIndex_, snapshotTerm_,
-                                 log_.size()};
-  for (const LogEntry& entry : log_) {
+                                 log_->size()};
+  for (const LogEntry& entry : *log_) {
     rec.push_back(entry.term);
     rec.push_back(encodeValue(entry.command));
   }
@@ -254,8 +258,8 @@ void RaftProcess::becomeLeader() {
     // the commit rule has a current-term entry to fire on (see
     // leaderBarrier()).
     if (const std::optional<Value> barrier = leaderBarrier()) {
-      log_.push_back(LogEntry{currentTerm_, *barrier});
-      persistEntry(log_.back());
+      log_->push_back(LogEntry{currentTerm_, *barrier});
+      persistEntry(log_->back());
       matchIndex_[ctx().self()] = lastLogIndex();
     }
   }
@@ -270,8 +274,8 @@ void RaftProcess::becomeLeader() {
 
 bool RaftProcess::submit(Value command) {
   if (role_ != Role::kLeader) return false;
-  log_.push_back(LogEntry{currentTerm_, command});
-  persistEntry(log_.back());
+  log_->push_back(LogEntry{currentTerm_, command});
+  persistEntry(log_->back());
   matchIndex_[ctx().self()] = lastLogIndex();
   advanceCommitIndex();  // single-node clusters commit immediately
   broadcastAppends();
@@ -294,14 +298,11 @@ void RaftProcess::sendAppendTo(ProcessId peer) {
   const Term prevTerm = prevIndex == 0 ? 0 : termAt(prevIndex);
   const LogIndex last = std::min<LogIndex>(
       lastLogIndex(), prevIndex + config_.maxEntriesPerAppend);
-  // Entries next..last in one copy; next > snapshotIndex_ here.
-  const auto first = log_.begin() + static_cast<std::ptrdiff_t>(
-                                        prevIndex - snapshotIndex_);
-  std::vector<LogEntry> entries(
-      first, first + static_cast<std::ptrdiff_t>(last - prevIndex));
+  // Entries next..last, by reference to the log; next > snapshotIndex_ here.
   ctx().post(peer, makeMessage<AppendEntries>(
-                       currentTerm_, ctx().self(), prevIndex, prevTerm,
-                       std::move(entries), commitIndex_));
+                       currentTerm_, ctx().self(), prevIndex, prevTerm, log_,
+                       prevIndex - snapshotIndex_, last - prevIndex,
+                       commitIndex_));
 }
 
 void RaftProcess::broadcastAppends() {
@@ -318,7 +319,8 @@ void RaftProcess::advanceCommitIndex() {
   // (n/2+1)-th largest matchIndex is the highest index a majority holds;
   // log terms never decrease, so if its term is not current no lower
   // index's is either.
-  std::vector<LogIndex> match = matchIndex_;
+  std::vector<LogIndex>& match = matchScratch_;
+  match.assign(matchIndex_.begin(), matchIndex_.end());
   const auto quorum = match.begin() + static_cast<std::ptrdiff_t>(
                                           match.size() / 2);
   std::nth_element(match.begin(), quorum, match.end(), std::greater<>());
@@ -349,13 +351,25 @@ void RaftProcess::maybeAutoCompact() {
     compactTo(lastApplied_);
 }
 
+void RaftProcess::keepLogRange(std::size_t from, std::size_t to) {
+  std::vector<LogEntry>& log = *log_;
+  if (log_.use_count() > 1) {
+    // A message still ships from this vector: leave it as it is.
+    log_ = std::make_shared<std::vector<LogEntry>>(
+        log.begin() + static_cast<std::ptrdiff_t>(from),
+        log.begin() + static_cast<std::ptrdiff_t>(to));
+    return;
+  }
+  log.erase(log.begin() + static_cast<std::ptrdiff_t>(to), log.end());
+  log.erase(log.begin(), log.begin() + static_cast<std::ptrdiff_t>(from));
+}
+
 void RaftProcess::compactTo(LogIndex upto) {
   if (upto <= snapshotIndex_) return;  // already covered
   if (upto > lastApplied_)
     throw std::logic_error("cannot compact beyond the applied prefix");
   const Term boundaryTerm = termAt(upto);
-  log_.erase(log_.begin(),
-             log_.begin() + static_cast<std::ptrdiff_t>(upto - snapshotIndex_));
+  keepLogRange(upto - snapshotIndex_, log_->size());
   snapshotIndex_ = upto;
   snapshotTerm_ = boundaryTerm;
   ++snapshotsTaken_;
@@ -447,7 +461,7 @@ void RaftProcess::handleAppendEntries(ProcessId from,
   // then the run whose terms match (by Log Matching, equal terms at an index
   // mean equal entries). From the first entry that differs, drop any
   // conflicting suffix and append the rest.
-  const std::vector<LogEntry>& entries = msg.entries;
+  const std::span<const LogEntry> entries = msg.entries();
   const LogIndex last = msg.prevLogIndex + entries.size();
   const LogIndex base = std::max(msg.prevLogIndex, snapshotIndex_);
   // Indices (lo, hi] are in the message and in the retained log.
@@ -457,7 +471,7 @@ void RaftProcess::handleAppendEntries(ProcessId from,
       entries.begin() + static_cast<std::ptrdiff_t>(lo - msg.prevLogIndex);
   const auto next =
       std::mismatch(first, first + static_cast<std::ptrdiff_t>(hi - lo),
-                    log_.begin() +
+                    log_->begin() +
                         static_cast<std::ptrdiff_t>(base - snapshotIndex_),
                     [](const LogEntry& a, const LogEntry& b) {
                       return a.term == b.term;
@@ -468,11 +482,11 @@ void RaftProcess::handleAppendEntries(ProcessId from,
         msg.prevLogIndex + static_cast<LogIndex>(next - entries.begin());
     if (kept < lastLogIndex()) {
       // Conflict: drop it and everything after.
-      log_.resize(kept - snapshotIndex_);
+      keepLogRange(0, kept - snapshotIndex_);
       persistTruncate();
     }
     for (auto it = next; it != entries.end(); ++it) persistEntry(*it);
-    log_.insert(log_.end(), next, entries.end());
+    log_->insert(log_->end(), next, entries.end());
     onEntriesAccepted();
   }
 
@@ -533,11 +547,9 @@ void RaftProcess::handleInstallSnapshot(ProcessId from,
   if (msg.lastIncludedIndex < lastLogIndex() &&
       msg.lastIncludedIndex > snapshotIndex_ &&
       entryAt(msg.lastIncludedIndex).term == msg.lastIncludedTerm) {
-    log_.erase(log_.begin(),
-               log_.begin() + static_cast<std::ptrdiff_t>(
-                                  msg.lastIncludedIndex - snapshotIndex_));
+    keepLogRange(msg.lastIncludedIndex - snapshotIndex_, log_->size());
   } else {
-    log_.clear();
+    keepLogRange(0, 0);
   }
   restoreSnapshot(msg.state);
   snapshotIndex_ = msg.lastIncludedIndex;

@@ -43,10 +43,10 @@ class RaftProcess : public Process {
   LogIndex commitIndex() const noexcept { return commitIndex_; }
   LogIndex lastApplied() const noexcept { return lastApplied_; }
   LogIndex lastLogIndex() const noexcept {
-    return snapshotIndex_ + log_.size();
+    return snapshotIndex_ + log_->size();
   }
   /// Retained suffix: entries with indices (snapshotIndex, lastLogIndex].
-  const std::vector<LogEntry>& log() const noexcept { return log_; }
+  const std::vector<LogEntry>& log() const noexcept { return *log_; }
   /// Highest index covered by the local snapshot (0 = none).
   LogIndex snapshotIndex() const noexcept { return snapshotIndex_; }
   std::uint64_t snapshotsInstalled() const noexcept {
@@ -139,15 +139,18 @@ class RaftProcess : public Process {
 
  private:
   Term lastLogTerm() const noexcept {
-    return log_.empty() ? snapshotTerm_ : log_.back().term;
+    return log_->empty() ? snapshotTerm_ : log_->back().term;
   }
   /// Term of `index`, which may be the snapshot boundary.
   Term termAt(LogIndex index) const {
     return index == snapshotIndex_ ? snapshotTerm_ : entryAt(index).term;
   }
   const LogEntry& entryAt(LogIndex index) const {
-    return log_[index - snapshotIndex_ - 1];
+    return (*log_)[index - snapshotIndex_ - 1];
   }
+  /// Keeps positions [from, to) of the retained log and drops the rest: in
+  /// place if no message holds the log, else as a fresh vector.
+  void keepLogRange(std::size_t from, std::size_t to);
 
   void becomeFollower(Term term);
   void becomeCandidate();
@@ -186,7 +189,12 @@ class RaftProcess : public Process {
   // recovers (which may be a stale prefix under crash-before-sync).
   Term currentTerm_ = 0;
   std::optional<ProcessId> votedFor_;
-  std::vector<LogEntry> log_;
+  // The retained log, shared with every AppendEntries that ships from it
+  // (copy-on-write): while a message holds it, positions below its size
+  // never change. Appends may run while it is shared; every other mutation
+  // goes through keepLogRange, which copies first if it is shared.
+  std::shared_ptr<std::vector<LogEntry>> log_ =
+      std::make_shared<std::vector<LogEntry>>();
   LogIndex snapshotIndex_ = 0;
   Term snapshotTerm_ = 0;
   std::uint64_t snapshotsTaken_ = 0;
@@ -203,6 +211,8 @@ class RaftProcess : public Process {
   // Leader state (reinitialized on every election win).
   std::vector<LogIndex> nextIndex_;
   std::vector<LogIndex> matchIndex_;
+  // advanceCommitIndex's selection buffer, kept to avoid a copy per reply.
+  std::vector<LogIndex> matchScratch_;
 
   TimerId electionTimer_ = 0;
   TimerId heartbeatTimer_ = 0;

@@ -17,11 +17,11 @@ std::array<std::uint32_t, 256> makeCrcTable() noexcept {
   return table;
 }
 
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+void putU32(std::uint8_t* p, std::uint32_t v) noexcept {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint32_t getU32(const std::uint8_t* p) noexcept {
@@ -52,39 +52,40 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
 WriteAheadLog::WriteAheadLog(FaultConfig faults) noexcept : faults_(faults) {}
 
 void WriteAheadLog::append(const std::vector<std::uint64_t>& words) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(words.size() * 8);
-  for (std::uint64_t w : words) {
-    putU32(payload, static_cast<std::uint32_t>(w));
-    putU32(payload, static_cast<std::uint32_t>(w >> 32));
+  // The frame is written where it will sit: header, then payload, with the
+  // CRC taken over the payload bytes in place.
+  const std::size_t length = words.size() * 8;
+  const std::size_t at = image_.size();
+  image_.resize(at + kHeaderBytes + length);
+  std::uint8_t* const frame = image_.data() + at;
+  std::uint8_t* const payload = frame + kHeaderBytes;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    putU32(payload + i * 8, static_cast<std::uint32_t>(words[i]));
+    putU32(payload + i * 8 + 4, static_cast<std::uint32_t>(words[i] >> 32));
   }
-  putU32(pending_, static_cast<std::uint32_t>(payload.size()));
-  putU32(pending_, crc32(payload.data(), payload.size()));
-  pending_.insert(pending_.end(), payload.begin(), payload.end());
+  putU32(frame, static_cast<std::uint32_t>(length));
+  putU32(frame + 4, crc32(payload, length));
   ++appends_;
 }
 
 void WriteAheadLog::sync() {
-  durable_.insert(durable_.end(), pending_.begin(), pending_.end());
-  pending_.clear();
+  durableEnd_ = image_.size();
   ++syncs_;
 }
 
 void WriteAheadLog::crash(Rng& rng) {
   ++crashes_;
-  if (!pending_.empty() && rng.chance(faults_.tornTailProbability)) {
+  const std::size_t pending = image_.size() - durableEnd_;
+  if (pending != 0 && rng.chance(faults_.tornTailProbability)) {
     // A strict prefix of the unsynced tail reached the platter. It may
     // contain whole records (written but not fsynced — allowed to survive;
     // sync() only promises a lower bound) followed by a torn one.
-    const std::size_t keep =
-        static_cast<std::size_t>(rng.below(pending_.size()));
-    durable_.insert(durable_.end(), pending_.begin(),
-                    pending_.begin() + static_cast<std::ptrdiff_t>(keep));
+    durableEnd_ += static_cast<std::size_t>(rng.below(pending));
   }
-  pending_.clear();
-  if (!durable_.empty() && rng.chance(faults_.corruptProbability)) {
-    const std::size_t at = static_cast<std::size_t>(rng.below(durable_.size()));
-    durable_[at] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+  image_.resize(durableEnd_);
+  if (durableEnd_ != 0 && rng.chance(faults_.corruptProbability)) {
+    const std::size_t at = static_cast<std::size_t>(rng.below(durableEnd_));
+    image_[at] ^= static_cast<std::uint8_t>(1u << rng.below(8));
   }
 }
 
@@ -93,18 +94,18 @@ std::vector<std::vector<std::uint64_t>> WriteAheadLog::recover(
   RecoveryReport local;
   std::vector<std::vector<std::uint64_t>> records;
   std::size_t offset = 0;
-  while (offset < durable_.size()) {
-    if (durable_.size() - offset < kHeaderBytes) {
+  while (offset < durableEnd_) {
+    if (durableEnd_ - offset < kHeaderBytes) {
       local.tornTail = true;  // header itself is partial
       break;
     }
-    const std::uint32_t length = getU32(durable_.data() + offset);
-    const std::uint32_t crc = getU32(durable_.data() + offset + 4);
-    if (durable_.size() - offset - kHeaderBytes < length) {
+    const std::uint32_t length = getU32(image_.data() + offset);
+    const std::uint32_t crc = getU32(image_.data() + offset + 4);
+    if (durableEnd_ - offset - kHeaderBytes < length) {
       local.tornTail = true;  // payload cut short by the crash
       break;
     }
-    const std::uint8_t* payload = durable_.data() + offset + kHeaderBytes;
+    const std::uint8_t* payload = image_.data() + offset + kHeaderBytes;
     if (crc32(payload, length) != crc || length % 8 != 0) {
       // A full-size record that fails its checksum is corruption, not a
       // torn write. We cannot trust anything past it (lengths downstream
@@ -120,9 +121,9 @@ std::vector<std::vector<std::uint64_t>> WriteAheadLog::recover(
     offset += kHeaderBytes + length;
   }
   local.recordsRecovered = records.size();
-  local.bytesDiscarded = (durable_.size() - offset) + pending_.size();
-  durable_.resize(offset);
-  pending_.clear();
+  local.bytesDiscarded = image_.size() - offset;
+  image_.resize(offset);
+  durableEnd_ = offset;
   if (report != nullptr) {
     *report = local;
   }

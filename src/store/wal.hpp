@@ -6,8 +6,10 @@
 //   [ durable bytes | pending bytes ]
 //                   ^-- sync() moves this boundary to the right
 //
-// append() buffers a record at the pending tail; sync() is the fsync
-// analogue that makes everything appended so far durable. crash() simulates
+// The two regions are one buffer and the index of the boundary between
+// them. append() encodes a record in place at the pending tail; sync() is
+// the fsync analogue that makes everything appended so far durable by
+// moving the boundary to the end, copying nothing. crash() simulates
 // power loss: pending bytes vanish — except, under fault injection, a torn
 // prefix of them may reach the platter (a partially written tail record),
 // and a byte of the durable region may flip (silent corruption, caught by
@@ -79,14 +81,16 @@ class WriteAheadLog {
   std::uint64_t appends() const noexcept { return appends_; }
   std::uint64_t syncs() const noexcept { return syncs_; }
   std::uint64_t crashes() const noexcept { return crashes_; }
-  std::size_t durableBytes() const noexcept { return durable_.size(); }
-  std::size_t pendingBytes() const noexcept { return pending_.size(); }
+  std::size_t durableBytes() const noexcept { return durableEnd_; }
+  std::size_t pendingBytes() const noexcept {
+    return image_.size() - durableEnd_;
+  }
   const FaultConfig& faults() const noexcept { return faults_; }
 
  private:
   FaultConfig faults_;
-  std::vector<std::uint8_t> durable_;  // survives crash()
-  std::vector<std::uint8_t> pending_;  // appended but not yet synced
+  std::vector<std::uint8_t> image_;  // the device: durable, then pending
+  std::size_t durableEnd_ = 0;       // bytes [0, durableEnd_) survive crash()
   std::uint64_t appends_ = 0;
   std::uint64_t syncs_ = 0;
   std::uint64_t crashes_ = 0;

@@ -144,8 +144,10 @@ void SvcNode::recoverFromJournal() {
       case kRecBatch: {
         if (record.size() < 3) break;
         const Value id = dec(record[1]);
+        // A count read from the record is checked by subtraction, since
+        // a sum could wrap (here and in kRecCommit).
         const std::size_t n = static_cast<std::size_t>(record[2]);
-        if (record.size() < 3 + n) break;
+        if (n > record.size() - 3) break;
         std::vector<Value> cmds;
         cmds.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -173,7 +175,7 @@ void SvcNode::recoverFromJournal() {
         const std::uint64_t decree = record[1];
         const Value batch = dec(record[2]);
         const std::size_t n = static_cast<std::size_t>(record[3]);
-        if (record.size() < 4 + n || decree != decreeLog_.size()) break;
+        if (n > record.size() - 4 || decree != decreeLog_.size()) break;
         decreeLog_.push_back(batch);
         openProposals_.erase(decree);
         if (batch == kNoopBatch) {

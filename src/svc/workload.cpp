@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,6 +12,13 @@ namespace ooc::svc {
 std::shared_ptr<const ZipfCdf> makeZipfCdf(const WorkloadOptions& options) {
   if (options.keySpace == 0)
     throw std::invalid_argument("workload: keySpace must be positive");
+  static std::mutex mutex;
+  static std::shared_ptr<const ZipfCdf> last;  // guarded by mutex
+  static double lastTheta = 0.0;               // guarded by mutex
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (last && last->size() == options.keySpace &&
+      lastTheta == options.zipfTheta)
+    return last;
   // Draws binary-search the CDF with a uniform double.
   auto cdf = std::make_shared<ZipfCdf>(options.keySpace);
   double sum = 0.0;
@@ -19,6 +27,8 @@ std::shared_ptr<const ZipfCdf> makeZipfCdf(const WorkloadOptions& options) {
     (*cdf)[k] = sum;
   }
   for (double& c : *cdf) c /= sum;
+  last = cdf;
+  lastTheta = options.zipfTheta;
   return cdf;
 }
 

@@ -91,8 +91,11 @@ struct WorkloadOptions {
 };
 
 /// The zipf key-popularity CDF over [0, keySpace): cdf[k] = sum_{i<=k}
-/// 1/(i+1)^theta, normalized. Only (keySpace, zipfTheta) shape it, so a run
-/// builds one and every node's Workload draws from it.
+/// 1/(i+1)^theta, normalized. Only (keySpace, zipfTheta) shape it, so every
+/// node's Workload draws from one table. makeZipfCdf keeps the last table
+/// it built (process-wide, under a mutex) and returns it again while
+/// (keySpace, zipfTheta) match, so runs of one shape share it too and at
+/// most one table stays alive beyond the runs holding it.
 using ZipfCdf = std::vector<double>;
 std::shared_ptr<const ZipfCdf> makeZipfCdf(const WorkloadOptions& options);
 

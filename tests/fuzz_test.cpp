@@ -1,8 +1,8 @@
 // Randomized robustness suite: determinism fuzzing, hostile-junk injection,
 // hostile bytes in the key=value scenario and counterexample files (the
-// only text the readers accept), chaotic fault schedules, and deep Raft
-// log-divergence repair. Everything is seed-driven — failures reproduce
-// exactly.
+// only text the readers accept), hostile journal images, chaotic fault
+// schedules, and deep Raft log-divergence repair. Everything is
+// seed-driven — failures reproduce exactly.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -25,6 +25,7 @@
 #include "harness/scenarios.hpp"
 #include "raft/kv_store.hpp"
 #include "sim/simulator.hpp"
+#include "store/wal.hpp"
 
 namespace ooc {
 namespace {
@@ -398,6 +399,49 @@ TEST(Fuzz, NestedObjectsUnderChaos) {
                                              processes.end());
     for (const auto& audit : auditAllRounds(all))
       EXPECT_TRUE(audit.ok()) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile journal images: random records (empty ones included), some of
+// them synced, then crash after crash with a torn tail and a bit flip each
+// time, so the flips land in length, CRC and payload bytes alike. Recovery
+// must return, in order, a prefix of what was appended, discard exactly
+// the bytes the image loses, and leave an image a second recovery keeps
+// whole.
+
+TEST(Fuzz, HostileJournalImagesRecoverAPrefix) {
+  constexpr int kTrials = 400;
+  store::FaultConfig faults;
+  faults.tornTailProbability = 1.0;
+  faults.corruptProbability = 1.0;
+  Rng rng(0x3A1C0DE);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::string tag = "trial " + std::to_string(trial);
+    store::WriteAheadLog wal(faults);
+    std::vector<std::vector<std::uint64_t>> appended(1 + rng.below(24));
+    for (std::vector<std::uint64_t>& record : appended) {
+      record.resize(rng.below(6));
+      for (std::uint64_t& word : record) word = rng.next();
+      wal.append(record);
+      if (rng.chance(0.3)) wal.sync();
+    }
+    const std::uint64_t crashes = 1 + rng.below(12);
+    for (std::uint64_t i = 0; i < crashes; ++i) wal.crash(rng);
+
+    const std::size_t image = wal.durableBytes() + wal.pendingBytes();
+    store::RecoveryReport report;
+    const auto recovered = wal.recover(&report);
+    ASSERT_LE(recovered.size(), appended.size()) << tag;
+    for (std::size_t i = 0; i < recovered.size(); ++i)
+      EXPECT_EQ(recovered[i], appended[i]) << tag << " record " << i;
+    EXPECT_EQ(report.recordsRecovered, recovered.size()) << tag;
+    EXPECT_EQ(report.bytesDiscarded, image - wal.durableBytes()) << tag;
+    EXPECT_EQ(wal.pendingBytes(), 0u) << tag;
+
+    store::RecoveryReport again;
+    EXPECT_EQ(wal.recover(&again), recovered) << tag;
+    EXPECT_EQ(again.bytesDiscarded, 0u) << tag;
   }
 }
 

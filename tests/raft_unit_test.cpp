@@ -10,6 +10,7 @@
 #include "raft/messages.hpp"
 #include "raft/raft_process.hpp"
 #include "sim/process.hpp"
+#include "store/wal.hpp"
 
 namespace ooc {
 namespace {
@@ -71,6 +72,20 @@ class ManualContext final : public Context {
   ProcessId self_;
   Rng rng_{7};
 };
+
+/// An AppendEntries shipping `entries`. The message reads a sender's log
+/// by reference, so a test hands it a vector holding just those entries.
+raft::AppendEntries appendEntries(raft::Term term, ProcessId leader,
+                                  raft::LogIndex prevLogIndex,
+                                  raft::Term prevLogTerm,
+                                  std::vector<raft::LogEntry> entries,
+                                  raft::LogIndex leaderCommit) {
+  const std::size_t count = entries.size();
+  return raft::AppendEntries(
+      term, leader, prevLogIndex, prevLogTerm,
+      std::make_shared<const std::vector<raft::LogEntry>>(std::move(entries)),
+      0, count, leaderCommit);
+}
 
 /// A 5-node view of one node under test (id 0 unless stated otherwise).
 struct Bench {
@@ -153,7 +168,7 @@ TEST(RaftUnit, DeniesVoteToStaleLog) {
   // empty log asks for a vote: election restriction must deny.
   Bench bench;
   bench.node.onMessage(
-      3, raft::AppendEntries(1, 3, 0, 0, {raft::LogEntry{1, 42}}, 0));
+      3, appendEntries(1, 3, 0, 0, {raft::LogEntry{1, 42}}, 0));
   ASSERT_EQ(bench.node.lastLogIndex(), 1u);
   bench.ctx.clear();
 
@@ -228,7 +243,7 @@ TEST(RaftUnit, LeaderStepsDownOnHigherTerm) {
 TEST(RaftUnit, AppendEntriesRejectsStaleTerm) {
   Bench bench;
   bench.timeout();  // term 1
-  bench.node.onMessage(3, raft::AppendEntries(0, 3, 0, 0, {}, 0));
+  bench.node.onMessage(3, appendEntries(0, 3, 0, 0, {}, 0));
   const auto* reply = bench.ctx.lastTo<raft::AppendEntriesReply>(3);
   ASSERT_NE(reply, nullptr);
   EXPECT_FALSE(reply->success);
@@ -238,8 +253,8 @@ TEST(RaftUnit, AppendEntriesRejectsStaleTerm) {
 TEST(RaftUnit, AppendEntriesRejectsMissingPrefix) {
   Bench bench;
   bench.node.onMessage(
-      3, raft::AppendEntries(1, 3, /*prevLogIndex=*/4, /*prevLogTerm=*/1,
-                             {raft::LogEntry{1, 9}}, 0));
+      3, appendEntries(1, 3, /*prevLogIndex=*/4, /*prevLogTerm=*/1,
+                       {raft::LogEntry{1, 9}}, 0));
   const auto* reply = bench.ctx.lastTo<raft::AppendEntriesReply>(3);
   ASSERT_NE(reply, nullptr);
   EXPECT_FALSE(reply->success);
@@ -250,32 +265,32 @@ TEST(RaftUnit, AppendEntriesTruncatesConflictingSuffix) {
   Bench bench;
   // Three entries of term 1.
   bench.node.onMessage(
-      3, raft::AppendEntries(1, 3, 0, 0,
-                             {raft::LogEntry{1, 10}, raft::LogEntry{1, 11},
-                              raft::LogEntry{1, 12}},
-                             0));
+      3, appendEntries(1, 3, 0, 0,
+                       {raft::LogEntry{1, 10}, raft::LogEntry{1, 11},
+                        raft::LogEntry{1, 12}},
+                       0));
   ASSERT_EQ(bench.node.lastLogIndex(), 3u);
   // New leader (term 2) overwrites from index 2.
   bench.node.onMessage(
-      4, raft::AppendEntries(2, 4, 1, 1, {raft::LogEntry{2, 99}}, 0));
+      4, appendEntries(2, 4, 1, 1, {raft::LogEntry{2, 99}}, 0));
   ASSERT_EQ(bench.node.lastLogIndex(), 2u) << "conflict suffix kept";
   EXPECT_EQ(bench.node.log()[1], (raft::LogEntry{2, 99}));
   EXPECT_EQ(bench.node.log()[0], (raft::LogEntry{1, 10}));
 
   // The term-2 leader grows the log to five entries.
   bench.node.onMessage(
-      4, raft::AppendEntries(2, 4, 2, 2,
-                             {raft::LogEntry{2, 100}, raft::LogEntry{2, 101},
-                              raft::LogEntry{2, 102}},
-                             0));
+      4, appendEntries(2, 4, 2, 2,
+                       {raft::LogEntry{2, 100}, raft::LogEntry{2, 101},
+                        raft::LogEntry{2, 102}},
+                       0));
   ASSERT_EQ(bench.node.lastLogIndex(), 5u);
   // A term-3 leader resends from the start: the first two entries are
   // held, the third conflicts, so the log truncates mid-message.
   bench.node.onMessage(
-      1, raft::AppendEntries(3, 1, 0, 0,
-                             {raft::LogEntry{1, 10}, raft::LogEntry{2, 99},
-                              raft::LogEntry{3, 7}},
-                             0));
+      1, appendEntries(3, 1, 0, 0,
+                       {raft::LogEntry{1, 10}, raft::LogEntry{2, 99},
+                        raft::LogEntry{3, 7}},
+                       0));
   const auto* reply = bench.ctx.lastTo<raft::AppendEntriesReply>(1);
   ASSERT_NE(reply, nullptr);
   EXPECT_TRUE(reply->success);
@@ -288,8 +303,8 @@ TEST(RaftUnit, AppendEntriesTruncatesConflictingSuffix) {
   // A term-4 leader's first entry conflicts with the last one held: only
   // that entry is dropped before the new ones are appended.
   bench.node.onMessage(
-      2, raft::AppendEntries(4, 2, 2, 2,
-                             {raft::LogEntry{4, 8}, raft::LogEntry{4, 9}}, 0));
+      2, appendEntries(4, 2, 2, 2,
+                       {raft::LogEntry{4, 8}, raft::LogEntry{4, 9}}, 0));
   reply = bench.ctx.lastTo<raft::AppendEntriesReply>(2);
   ASSERT_NE(reply, nullptr);
   EXPECT_TRUE(reply->success);
@@ -302,7 +317,8 @@ TEST(RaftUnit, AppendEntriesTruncatesConflictingSuffix) {
 
 TEST(RaftUnit, AppendEntriesIdempotentOnDuplicates) {
   Bench bench;
-  const raft::AppendEntries msg(1, 3, 0, 0, {raft::LogEntry{1, 10}}, 0);
+  const raft::AppendEntries msg =
+      appendEntries(1, 3, 0, 0, {raft::LogEntry{1, 10}}, 0);
   bench.node.onMessage(3, msg);
   const raft::AppendEntries duplicate(msg);
   bench.node.onMessage(3, duplicate);
@@ -312,9 +328,9 @@ TEST(RaftUnit, AppendEntriesIdempotentOnDuplicates) {
 TEST(RaftUnit, CommitFollowsLeaderCommitBound) {
   Bench bench;
   bench.node.onMessage(
-      3, raft::AppendEntries(1, 3, 0, 0,
-                             {raft::LogEntry{1, 10}, raft::LogEntry{1, 11}},
-                             /*leaderCommit=*/5));
+      3, appendEntries(1, 3, 0, 0,
+                       {raft::LogEntry{1, 10}, raft::LogEntry{1, 11}},
+                       /*leaderCommit=*/5));
   // leaderCommit beyond our log is clamped to lastLogIndex.
   EXPECT_EQ(bench.node.commitIndex(), 2u);
 }
@@ -326,7 +342,7 @@ TEST(RaftUnit, LeaderNeverCommitsOldTermEntriesDirectly) {
   Bench bench;
   // Follower receives one term-1 entry.
   bench.node.onMessage(
-      3, raft::AppendEntries(1, 3, 0, 0, {raft::LogEntry{1, 10}}, 0));
+      3, appendEntries(1, 3, 0, 0, {raft::LogEntry{1, 10}}, 0));
   // It then wins an election at term 2.
   bench.timeout();
   const raft::Term term = bench.node.currentTerm();
@@ -360,7 +376,7 @@ TEST(RaftUnit, BacktracksNextIndexOnRejection) {
   const auto* retry = bench.ctx.lastTo<raft::AppendEntries>(1);
   ASSERT_NE(retry, nullptr);
   EXPECT_LT(retry->prevLogIndex, 2u);
-  EXPECT_FALSE(retry->entries.empty());
+  EXPECT_FALSE(retry->entries().empty());
 }
 
 TEST(RaftUnit, SnapshotInstallAndStaleSnapshotIgnored) {
@@ -387,9 +403,9 @@ TEST(RaftUnit, SnapshotInstallAndStaleSnapshotIgnored) {
   EXPECT_EQ(node.data().at(1), 100u);
 
   // Appends continue from the snapshot boundary.
-  node.onMessage(3, raft::AppendEntries(1, 3, 3, 1,
-                                        {raft::LogEntry{1, raft::packKv(7, 700)}},
-                                        4));
+  node.onMessage(3, appendEntries(1, 3, 3, 1,
+                                  {raft::LogEntry{1, raft::packKv(7, 700)}},
+                                  4));
   EXPECT_EQ(node.lastLogIndex(), 4u);
   EXPECT_EQ(node.data().at(7), 700u);
 
@@ -397,12 +413,12 @@ TEST(RaftUnit, SnapshotInstallAndStaleSnapshotIgnored) {
   // 2-3 are covered, 4 is held, and only 5 is new.
   ctx.clear();
   node.onMessage(
-      3, raft::AppendEntries(1, 3, 1, 1,
-                             {raft::LogEntry{1, raft::packKv(2, 200)},
-                              raft::LogEntry{1, raft::packKv(1, 100)},
-                              raft::LogEntry{1, raft::packKv(7, 700)},
-                              raft::LogEntry{1, raft::packKv(8, 800)}},
-                             5));
+      3, appendEntries(1, 3, 1, 1,
+                       {raft::LogEntry{1, raft::packKv(2, 200)},
+                        raft::LogEntry{1, raft::packKv(1, 100)},
+                        raft::LogEntry{1, raft::packKv(7, 700)},
+                        raft::LogEntry{1, raft::packKv(8, 800)}},
+                       5));
   const auto* overlap = ctx.lastTo<raft::AppendEntriesReply>(3);
   ASSERT_NE(overlap, nullptr);
   EXPECT_TRUE(overlap->success);
@@ -415,7 +431,7 @@ TEST(RaftUnit, SnapshotInstallAndStaleSnapshotIgnored) {
   EXPECT_EQ(node.data().at(8), 800u);
 
   // One that lies wholly inside the snapshot changes nothing.
-  node.onMessage(3, raft::AppendEntries(
+  node.onMessage(3, appendEntries(
                         1, 3, 0, 0,
                         {raft::LogEntry{1, raft::packKv(1, 100)},
                          raft::LogEntry{1, raft::packKv(2, 200)}},
@@ -438,10 +454,161 @@ TEST(RaftUnit, CompactToRejectsUnappliedPrefix) {
   Exposed node{raft::RaftConfig{}};
   node.bind(ctx);
   node.onStart();
-  node.onMessage(1, raft::AppendEntries(1, 1, 0, 0,
-                                        {raft::LogEntry{1, 5}}, 0));
+  node.onMessage(1, appendEntries(1, 1, 0, 0,
+                                  {raft::LogEntry{1, 5}}, 0));
   EXPECT_THROW(node.compactTo(1), std::logic_error)  // not yet applied
       << "compacted past the applied prefix";
+}
+
+// AppendEntries ships the leader's log by reference, so every mutation of
+// the log other than an append must leave a vector some message holds as
+// it was (copy-on-write). Each step captures the AppendEntries the node
+// sends while it leads and then changes its log one way; every message
+// captured so far must still read the entries it was sent with.
+TEST(RaftUnit, SentEntriesSurviveEveryLogMutation) {
+  class Exposed : public raft::RaftProcess {
+   public:
+    using raft::RaftProcess::compactTo;
+    using raft::RaftProcess::RaftProcess;
+  };
+  raft::RaftConfig config;
+  config.durable = true;
+  ManualContext ctx(5);
+  Exposed node{config};
+  node.bind(ctx);
+  node.onStart();
+
+  struct Captured {
+    MessagePtr message;
+    std::vector<raft::LogEntry> sent;
+  };
+  std::vector<Captured> captured;
+  const auto capture = [&] {
+    for (const auto& [to, message] : ctx.sent) {
+      const auto* append = message->as<raft::AppendEntries>();
+      if (append == nullptr || append->entries().empty()) continue;
+      const auto entries = append->entries();
+      captured.push_back({message, {entries.begin(), entries.end()}});
+    }
+    ctx.clear();
+  };
+  const auto expectIntact = [&](const char* step) {
+    ASSERT_FALSE(captured.empty()) << step;
+    for (const Captured& c : captured) {
+      const auto entries = c.message->as<raft::AppendEntries>()->entries();
+      EXPECT_EQ(std::vector<raft::LogEntry>(entries.begin(), entries.end()),
+                c.sent)
+          << step;
+    }
+  };
+  // Election timeout plus two granted votes; the newest timer is the
+  // election timer whenever the node does not lead.
+  const auto elect = [&] {
+    node.onTimer(ctx.timerCounter);
+    const raft::Term term = node.currentTerm();
+    node.onMessage(1, raft::RequestVoteReply(term, true));
+    node.onMessage(2, raft::RequestVoteReply(term, true));
+    ASSERT_EQ(node.role(), raft::Role::kLeader);
+  };
+
+  // Term 1: ship three entries, then append past the log's capacity while
+  // those messages hold it.
+  elect();
+  for (Value command : {10, 11, 12}) ASSERT_TRUE(node.submit(command));
+  capture();
+  const std::size_t capacity = node.log().capacity();
+  for (Value command = 13; node.log().size() <= capacity; ++command)
+    ASSERT_TRUE(node.submit(command));
+  ctx.clear();
+  expectIntact("appends past capacity");
+
+  // A term-2 leader's entry conflicts at index 2: the suffix is dropped.
+  node.onMessage(3, appendEntries(2, 3, 1, 1, {raft::LogEntry{2, 99}}, 0));
+  ASSERT_EQ(node.lastLogIndex(), 2u);
+  ctx.clear();
+  expectIntact("conflict truncation");
+
+  // Term 3: ship and commit entry 3, then compact the first two away.
+  elect();
+  ASSERT_TRUE(node.submit(30));
+  capture();
+  const raft::Term leading = node.currentTerm();
+  node.onMessage(1, raft::AppendEntriesReply(leading, true, 3));
+  node.onMessage(2, raft::AppendEntriesReply(leading, true, 3));
+  ASSERT_EQ(node.lastApplied(), 3u);
+  ctx.clear();
+  node.compactTo(2);
+  ASSERT_EQ(node.snapshotIndex(), 2u);
+  expectIntact("compactTo");
+
+  // Ship entries 4-6, then install a snapshot through 4 from a term-4
+  // leader: the held suffix 5-6 is kept, the rest dropped.
+  for (Value command : {40, 41, 42}) ASSERT_TRUE(node.submit(command));
+  capture();
+  node.onMessage(4, raft::InstallSnapshot(/*term=*/4, /*leader=*/4,
+                                          /*lastIncludedIndex=*/4, leading,
+                                          {}));
+  ASSERT_EQ(node.snapshotIndex(), 4u);
+  ASSERT_EQ(node.log().size(), 2u);
+  ctx.clear();
+  expectIntact("InstallSnapshot keeping a suffix");
+
+  // Term 5: ship entry 7, then install a snapshot through 9 from a term-6
+  // leader, past the end of the log: all of it is dropped.
+  elect();
+  ASSERT_TRUE(node.submit(50));
+  capture();
+  node.onMessage(4, raft::InstallSnapshot(/*term=*/6, /*leader=*/4,
+                                          /*lastIncludedIndex=*/9,
+                                          /*lastIncludedTerm=*/5, {}));
+  ASSERT_EQ(node.snapshotIndex(), 9u);
+  ASSERT_TRUE(node.log().empty());
+  ctx.clear();
+  expectIntact("InstallSnapshot past the log");
+
+  // Term 7: ship entry 10, then crash and restart; the journal replay
+  // rebuilds the same log.
+  elect();
+  ASSERT_TRUE(node.submit(70));
+  capture();
+  const std::vector<raft::LogEntry> before = node.log();
+  node.onCrash();
+  node.onRestart();
+  EXPECT_EQ(node.snapshotIndex(), 9u);
+  EXPECT_EQ(node.log(), before);
+  expectIntact("restart");
+}
+
+// A journal replay checks each count it reads from a record against what
+// is left of the record, by subtraction. Summed, 4 + 2 * (2^63 + 1) + 1
+// wraps to 7, which the 7-word snapshot record below would pass, and the
+// replay would read 2^64 words past its end; likewise a state length of
+// 2^64 - 1 in a 5-word record. Both records are CRC-valid and ignored.
+TEST(RaftUnit, ReplayIgnoresRecordCountsThatWouldWrap) {
+  raft::RaftConfig config;
+  config.durable = true;
+  ManualContext ctx(5);
+  raft::RaftProcess node{config};
+  node.bind(ctx);
+  node.onStart();
+  node.onMessage(
+      3, appendEntries(1, 3, 0, 0,
+                       {raft::LogEntry{1, 10}, raft::LogEntry{1, 11}}, 0));
+  ASSERT_EQ(node.lastLogIndex(), 2u);
+
+  constexpr std::uint64_t kRecSnapshot = 4;
+  auto* wal = const_cast<store::WriteAheadLog*>(node.wal());
+  wal->append({kRecSnapshot, /*snapshotIndex=*/9, /*snapshotTerm=*/1,
+               /*logLen=*/(std::uint64_t{1} << 63) + 1, 0, 0, 0});
+  wal->append({kRecSnapshot, 9, 1, /*logLen=*/0,
+               /*stateLen=*/~std::uint64_t{0}});
+  wal->sync();
+  node.onCrash();
+  node.onRestart();
+  EXPECT_EQ(node.currentTerm(), 1u);
+  EXPECT_EQ(node.snapshotIndex(), 0u);
+  EXPECT_EQ(node.log(), (std::vector<raft::LogEntry>{raft::LogEntry{1, 10},
+                                                     raft::LogEntry{1, 11}}));
 }
 
 }  // namespace

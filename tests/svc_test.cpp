@@ -237,29 +237,45 @@ SvcConfig benchmarkShape(const std::string& engine) {
   return config;
 }
 
-// Long-log pins: one run per engine in the benchmark's shape, fixed by the
-// same digests as the restart pins. Raft's log reaches 1,000 entries, so
-// full 64-entry appends, followers re-sent entries they hold and commits
-// that jump several entries at once are all under the pin.
+// Long-log pins: runs in the benchmark's shape, fixed by the same digests
+// as the restart pins. Raft's log reaches 1,000 entries, so full 64-entry
+// appends, followers re-sent entries they hold and commits that jump
+// several entries at once are all under the pin. The restart rows replay
+// a journal mid-run: paxos restarts node 0 at tick 300 for 150 ticks, as
+// the benchmark's svc-paxos-faults does. Raft commits all 1,000 commands
+// by tick 206 here, so its row crashes the leader, node 2 (elected at tick
+// 161), at tick 190: a new leader takes over and node 2 replays a long
+// log.
 TEST(Svc, LongLogRunsMatchTheirPinnedDigests) {
   struct Pin {
     const char* engine;
+    std::vector<RestartEvent> restarts;
     const char* schedule;
     const char* latency;
   };
   const Pin pins[] = {
-      {"compose", "5f105c54ea4f0aea", "713b7a9682896845"},
-      {"paxos", "d4fa1ff00af3bb9a", "c794d47aceef083f"},
-      {"raft", "07f2fa19a0aa55d4", "203e288aea350539"},
+      {"compose", {}, "5f105c54ea4f0aea", "713b7a9682896845"},
+      {"paxos", {}, "d4fa1ff00af3bb9a", "c794d47aceef083f"},
+      {"raft", {}, "07f2fa19a0aa55d4", "203e288aea350539"},
+      {"paxos", {{0, 300, 150}}, "fa371f1cbeea6f92", "b31d4002826ce4c0"},
+      {"raft", {{2, 190, 150}}, "ffe230fcb563b382", "5659cc705a4be730"},
   };
   for (const Pin& pin : pins) {
-    const SvcResult result = runSvc(benchmarkShape(pin.engine));
-    EXPECT_TRUE(result.allApplied) << pin.engine;
-    EXPECT_EQ(result.commandsCommitted, 1000u) << pin.engine;
+    SvcConfig config = benchmarkShape(pin.engine);
+    config.restarts = pin.restarts;
+    const SvcResult result = runSvc(config);
+    const bool restart = !pin.restarts.empty();
+    const std::string label =
+        std::string(pin.engine) + (restart ? " restart" : "");
+    EXPECT_TRUE(result.prefixOk && result.exactlyOnce) << label;
+    if (!restart) {
+      EXPECT_TRUE(result.allApplied) << label;
+      EXPECT_EQ(result.commandsCommitted, 1000u) << label;
+    }
     EXPECT_EQ(obs::toHex(obs::fnv1a(scheduleOf(result))), pin.schedule)
-        << pin.engine << " schedule";
+        << label << " schedule";
     EXPECT_EQ(obs::toHex(obs::fnv1a(latenciesOf(result))), pin.latency)
-        << pin.engine << " latencies";
+        << label << " latencies";
   }
 }
 
