@@ -9,19 +9,36 @@
 // [cursor, cursor + kWindow), each bucket holding its events as two
 // append-only lanes (normal, barrier) drained in order. Same-tick pushes
 // made *while* the tick drains land behind the drain index and are
-// consumed in seq order, exactly like the heap. Events beyond the window
-// go to a min-heap overflow that refills the ring as the cursor advances;
-// when the ring is empty the cursor jumps straight to the overflow's
-// minimum tick, so sparse schedules never scan empty buckets for long.
+// consumed in seq order, exactly like the heap.
+//
+// Events beyond the window wait in one of two places. Those due within
+// kFarSpans aligned spans of kWindow ticks past the window go to that
+// span's far bucket, appended in push order (Raft's election timers,
+// re-armed 150-300 ticks ahead on every AppendEntries, are the bulk). When
+// the window's last tick enters a span, the span is opened: a stable
+// counting sort on (tick, phase) moves its bucket onto the back of the
+// stream, which refills the ring in order as the window slides over it.
+// Anything else (further out, or aimed past the window into the span
+// already opened) goes to a min-heap overflow; refill() merges the stream
+// and the heap in (tick, phase, seq) order. When the ring is empty the
+// cursor jumps to the earliest pending tick's lower bound, so sparse
+// schedules never scan empty buckets for long.
 //
 // Total order is identical to the heap's, so recorded traces are
-// byte-identical across the swap (asserted by tests/golden/).
+// byte-identical across the swap (asserted by tests/golden/). It does not
+// depend on kWindow or kFarSpans either: refill() runs after every cursor
+// move, so an event due at tick T reaches T's lane before any direct push
+// to T can (every such push comes later, with a larger seq), and a far
+// bucket, the stream and the heap each hand out a tick's events in seq
+// order.
 //
 // Per-event allocation is avoided twice over: events live by value in the
-// bucket lanes (which retain capacity across ticks), and the bucket
-// storage itself is checked out of a thread-local arena on construction
-// and returned cleared on destruction — a model-checker worker thread
-// reuses one warm arena across every configuration it sweeps.
+// bucket lanes and far buckets (which retain capacity across ticks), and
+// that storage itself is checked out of a thread-local arena on
+// construction and returned cleared on destruction — a model-checker
+// worker thread reuses one warm arena across every configuration it
+// sweeps, and a service run starts with the lanes and far buckets the last
+// one grew.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +90,15 @@ struct SimEvent {
 class EventQueue {
  public:
   /// Ring window: events within kWindow ticks of the cursor are bucketed.
-  static constexpr std::size_t kWindowBits = 10;
+  /// A ring retains its window times its busiest tick in lane capacity, so
+  /// the window is kept small enough for that to sit well inside a core's
+  /// L2 cache; longer delays (Raft's election timers) use the far buckets.
+  static constexpr std::size_t kWindowBits = 6;
   static constexpr std::size_t kWindow = std::size_t{1} << kWindowBits;
+  /// Far buckets: spans of kWindow ticks past the window's last span that
+  /// take events in push order. Eight cover the 512 ticks after that span,
+  /// past Raft's 300-tick election timeout.
+  static constexpr std::size_t kFarSpans = 8;
 
   EventQueue();   // checks bucket storage out of the thread-local arena
   ~EventQueue();  // returns it, cleared but with capacity retained
@@ -97,12 +121,12 @@ class EventQueue {
   /// cold (test hook for memory accounting; never needed in normal use).
   static void drainThreadArena() noexcept;
 
-  /// Bucket rings currently pooled in this thread's arena (test hook: the
+  /// Queue storages currently pooled in this thread's arena (test hook: the
   /// arena-reuse stress asserts the pool stays bounded by its cap).
   static std::size_t threadArenaSize() noexcept;
 
-  /// Internal bucket layout; public only so the thread-local arena can
-  /// store rings of them.
+  /// Internal storage layout; public only so the thread-local arena can
+  /// pool it.
   struct Bucket {
     std::vector<SimEvent> lanes[2];  // [0] normal, [1] barrier
     std::size_t next[2] = {0, 0};    // drain positions
@@ -116,21 +140,42 @@ class EventQueue {
       next[0] = next[1] = 0;
     }
   };
+  struct Storage {
+    std::vector<Bucket> ring;              // kWindow buckets, tick & kMask
+    std::vector<SimEvent> far[kFarSpans];  // push order, span & kFarMask
+    std::vector<SimEvent> stream;          // opened spans, in pop order
+  };
 
  private:
   static constexpr std::size_t kMask = kWindow - 1;
+  static constexpr std::size_t kFarMask = kFarSpans - 1;
+  static_assert((kFarSpans & kFarMask) == 0, "kFarSpans is a power of two");
 
-  /// Pulls every overflow event that now falls inside the window into its
-  /// bucket. Overflow pops come out in (at, phase, seq) order and the
-  /// window slides monotonically, so lane append order stays seq order.
+  /// The aligned span of kWindow ticks that `at` falls in.
+  static Tick spanOf(Tick at) noexcept { return at >> kWindowBits; }
+
+  /// Opens every span the window now reaches, then moves every stream and
+  /// overflow event that now falls inside the window into its bucket, in
+  /// (at, phase, seq) order; the window slides monotonically, so lane
+  /// append order stays seq order.
   void refill();
+  /// Moves a far bucket onto the back of the stream, in (at, phase, seq)
+  /// order.
+  void openSpan(std::vector<SimEvent>& bucket);
+  /// With the ring empty: a tick no later than the earliest pending event.
+  Tick nextPendingBound() const noexcept;
 
-  std::vector<Bucket> ring_;       // kWindow buckets, index = tick & kMask
-  std::vector<SimEvent> overflow_;  // min-heap on (at, phase, seq)
-  Tick cursor_ = 0;                // lowest possibly-populated tick
-  std::size_t ringCount_ = 0;      // undrained events in the ring
+  // Every push and pop reads these four and the ring, so they come first
+  // and share a cache line.
+  Tick cursor_ = 0;                 // lowest possibly-populated tick
+  std::size_t ringCount_ = 0;       // undrained events in the ring
   std::size_t size_ = 0;
   std::uint64_t nextSeq_ = 0;
+  Storage storage_;                 // checked out of the arena
+  Tick opened_ = 0;                 // last span moved onto the stream
+  std::size_t streamNext_ = 0;      // drain position in storage_.stream
+  std::size_t farCount_ = 0;        // events in the far buckets
+  std::vector<SimEvent> overflow_;  // min-heap on (at, phase, seq)
 };
 
 }  // namespace ooc

@@ -285,6 +285,14 @@ void SvcNode::openThrough(std::uint64_t decree) {
 }
 
 void SvcNode::openDecree(std::uint64_t decree) {
+  // Opens only ever take nextOpen_, and nextOpen_ jumps only while the ring
+  // is empty (a restart, or a recovering catch-up, during which nothing
+  // opens), so each open lands at the back of the ring.
+  if (active_.empty()) {
+    activeBase_ = decree;
+  } else if (decree != activeBase_ + active_.size()) {
+    throw std::logic_error("svc: decree opened out of order");
+  }
   const Value proposal = takeProposal(decree);
   persist({kRecOpen, decree, enc(proposal)});
   // Only OWN batches enter openProposals_ (echoed foreign ones are the
@@ -296,11 +304,17 @@ void SvcNode::openDecree(std::uint64_t decree) {
   slot.engine = engineFactory_(decree, proposal, proposal != kNoopBatch);
   slot.engine->bind(*slot.context);
   Process* engine = slot.engine.get();
-  active_.emplace(decree, std::move(slot));
+  active_.push_back(std::move(slot));
   nextOpen_ = std::max(nextOpen_, decree + 1);
   OOC_TRACE("svc p", ctx().self(), " opens decree ", decree, " proposing ",
             proposal);
   engine->onStart();
+}
+
+SvcNode::ActiveDecree* SvcNode::findActive(std::uint64_t decree) noexcept {
+  if (decree < activeBase_ || decree - activeBase_ >= active_.size())
+    return nullptr;
+  return &active_[decree - activeBase_];
 }
 
 void SvcNode::handleDecreeTraffic(ProcessId from,
@@ -312,8 +326,8 @@ void SvcNode::handleDecreeTraffic(ProcessId from,
     // arrives via catch-up, and the fault budget covers our absence).
     return;
   }
-  auto it = active_.find(decree);
-  if (it == active_.end()) {
+  ActiveDecree* slot = findActive(decree);
+  if (slot == nullptr) {
     if (decree < nextOpen_) {
       // Decided and pruned here. The sender is a straggler whose engine
       // lost its quorum partners — tell it the outcome from our applied
@@ -325,10 +339,10 @@ void SvcNode::handleDecreeTraffic(ProcessId from,
       return;
     }
     openThrough(decree);
-    it = active_.find(decree);
-    if (it == active_.end()) return;
+    slot = findActive(decree);
+    if (slot == nullptr) return;
   }
-  it->second.engine->onMessage(from, envelope.inner());
+  slot->engine->onMessage(from, envelope.inner());
 }
 
 void SvcNode::onDecreeDecided(std::uint64_t decree, Value winner) {
@@ -410,9 +424,10 @@ void SvcNode::pruneRetired() {
   // Engines park in the graveyard until the next top-level event: the
   // pruning call may sit below the pruned engine's own handler frame.
   while (!active_.empty() &&
-         active_.begin()->first + kRetireHorizon <= firstUndecided_) {
-    graveyard_.push_back(std::move(active_.begin()->second));
-    active_.erase(active_.begin());
+         activeBase_ + kRetireHorizon <= firstUndecided_) {
+    graveyard_.push_back(std::move(active_.front()));
+    active_.pop_front();
+    ++activeBase_;
   }
 }
 
@@ -535,18 +550,16 @@ void SvcNode::onTimer(TimerId id) {
   if (owner == timerDecree_.end()) return;
   const std::uint64_t decree = owner->second;
   timerDecree_.erase(owner);
-  const auto engine = active_.find(decree);
-  if (engine != active_.end()) engine->second.engine->onTimer(id);
+  if (ActiveDecree* slot = findActive(decree)) slot->engine->onTimer(id);
 }
 
 void SvcNode::onTick(Tick tick) {
   graveyard_.clear();
-  std::vector<std::uint64_t> decrees;
-  decrees.reserve(active_.size());
-  for (const auto& [decree, unused] : active_) decrees.push_back(decree);
-  for (const std::uint64_t decree : decrees) {
-    const auto engine = active_.find(decree);
-    if (engine != active_.end()) engine->second.engine->onTick(tick);
+  // Ticks the decrees live on entry: one an engine prunes on the way is
+  // skipped, and one opened on the way waits for the next tick.
+  const std::uint64_t end = activeBase_ + active_.size();
+  for (std::uint64_t decree = activeBase_; decree < end; ++decree) {
+    if (ActiveDecree* slot = findActive(decree)) slot->engine->onTick(tick);
   }
 }
 

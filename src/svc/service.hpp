@@ -177,6 +177,8 @@ class SvcNode final : public Process {
   void formAndOpen();
   void openThrough(std::uint64_t decree);
   void openDecree(std::uint64_t decree);
+  /// The live engine for `decree`, or null outside the ring.
+  ActiveDecree* findActive(std::uint64_t decree) noexcept;
 
   void handleDecreeTraffic(ProcessId from, const DecreeMessage& envelope);
   void onDecreeDecided(std::uint64_t decree, Value winner);
@@ -201,7 +203,11 @@ class SvcNode final : public Process {
   std::unordered_map<Value, std::vector<Value>> batchStore_;
 
   // --- decree pipeline ---
-  std::map<std::uint64_t, ActiveDecree> active_;
+  /// Live engines, one per decree from `activeBase_` up. Opens are
+  /// contiguous and prunes retire the lowest decree, so a ring indexed from
+  /// the lowest live decree holds them with no gaps.
+  std::deque<ActiveDecree> active_;
+  std::uint64_t activeBase_ = 0;  ///< decree of active_.front()
   std::map<TimerId, std::uint64_t> timerDecree_;
   /// Decided but not yet applied (applies are strictly in decree order).
   std::map<std::uint64_t, Value> decided_;

@@ -8,27 +8,35 @@
 //  * payload aliasing — a fan-out constructs exactly one message instance
 //    and every recipient sees the same object; duplication faults add
 //    refs, not copies;
-//  * calendar ordering — timers beyond the queue's 1024-tick bucket window
-//    fire in tick order through the overflow heap and cursor jumps;
+//  * calendar ordering — timers beyond the queue's kWindow-tick bucket
+//    window fire in tick order through the far buckets, the overflow heap
+//    and cursor jumps, and a seeded mix of pushes and pops across the
+//    window and far-bucket boundaries pops in the (at, phase, seq) order of
+//    a sorted reference;
 //  * lazy rendering — Message::describe() runs only for observers that
 //    opted in via ScheduleObserver::wantsMessageText().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "check/golden.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/message.hpp"
 #include "sim/network.hpp"
 #include "sim/process.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "sweep/scheduler.hpp"
+#include "util/rng.hpp"
 
 namespace ooc {
 namespace {
@@ -171,15 +179,20 @@ TEST(PayloadSharing, DuplicationFaultsAddRefsNotCopies) {
 // ---------------------------------------------------------------------------
 // Calendar-queue ordering beyond the bucket window
 
+constexpr Tick kWindow = EventQueue::kWindow;
+/// The first delay that always lies past the far buckets' reach.
+constexpr Tick kPastFar = (EventQueue::kFarSpans + 2) * kWindow;
+
 class LongTimerProcess final : public Process {
  public:
   void onStart() override {
-    // Mix of in-window (< 1024 ticks ahead), boundary, and far-overflow
-    // delays, armed out of order; several land beyond the ring so they
-    // route through the overflow heap and cursor jumps across empty
-    // stretches.
-    for (const Tick delay : {Tick{2000}, Tick{1}, Tick{5000}, Tick{1024},
-                             Tick{1500}, Tick{1023}, Tick{3000}}) {
+    // Mix of in-window (< kWindow ticks ahead), boundary, far-bucket and
+    // overflow delays, armed out of order; several land beyond the ring so
+    // they route through the far buckets, the overflow heap and cursor
+    // jumps across empty stretches.
+    for (const Tick delay :
+         {2 * kWindow, Tick{1}, 5 * kWindow, kPastFar + 1, kWindow,
+          kWindow + kWindow / 2, kWindow - 1, 3 * kWindow, kWindow + 1}) {
       delayOf_[setTimerPublic(delay)] = delay;
     }
   }
@@ -201,12 +214,99 @@ TEST(CalendarQueue, OverflowTimersFireInTickOrder) {
   sim.addProcess(std::unique_ptr<Process>(proc));
   sim.run();
 
-  const std::vector<std::pair<Tick, Tick>> expected = {
-      {1, 1},       {1023, 1023}, {1024, 1024}, {1500, 1500},
-      {2000, 2000}, {3000, 3000}, {5000, 5000}};
+  std::vector<std::pair<Tick, Tick>> expected;
+  for (const Tick delay :
+       {Tick{1}, kWindow - 1, kWindow, kWindow + 1, kWindow + kWindow / 2,
+        2 * kWindow, 3 * kWindow, 5 * kWindow, kPastFar + 1}) {
+    expected.emplace_back(delay, delay);
+  }
   EXPECT_EQ(proc->firedAt, expected);
-  EXPECT_EQ(sim.timersFired(), 7u);
+  EXPECT_EQ(sim.timersFired(), 9u);
   EXPECT_EQ(sim.pendingTimerCount(), 0u);
+}
+
+// Drives an EventQueue directly with a seeded mix of pushes and pops and
+// checks every pop against a reference sorted by (at, phase, seq). Delays
+// span 0 to kPastFar + kWindow, so pushes land in the ring, the far buckets,
+// the span already opened and the overflow beyond the far buckets, with
+// extra weight on the window boundary; both phases, pushes into the past
+// (clamped to the cursor, the tick of the last pop) and same-tick pushes
+// while that tick drains; occasional full drains make the cursor jump over
+// empty stretches.
+TEST(CalendarQueue, MatchesASortedReferenceAcrossTheWindow) {
+  using Key = std::tuple<Tick, std::uint8_t, std::uint64_t>;  // at, phase, seq
+  EventQueue queue;
+  std::set<Key> reference;
+  Rng rng(0x0ca1e7da);
+  Tick now = 0;  // tick of the last pop: the queue's cursor
+  std::uint64_t pushes = 0;
+  std::size_t overflowed = 0;
+  std::size_t pastFar = 0;
+  std::size_t sameTick = 0;
+
+  const auto popAndCompare = [&] {
+    SimEvent out;
+    ASSERT_TRUE(queue.pop(out));
+    ASSERT_FALSE(reference.empty());
+    const Key expected = *reference.begin();
+    reference.erase(reference.begin());
+    ASSERT_EQ(Key(out.at, out.phase, out.seq), expected)
+        << "after " << pushes << " pushes";
+    ASSERT_EQ(out.timer, static_cast<TimerId>(out.seq));  // payload intact
+    now = out.at;
+  };
+
+  for (int op = 0; op < 20000; ++op) {
+    if (!reference.empty() && rng.chance(0.002)) {
+      while (!reference.empty()) {
+        popAndCompare();
+        if (HasFatalFailure()) return;
+      }
+      continue;
+    }
+    if (reference.empty() || rng.chance(0.6)) {
+      Tick at = now;
+      const std::uint64_t kind = rng.below(20);
+      if (kind < 6) {
+        at = now + rng.below(4);  // dense: 0 lands on the draining tick
+      } else if (kind < 9) {
+        at = now + kWindow - 1 + rng.below(3);  // kWindow - 1, kWindow, + 1
+      } else if (kind < 10) {
+        const Tick back = 1 + rng.below(8);  // into the past: clamped
+        at = now > back ? now - back : 0;
+      } else {
+        at = now + rng.below(kPastFar + kWindow + 1);
+      }
+      const auto phase = static_cast<std::uint8_t>(rng.below(2));
+      SimEvent event;
+      event.at = at;
+      event.phase = phase;
+      event.timer = static_cast<TimerId>(pushes);
+      event.kind = SimEvent::Kind::kTimer;
+      queue.push(std::move(event));
+      reference.emplace(std::max(at, now), phase, pushes);
+      ++pushes;
+      if (at >= now + kWindow) ++overflowed;
+      if (at >= now + kPastFar) ++pastFar;
+      if (at == now) ++sameTick;
+    } else {
+      popAndCompare();
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+  }
+  while (!reference.empty()) {
+    popAndCompare();
+    if (HasFatalFailure()) return;
+  }
+  SimEvent out;
+  EXPECT_FALSE(queue.pop(out));
+  EXPECT_TRUE(queue.empty());
+  // The mix really crossed the window and the far buckets' reach, and
+  // pushed into draining ticks.
+  EXPECT_GT(overflowed, pushes / 4);
+  EXPECT_GT(pastFar, pushes / 50);
+  EXPECT_GT(sameTick, pushes / 20);
 }
 
 // ---------------------------------------------------------------------------
