@@ -160,7 +160,7 @@ class Bench {
   /// Starts a new experiment: prints the banner and opens a JSON section.
   void banner(const std::string& experiment, const std::string& claim) {
     std::printf("=== %s ===\n%s\n\n", experiment.c_str(), claim.c_str());
-    sections_.push_back(Section{experiment, claim, {}, {}});
+    sections_.push_back(Section{experiment, claim, {}, {}, {}});
   }
 
   /// Starts a sub-section within the current experiment.
@@ -211,7 +211,7 @@ class Bench {
   };
 
   Section& current() {
-    if (sections_.empty()) sections_.push_back(Section{name_, "", {}, {}});
+    if (sections_.empty()) sections_.push_back(Section{name_, "", {}, {}, {}});
     return sections_.back();
   }
 

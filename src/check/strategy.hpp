@@ -263,8 +263,8 @@ class RoundSkewStrategy final : public ExplorationStrategy {
 /// permanent crash per crash tick, and one crash-restart per (crash tick,
 /// downtime) cell — swept over `seedsPerCell` run seeds. Restart cells
 /// force the durable journal on: a volatile restart under the quarantine
-/// discipline is a separate, deliberately weaker configuration that the
-/// random walk covers. Svc only.
+/// discipline is a separate, deliberately weaker configuration that only
+/// svc_test runs (the svc random walk draws permanent crashes). Svc only.
 class SvcPipelineStrategy final : public ExplorationStrategy {
  public:
   struct Options {

@@ -12,31 +12,12 @@ constexpr std::uint64_t kRecPromise = 1;  // {tag, promised ballot}
 constexpr std::uint64_t kRecAccept = 2;   // {tag, ballot, value}
 constexpr std::uint64_t kRecDecide = 3;   // {tag, value}
 
-std::uint64_t encodeValue(Value v) noexcept {
-  return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-}
-
-Value decodeValue(std::uint64_t w) noexcept {
-  return static_cast<Value>(static_cast<std::int64_t>(w));
-}
-
 }  // namespace
 
 PaxosNode::PaxosNode(Value input, PaxosConfig config)
-    : input_(input), config_(config) {
-  if (config_.durable)
-    wal_ = std::make_unique<store::WriteAheadLog>(config_.storage);
-}
-
-void PaxosNode::persist(std::vector<std::uint64_t> record) {
-  if (!wal_) return;
-  wal_->append(record);
-  if (config_.syncBeforeReply) wal_->sync();
-}
-
-void PaxosNode::onCrash() {
-  if (wal_) wal_->crash(ctx().rng());
-}
+    : input_(input),
+      config_(config),
+      journal_(config.durable, config.syncBeforeReply, config.storage) {}
 
 void PaxosNode::onRestart() {
   // Drop every volatile field; the journal replay below rebuilds the
@@ -58,30 +39,34 @@ void PaxosNode::onRestart() {
   retryTimer_ = 0;  // the simulator purged our timers at the crash
   backoff_ = 1.0;
   ++recoveries_;
-  if (wal_) {
-    for (const std::vector<std::uint64_t>& rec :
-         wal_->recover(&lastRecovery_)) {
-      if (rec.empty()) continue;
-      switch (rec[0]) {
-        case kRecPromise:
-          if (rec.size() == 2) promised_ = rec[1];
-          break;
-        case kRecAccept:
-          if (rec.size() == 3) {
-            promised_ = std::max(promised_, rec[1]);
-            acceptedBallot_ = rec[1];
-            acceptedValue_ = decodeValue(rec[2]);
-          }
-          break;
-        case kRecDecide:
-          if (rec.size() == 2) {
-            decided_ = true;
-            decision_ = decodeValue(rec[1]);
-          }
-          break;
-        default:
-          break;  // unknown tag: ignore (forward compatibility)
+  for (const std::vector<std::uint64_t>& rec : journal_.recover()) {
+    store::RecordReader reader(rec);
+    switch (reader.word()) {
+      case kRecPromise: {
+        // A max, as for the accept below: writers only raise the promise,
+        // and no record may lower it under an accepted ballot.
+        const Ballot ballot = reader.word();
+        if (reader.complete()) promised_ = std::max(promised_, ballot);
+        break;
       }
+      case kRecAccept: {
+        const Ballot ballot = reader.word();
+        const Value value = store::toValue(reader.word());
+        if (!reader.complete()) break;
+        promised_ = std::max(promised_, ballot);
+        acceptedBallot_ = ballot;
+        acceptedValue_ = value;
+        break;
+      }
+      case kRecDecide: {
+        const Value value = store::toValue(reader.word());
+        if (!reader.complete()) break;
+        decided_ = true;
+        decision_ = value;
+        break;
+      }
+      default:
+        break;  // unknown tag: ignore (forward compatibility)
     }
   }
   // Proposer bookkeeping is volatile; restart ballots past everything we
@@ -166,7 +151,7 @@ void PaxosNode::handlePrepare(ProcessId from, const Prepare& msg) {
     promised_ = msg.ballot;
     // The promise must hit stable storage before the reply leaves — a
     // forgotten promise lets a lower ballot slip through after a restart.
-    persist({kRecPromise, promised_});
+    journal_.persist({kRecPromise, promised_});
     ctx().post(from, makeMessage<Promise>(msg.ballot, acceptedBallot_,
                                           acceptedValue_));
   } else {
@@ -200,7 +185,8 @@ void PaxosNode::handleAccept(ProcessId, const Accept& msg) {
   promised_ = msg.ballot;
   acceptedBallot_ = msg.ballot;
   acceptedValue_ = msg.value;
-  persist({kRecAccept, acceptedBallot_, encodeValue(acceptedValue_)});
+  journal_.persist(
+      {kRecAccept, acceptedBallot_, store::toWord(acceptedValue_)});
   // Adopt-level knowledge: a majority-backed proposer pushed this value.
   record(Confidence::kAdopt, msg.value);
   ctx().fanout(makeMessage<Accepted>(msg.ballot, msg.value));
@@ -233,7 +219,7 @@ void PaxosNode::learn(Value value) {
   decided_ = true;
   decision_ = value;
   decisionHistory_.push_back(value);
-  persist({kRecDecide, encodeValue(value)});
+  journal_.persist({kRecDecide, store::toWord(value)});
   record(Confidence::kCommit, value);
   ctx().decide(value);
   if (retryTimer_ != 0) ctx().cancelTimer(retryTimer_);

@@ -18,15 +18,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/confidence.hpp"
 #include "paxos/messages.hpp"
 #include "sim/process.hpp"
-#include "store/wal.hpp"
+#include "store/journal.hpp"
 
 namespace ooc::paxos {
 
@@ -63,7 +61,7 @@ class PaxosNode final : public Process {
   void onStart() override;
   void onMessage(ProcessId from, const Message& message) override;
   void onTimer(TimerId id) override;
-  void onCrash() override;
+  void onCrash() override { journal_.crash(ctx().rng()); }
   void onRestart() override;
 
   bool decided() const noexcept { return decided_; }
@@ -90,11 +88,14 @@ class PaxosNode final : public Process {
     return decisionHistory_;
   }
 
+  /// Acceptor state (0 = none); the accepted ballot never exceeds the promise.
+  Ballot promised() const noexcept { return promised_; }
+  Ballot acceptedBallot() const noexcept { return acceptedBallot_; }
   /// Durability introspection (null / zero when !durable).
-  const store::WriteAheadLog* wal() const noexcept { return wal_.get(); }
+  const store::WriteAheadLog* wal() const noexcept { return journal_.wal(); }
   std::uint64_t recoveries() const noexcept { return recoveries_; }
   const store::RecoveryReport& lastRecovery() const noexcept {
-    return lastRecovery_;
+    return journal_.lastRecovery();
   }
 
  private:
@@ -102,7 +103,6 @@ class PaxosNode final : public Process {
   void armRetryTimer();
   void startBallot();
   void learn(Value value);
-  void persist(std::vector<std::uint64_t> record);
 
   void handlePrepare(ProcessId from, const Prepare& msg);
   void handlePromise(ProcessId from, const Promise& msg);
@@ -112,6 +112,7 @@ class PaxosNode final : public Process {
 
   Value input_;
   PaxosConfig config_;
+  store::Journal journal_;
 
   // Acceptor state.
   Ballot promised_ = 0;
@@ -146,11 +147,7 @@ class PaxosNode final : public Process {
   std::uint64_t reconciliatorInvocations_ = 0;
   std::vector<ConfidenceChange> confidenceLog_;
   std::vector<Value> decisionHistory_;
-
-  // Simulated stable storage (null unless config_.durable).
-  std::unique_ptr<store::WriteAheadLog> wal_;
   std::uint64_t recoveries_ = 0;
-  store::RecoveryReport lastRecovery_;
 };
 
 }  // namespace ooc::paxos

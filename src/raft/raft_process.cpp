@@ -1,7 +1,6 @@
 #include "raft/raft_process.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <functional>
 #include <stdexcept>
 
@@ -19,30 +18,17 @@ constexpr std::uint64_t kRecTruncate = 3;  // {tag, new last absolute index}
 // which suffix survived an InstallSnapshot.
 constexpr std::uint64_t kRecSnapshot = 4;
 
-std::uint64_t encodeValue(Value v) noexcept {
-  return std::bit_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-}
-
-Value decodeValue(std::uint64_t w) noexcept {
-  return static_cast<Value>(std::bit_cast<std::int64_t>(w));
-}
-
 }  // namespace
 
-RaftProcess::RaftProcess(RaftConfig config) : config_(config) {
-  if (config_.durable)
-    wal_ = std::make_unique<store::WriteAheadLog>(config_.storage);
-}
+RaftProcess::RaftProcess(RaftConfig config)
+    : config_(config),
+      journal_(config.durable, config.syncBeforeReply, config.storage) {}
 
 void RaftProcess::onStart() {
   votesGranted_.assign(ctx().processCount(), false);
   nextIndex_.assign(ctx().processCount(), 1);
   matchIndex_.assign(ctx().processCount(), 0);
   resetElectionTimer();
-}
-
-void RaftProcess::onCrash() {
-  if (wal_) wal_->crash(ctx().rng());
 }
 
 void RaftProcess::onRestart() {
@@ -66,62 +52,59 @@ void RaftProcess::onRestart() {
   heartbeatTimer_ = 0;
   ++recoveries_;
   onVolatileReset();
-  if (wal_) {
-    for (const std::vector<std::uint64_t>& rec :
-         wal_->recover(&lastRecovery_)) {
-      if (rec.empty()) continue;
-      switch (rec[0]) {
-        case kRecMeta:
-          if (rec.size() == 3) {
-            currentTerm_ = rec[1];
-            if (rec[2] == 0) {
-              votedFor_.reset();
-            } else {
-              votedFor_ = static_cast<ProcessId>(rec[2] - 1);
-            }
-          }
-          break;
-        case kRecEntry:
-          if (rec.size() == 3)
-            log_->push_back(LogEntry{rec[1], decodeValue(rec[2])});
-          break;
-        case kRecTruncate:
-          if (rec.size() == 2 && rec[1] >= snapshotIndex_ &&
-              rec[1] - snapshotIndex_ <= log_->size()) {
-            keepLogRange(0, rec[1] - snapshotIndex_);
-          }
-          break;
-        case kRecSnapshot: {
-          // The counts come from the record, so each is checked against
-          // what is left of it by subtraction: a sum could wrap.
-          if (rec.size() < 5) break;
-          const std::uint64_t logLen = rec[3];
-          if (logLen > (rec.size() - 5) / 2) break;
-          const std::size_t stateAt = 4 + 2 * logLen;
-          const std::uint64_t stateLen = rec[stateAt];
-          if (stateLen > rec.size() - stateAt - 1) break;
-          snapshotIndex_ = rec[1];
-          snapshotTerm_ = rec[2];
-          keepLogRange(0, 0);
-          for (std::uint64_t i = 0; i < logLen; ++i) {
-            log_->push_back(LogEntry{rec[4 + 2 * i],
-                                     decodeValue(rec[4 + 2 * i + 1])});
-          }
-          std::vector<Value> state;
-          for (std::uint64_t i = 0; i < stateLen; ++i)
-            state.push_back(decodeValue(rec[stateAt + 1 + i]));
-          commitIndex_ = snapshotIndex_;
-          lastApplied_ = snapshotIndex_;
-          restoreSnapshot(state);
-          break;
-        }
-        default:
-          break;  // unknown tag: ignore (forward compatibility)
+  for (const std::vector<std::uint64_t>& rec : journal_.recover()) {
+    store::RecordReader reader(rec);
+    switch (reader.word()) {
+      case kRecMeta: {
+        const Term term = reader.word();
+        const std::uint64_t vote = reader.word();
+        if (!reader.complete()) break;
+        currentTerm_ = term;
+        votedFor_.reset();
+        if (vote != 0) votedFor_ = static_cast<ProcessId>(vote - 1);
+        break;
       }
+      case kRecEntry: {
+        const LogEntry entry{reader.word(), store::toValue(reader.word())};
+        // One more entry must not wrap lastLogIndex().
+        if (reader.complete() && lastLogIndex() != ~LogIndex{0})
+          log_->push_back(entry);
+        break;
+      }
+      case kRecTruncate: {
+        const LogIndex last = reader.word();
+        if (reader.complete() && last >= snapshotIndex_ &&
+            last - snapshotIndex_ <= log_->size()) {
+          keepLogRange(0, last - snapshotIndex_);
+        }
+        break;
+      }
+      case kRecSnapshot: {
+        const LogIndex index = reader.word();
+        const Term term = reader.word();
+        const auto entries = reader.counted(2);
+        const auto image = reader.counted(1);
+        // Its last retained entry must not wrap lastLogIndex().
+        if (!reader.complete() || entries.size() / 2 > ~LogIndex{0} - index)
+          break;
+        snapshotIndex_ = index;
+        snapshotTerm_ = term;
+        keepLogRange(0, 0);
+        for (std::size_t i = 0; i < entries.size(); i += 2)
+          log_->push_back(LogEntry{entries[i], store::toValue(entries[i + 1])});
+        std::vector<Value> state(image.size());
+        std::ranges::transform(image, state.begin(), store::toValue);
+        commitIndex_ = snapshotIndex_;
+        lastApplied_ = snapshotIndex_;
+        restoreSnapshot(state);
+        break;
+      }
+      default:
+        break;  // unknown tag: ignore (forward compatibility)
     }
-    commitIndex_ = snapshotIndex_;
-    lastApplied_ = snapshotIndex_;
   }
+  commitIndex_ = snapshotIndex_;
+  lastApplied_ = snapshotIndex_;
   OOC_DEBUG("raft p", ctx().self(), " recovered: t=", currentTerm_,
             " log=", log_->size(), " snap=", snapshotIndex_);
   resetElectionTimer();
@@ -129,37 +112,32 @@ void RaftProcess::onRestart() {
 
 // --- journalling ------------------------------------------------------------
 
-void RaftProcess::persist(std::vector<std::uint64_t> record) {
-  if (!wal_) return;
-  wal_->append(record);
-  if (config_.syncBeforeReply) wal_->sync();
-}
-
 void RaftProcess::persistMeta() {
-  persist({kRecMeta, currentTerm_,
-           votedFor_ ? static_cast<std::uint64_t>(*votedFor_) + 1 : 0});
+  journal_.persist(
+      {kRecMeta, currentTerm_,
+       votedFor_ ? static_cast<std::uint64_t>(*votedFor_) + 1 : 0});
 }
 
 void RaftProcess::persistEntry(const LogEntry& entry) {
-  persist({kRecEntry, entry.term, encodeValue(entry.command)});
+  journal_.persist({kRecEntry, entry.term, store::toWord(entry.command)});
 }
 
 void RaftProcess::persistTruncate() {
-  persist({kRecTruncate, lastLogIndex()});
+  journal_.persist({kRecTruncate, lastLogIndex()});
 }
 
 void RaftProcess::persistSnapshot() {
-  if (!wal_) return;
+  if (!journal_.wal()) return;
   std::vector<std::uint64_t> rec{kRecSnapshot, snapshotIndex_, snapshotTerm_,
                                  log_->size()};
   for (const LogEntry& entry : *log_) {
     rec.push_back(entry.term);
-    rec.push_back(encodeValue(entry.command));
+    rec.push_back(store::toWord(entry.command));
   }
   const std::vector<Value> state = captureSnapshot();
   rec.push_back(state.size());
-  for (Value v : state) rec.push_back(encodeValue(v));
-  persist(std::move(rec));
+  for (Value v : state) rec.push_back(store::toWord(v));
+  journal_.persist(rec);
 }
 
 void RaftProcess::recordVote(ProcessId candidate) {

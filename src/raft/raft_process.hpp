@@ -25,7 +25,7 @@
 #include "raft/messages.hpp"
 #include "raft/types.hpp"
 #include "sim/process.hpp"
-#include "store/wal.hpp"
+#include "store/journal.hpp"
 
 namespace ooc::raft {
 
@@ -75,17 +75,17 @@ class RaftProcess : public Process {
   }
 
   /// Durability introspection (null / zero when !config().durable).
-  const store::WriteAheadLog* wal() const noexcept { return wal_.get(); }
+  const store::WriteAheadLog* wal() const noexcept { return journal_.wal(); }
   std::uint64_t recoveries() const noexcept { return recoveries_; }
   const store::RecoveryReport& lastRecovery() const noexcept {
-    return lastRecovery_;
+    return journal_.lastRecovery();
   }
 
   // --- Process interface ---------------------------------------------------
   void onStart() override;
   void onMessage(ProcessId from, const Message& message) override;
   void onTimer(TimerId id) override;
-  void onCrash() override;
+  void onCrash() override { journal_.crash(ctx().rng()); }
   void onRestart() override;
 
  protected:
@@ -174,7 +174,6 @@ class RaftProcess : public Process {
   // Journalling. Every mutation of persistent state appends a record; with
   // syncBeforeReply the append is synced immediately, so the state is
   // durable before any message referencing it can be sent.
-  void persist(std::vector<std::uint64_t> record);
   void persistMeta();
   void persistEntry(const LogEntry& entry);
   void persistTruncate();
@@ -182,10 +181,11 @@ class RaftProcess : public Process {
   void recordVote(ProcessId candidate);
 
   RaftConfig config_;
+  store::Journal journal_;
 
   // Persistent state. The in-memory copy is authoritative while the node
-  // is up; with RaftConfig::durable every mutation is also journalled to
-  // wal_, and onRestart() rebuilds these fields from whatever the journal
+  // is up; with RaftConfig::durable every mutation is also journalled,
+  // and onRestart() rebuilds these fields from whatever the journal
   // recovers (which may be a stale prefix under crash-before-sync).
   Term currentTerm_ = 0;
   std::optional<ProcessId> votedFor_;
@@ -220,10 +220,7 @@ class RaftProcess : public Process {
   std::uint64_t electionsStarted_ = 0;
   std::uint64_t timesElectedLeader_ = 0;
 
-  // Simulated stable storage (null unless config_.durable).
-  std::unique_ptr<store::WriteAheadLog> wal_;
   std::uint64_t recoveries_ = 0;
-  store::RecoveryReport lastRecovery_;
   std::vector<VoteRecord> voteHistory_;
 };
 

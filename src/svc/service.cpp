@@ -63,29 +63,17 @@ SvcNode::SvcNode(EngineFactory engineFactory, ClientFront front,
                  SvcNodeOptions options)
     : engineFactory_(std::move(engineFactory)),
       options_(options),
-      front_(std::move(front)) {
+      front_(std::move(front)),
+      journal_(options.durable, options.syncBeforeReply, options.storage) {
   if (options_.window == 0)
     throw std::invalid_argument("svc: window must be positive");
   if (options_.batchMax == 0)
     throw std::invalid_argument("svc: batchMax must be positive");
-  if (options_.durable) {
-    wal_ = std::make_unique<store::WriteAheadLog>(options_.storage);
-  }
 }
 
 SvcNode::~SvcNode() = default;
 
-void SvcNode::persist(std::vector<std::uint64_t> record) {
-  if (!wal_) return;
-  wal_->append(record);
-  if (options_.syncBeforeReply) wal_->sync();
-}
-
 void SvcNode::onStart() { front_.armArrivals(ctx()); }
-
-void SvcNode::onCrash() {
-  if (wal_) wal_->crash(ctx().rng());
-}
 
 void SvcNode::onRestart() {
   // Drop every volatile structure. The client front keeps its workload,
@@ -112,7 +100,7 @@ void SvcNode::onRestart() {
   catchupTimer_ = 0;
   catchupTries_ = 0;
 
-  if (wal_) {
+  if (journal_.wal()) {
     recoverFromJournal();
     recovering_ = false;
   } else {
@@ -133,49 +121,44 @@ void SvcNode::recoverFromJournal() {
   std::vector<Value> formed;  // in formation order
   std::unordered_set<Value> batched;
   std::uint64_t maxOpen = 0;
-  for (const auto& record : wal_->recover()) {
-    if (record.empty()) continue;
-    switch (record[0]) {
+  for (const auto& record : journal_.recover()) {
+    store::RecordReader reader(record);
+    switch (reader.word()) {
       case kRecCmd: {
-        if (record.size() < 2) break;
-        minted.push_back(dec(record[1]));
+        const Value cmd = store::toValue(reader.word());
+        if (reader.complete()) minted.push_back(cmd);
         break;
       }
       case kRecBatch: {
-        if (record.size() < 3) break;
-        const Value id = dec(record[1]);
-        // A count read from the record is checked by subtraction, since
-        // a sum could wrap (here and in kRecCommit).
-        const std::size_t n = static_cast<std::size_t>(record[2]);
-        if (n > record.size() - 3) break;
-        std::vector<Value> cmds;
-        cmds.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          cmds.push_back(dec(record[3 + i]));
-          batched.insert(dec(record[3 + i]));
-        }
+        const Value id = store::toValue(reader.word());
+        const auto words = reader.counted(1);
+        if (!reader.complete()) break;
+        std::vector<Value> cmds(words.size());
+        std::ranges::transform(words, cmds.begin(), store::toValue);
+        batched.insert(cmds.begin(), cmds.end());
         batchStore_[id] = std::move(cmds);
         formed.push_back(id);
         break;
       }
       case kRecOpen: {
-        if (record.size() < 3) break;
-        const std::uint64_t decree = record[1];
+        const std::uint64_t decree = reader.word();
+        const Value proposal = store::toValue(reader.word());
+        // A writer never opens a decree at or past maxDecrees, and one at
+        // 2^64 - 1 would wrap maxOpen to 0 below.
+        if (!reader.complete() || decree >= options_.maxDecrees) break;
         maxOpen = std::max(maxOpen, decree + 1);
         // Echoed foreign batches were journaled as the open's proposal but
         // must not be adopted back: requeueing one on loss would bind it
         // to a second decree while its owner re-proposes it too.
-        const Value proposal = dec(record[2]);
         if (proposal != kNoopBatch && batchNode(proposal) == ctx().self())
           openProposals_[decree] = proposal;
         break;
       }
       case kRecCommit: {
-        if (record.size() < 4) break;
-        const std::uint64_t decree = record[1];
-        const Value batch = dec(record[2]);
-        const std::size_t n = static_cast<std::size_t>(record[3]);
-        if (n > record.size() - 4 || decree != decreeLog_.size()) break;
+        const std::uint64_t decree = reader.word();
+        const Value batch = store::toValue(reader.word());
+        const auto cmds = reader.counted(1);
+        if (!reader.complete() || decree != decreeLog_.size()) break;
         decreeLog_.push_back(batch);
         openProposals_.erase(decree);
         if (batch == kNoopBatch) {
@@ -183,11 +166,9 @@ void SvcNode::recoverFromJournal() {
           break;
         }
         committedBatches_.insert(batch);
-        for (std::size_t i = 0; i < n; ++i) front_.restore(dec(record[4 + i]));
+        for (const std::uint64_t w : cmds) front_.restore(store::toValue(w));
         break;
       }
-      default:
-        break;
     }
   }
   commitIndex_ = decreeLog_.size();
@@ -216,7 +197,7 @@ void SvcNode::recoverFromJournal() {
 void SvcNode::handleArrivals() {
   for (const Value cmd : front_.takeArrivals(ctx())) {
     pendingCmds_.push_back(cmd);
-    persist({kRecCmd, enc(cmd)});
+    journal_.persist({kRecCmd, store::toWord(cmd)});
   }
   formAndOpen();
 }
@@ -255,9 +236,9 @@ Value SvcNode::takeProposal(std::uint64_t decree) {
   pendingCmds_.erase(pendingCmds_.begin(),
                      pendingCmds_.begin() +
                          static_cast<std::ptrdiff_t>(take));
-  std::vector<std::uint64_t> record{kRecBatch, enc(id), take};
-  for (Value cmd : cmds) record.push_back(enc(cmd));
-  persist(std::move(record));
+  std::vector<std::uint64_t> record{kRecBatch, store::toWord(id), take};
+  for (Value cmd : cmds) record.push_back(store::toWord(cmd));
+  journal_.persist(record);
   batchStore_[id] = cmds;
   ctx().fanout(makeMessage<BatchAnnounce>(id, std::move(cmds), decree));
   return id;
@@ -294,7 +275,7 @@ void SvcNode::openDecree(std::uint64_t decree) {
     throw std::logic_error("svc: decree opened out of order");
   }
   const Value proposal = takeProposal(decree);
-  persist({kRecOpen, decree, enc(proposal)});
+  journal_.persist({kRecOpen, decree, store::toWord(proposal)});
   // Only OWN batches enter openProposals_ (echoed foreign ones are the
   // owner's to requeue — see the header's double-win note).
   if (proposal != kNoopBatch && batchNode(proposal) == ctx().self())
@@ -384,7 +365,8 @@ void SvcNode::applyReady() {
     const Tick now = ctx().now();
     decreeLog_.push_back(batch);
     front_.recordCommit(now);
-    std::vector<std::uint64_t> record{kRecCommit, commitIndex_, enc(batch)};
+    std::vector<std::uint64_t> record{kRecCommit, commitIndex_,
+                                      store::toWord(batch)};
     if (batch == kNoopBatch) {
       ++noopDecrees_;
       record.push_back(0);
@@ -394,11 +376,11 @@ void SvcNode::applyReady() {
       front_.recordBatch(cmds.size());
       record.push_back(cmds.size());
       for (Value cmd : cmds) {
-        record.push_back(enc(cmd));
+        record.push_back(store::toWord(cmd));
         front_.apply(cmd, now);
       }
     }
-    persist(std::move(record));
+    journal_.persist(record);
     ++commitIndex_;
     firstUndecided_ = std::max(firstUndecided_, commitIndex_);
     progressed = true;
@@ -551,16 +533,6 @@ void SvcNode::onTimer(TimerId id) {
   const std::uint64_t decree = owner->second;
   timerDecree_.erase(owner);
   if (ActiveDecree* slot = findActive(decree)) slot->engine->onTimer(id);
-}
-
-void SvcNode::onTick(Tick tick) {
-  graveyard_.clear();
-  // Ticks the decrees live on entry: one an engine prunes on the way is
-  // skipped, and one opened on the way waits for the next tick.
-  const std::uint64_t end = activeBase_ + active_.size();
-  for (std::uint64_t decree = activeBase_; decree < end; ++decree) {
-    if (ActiveDecree* slot = findActive(decree)) slot->engine->onTick(tick);
-  }
 }
 
 }  // namespace ooc::svc

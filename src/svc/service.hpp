@@ -70,7 +70,7 @@
 #include <vector>
 
 #include "sim/process.hpp"
-#include "store/wal.hpp"
+#include "store/journal.hpp"
 #include "svc/messages.hpp"
 #include "svc/workload.hpp"
 
@@ -115,8 +115,8 @@ struct SvcNodeOptions {
   std::uint64_t maxDecrees = 10000;
   /// Journal commands/batches/opens/commits to a write-ahead log.
   bool durable = false;
-  /// Sync the journal inside persist() (the safe discipline); false
-  /// re-opens the crash-before-sync window on purpose.
+  /// Sync each journal append at once (store::Journal::persist, the safe
+  /// discipline); false re-opens the crash-before-sync window on purpose.
   bool syncBeforeReply = true;
   /// Storage fault injection applied when a crash hits the journal.
   store::FaultConfig storage;
@@ -130,10 +130,9 @@ class SvcNode final : public Process {
 
   void onStart() override;
   void onRestart() override;
-  void onCrash() override;
+  void onCrash() override { journal_.crash(ctx().rng()); }
   void onMessage(ProcessId from, const Message& message) override;
   void onTimer(TimerId id) override;
-  void onTick(Tick tick) override;
 
   // --- observation (used by runSvc audits and metrics) ---
 
@@ -145,6 +144,9 @@ class SvcNode final : public Process {
   /// stay 0 here: a batch is re-proposed only after it provably lost its
   /// decree.
   const ClientFront& front() const noexcept { return front_; }
+  /// The restart's quarantine boundary, and the journal (null unless durable).
+  std::uint64_t quarantine() const noexcept { return quarantine_; }
+  const store::WriteAheadLog* wal() const noexcept { return journal_.wal(); }
 
  private:
   class DecreeContextImpl;
@@ -161,14 +163,6 @@ class SvcNode final : public Process {
     kRecCommit = 4,  ///< {tag, decree, batchId, n, commands...}
   };
 
-  static std::uint64_t enc(Value v) noexcept {
-    return static_cast<std::uint64_t>(v);
-  }
-  static Value dec(std::uint64_t w) noexcept {
-    return static_cast<Value>(w);
-  }
-
-  void persist(std::vector<std::uint64_t> record);
   void recoverFromJournal();
 
   void handleArrivals();
@@ -238,7 +232,7 @@ class SvcNode final : public Process {
   int catchupTries_ = 0;
 
   // --- durability + recovery ---
-  std::unique_ptr<store::WriteAheadLog> wal_;
+  store::Journal journal_;
   /// Decrees below this may hold the previous incarnation's votes; the
   /// node never hosts engines for them (outcomes arrive via catch-up).
   std::uint64_t quarantine_ = 0;

@@ -368,8 +368,9 @@ TEST(OracleQualityStrategy, EnumeratesOnlyRegistryValidCells) {
     // Every enumerated cell must resolve — rejected quality points (noisy
     // perfect-p) were dropped at construction.
     EXPECT_NO_THROW(compose::resolve(scenario.compose)) << i;
-    if (scenario.compose.oracle == "perfect-p")
+    if (scenario.compose.oracle == "perfect-p") {
       EXPECT_EQ(scenario.compose.oracleKnobs.noise, 0.0);
+    }
   }
   EXPECT_EQ(oracles.size(), 3u) << "all three oracles should appear";
 }

@@ -1,15 +1,19 @@
 // Randomized robustness suite: determinism fuzzing, hostile-junk injection,
 // hostile bytes in the key=value scenario and counterexample files (the
 // only text the readers accept), hostile journal images, chaotic fault
-// schedules, and deep Raft log-divergence repair. Everything is
-// seed-driven — failures reproduce exactly.
+// schedules, hostile records in every journal replay, and deep Raft
+// log-divergence repair. Everything is seed-driven — failures reproduce
+// exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "benor/messages.hpp"
@@ -23,9 +27,12 @@
 #include "core/properties.hpp"
 #include "core/tagged_message.hpp"
 #include "harness/scenarios.hpp"
+#include "paxos/paxos_node.hpp"
 #include "raft/kv_store.hpp"
 #include "sim/simulator.hpp"
+#include "store/journal.hpp"
 #include "store/wal.hpp"
+#include "svc/service.hpp"
 
 namespace ooc {
 namespace {
@@ -442,6 +449,239 @@ TEST(Fuzz, HostileJournalImagesRecoverAPrefix) {
     store::RecoveryReport again;
     EXPECT_EQ(wal.recover(&again), recovered) << tag;
     EXPECT_EQ(again.bytesDiscarded, 0u) << tag;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile journal records: CRC-valid records that no writer produces,
+// appended through the WAL so that they reach each engine's replay. A
+// record is 0-12 words. Its tag is one of the engine's kinds, 0 or an
+// unknown tag. Its words lean to the values that break arithmetic, and each
+// count lands just under, at or just over what is left of its record. The
+// replay must not throw, must recover a state its writer could reach, and
+// must recover the same state from the same image twice.
+
+/// One record kind an engine journals: its tag, the fixed words after the
+/// tag, and the stride of each counted section after those.
+struct RecordKind {
+  std::uint64_t tag;
+  std::size_t fixedWords;
+  std::vector<std::size_t> strides;
+};
+
+/// An edge of the u64 range, a small value below `small`, or any word.
+std::uint64_t hostileWord(Rng& rng, std::uint64_t small) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  constexpr std::uint64_t kEdges[] = {0, 1, kHalf, kHalf + 1, kTop - 1, kTop};
+  switch (rng.below(3)) {
+    case 0:
+      return kEdges[rng.below(std::size(kEdges))];
+    case 1:
+      return rng.below(small);
+    default:
+      return rng.next();
+  }
+}
+
+std::vector<std::uint64_t> hostileRecord(Rng& rng,
+                                         const std::vector<RecordKind>& kinds,
+                                         std::uint64_t small) {
+  const std::size_t pick = rng.below(kinds.size() + 2);
+  // Half the records of a kind start near its shortest whole size.
+  std::size_t length = rng.below(13);
+  if (pick < kinds.size() && rng.coin()) {
+    const RecordKind& kind = kinds[pick];
+    length = std::min<std::size_t>(
+        12, 1 + kind.fixedWords + kind.strides.size() + rng.below(4));
+  }
+  std::vector<std::uint64_t> record(length);
+  for (std::uint64_t& word : record) word = hostileWord(rng, small);
+  if (record.empty()) return record;
+  if (pick >= kinds.size()) {
+    record[0] = pick == kinds.size() ? 0 : 99;  // no engine's tag
+    return record;
+  }
+  record[0] = kinds[pick].tag;
+  std::size_t at = 1 + kinds[pick].fixedWords;
+  for (const std::size_t stride : kinds[pick].strides) {
+    if (at >= record.size()) break;
+    // Left at 0, "just under" is 2^64 - 1.
+    const std::uint64_t left = (record.size() - at - 1) / stride;
+    if (rng.below(4) != 0) record[at] = left - 1 + rng.below(3);
+    if (record[at] > left) break;
+    at += 1 + record[at] * stride;
+  }
+  return record;
+}
+
+/// Appends up to 16 hostile records to `node`'s journal, synced, and
+/// returns them.
+template <typename Node>
+std::vector<std::vector<std::uint64_t>> plantHostile(
+    Node& node, Rng& rng, const std::vector<RecordKind>& kinds,
+    std::uint64_t small) {
+  auto* wal = const_cast<store::WriteAheadLog*>(node.wal());
+  std::vector<std::vector<std::uint64_t>> records(rng.below(17));
+  for (std::vector<std::uint64_t>& record : records) {
+    record = hostileRecord(rng, kinds, small);
+    wal->append(record);
+  }
+  wal->sync();
+  return records;
+}
+
+template <typename Node>
+void restart(Node& node) {
+  node.onCrash();
+  node.onRestart();
+}
+
+/// Node 0 of 5, on a network that drops everything and timers that never
+/// fire: a replay needs no more.
+class QuietContext final : public Context {
+ public:
+  ProcessId self() const noexcept override { return 0; }
+  std::size_t processCount() const noexcept override { return 5; }
+  Tick now() const noexcept override { return 0; }
+  Rng& rng() noexcept override { return rng_; }
+  void post(ProcessId, MessagePtr) override {}
+  void fanout(MessagePtr) override {}
+  TimerId setTimer(Tick) override { return ++timers_; }
+  void cancelTimer(TimerId) noexcept override {}
+  void decide(Value) override {}
+
+ private:
+  Rng rng_{1};
+  TimerId timers_ = 0;
+};
+
+constexpr int kHostileTrials = 3000;
+
+// Raft: lastLogIndex() does not wrap, and the commit and apply indices sit
+// at the snapshot, at or below the last index.
+TEST(Fuzz, HostileRaftRecordsReplayToAWritableState) {
+  const std::vector<RecordKind> kinds = {
+      {1, 2, {}}, {2, 2, {}}, {3, 1, {}}, {4, 2, {2, 1}}};
+  Rng rng(0x4AF7);
+  for (int trial = 0; trial < kHostileTrials; ++trial) {
+    const std::string tag = "trial " + std::to_string(trial);
+    raft::RaftConfig config;
+    config.durable = true;
+    QuietContext ctx;
+    raft::RaftProcess node{config};
+    node.bind(ctx);
+    node.onStart();
+    plantHostile(node, rng, kinds, 8);
+    ASSERT_NO_THROW(restart(node)) << tag;
+    ASSERT_LE(node.log().size(), ~raft::LogIndex{0} - node.snapshotIndex())
+        << tag;
+    EXPECT_EQ(node.commitIndex(), node.snapshotIndex()) << tag;
+    EXPECT_EQ(node.lastApplied(), node.snapshotIndex()) << tag;
+    EXPECT_LE(node.snapshotIndex(), node.lastLogIndex()) << tag;
+
+    const raft::Term term = node.currentTerm();
+    const raft::LogIndex snapshot = node.snapshotIndex();
+    const std::vector<raft::LogEntry> log = node.log();
+    ASSERT_NO_THROW(restart(node)) << tag;
+    EXPECT_EQ(node.currentTerm(), term) << tag;
+    EXPECT_EQ(node.snapshotIndex(), snapshot) << tag;
+    EXPECT_EQ(node.log(), log) << tag;
+  }
+}
+
+// Paxos: the accepted ballot never exceeds the promise (PConProof's
+// maxVBal <= maxBal).
+TEST(Fuzz, HostilePaxosRecordsReplayToAWritableState) {
+  const std::vector<RecordKind> kinds = {{1, 1, {}}, {2, 2, {}}, {3, 1, {}}};
+  Rng rng(0x9A05);
+  for (int trial = 0; trial < kHostileTrials; ++trial) {
+    const std::string tag = "trial " + std::to_string(trial);
+    paxos::PaxosConfig config;
+    config.durable = true;
+    QuietContext ctx;
+    paxos::PaxosNode node(/*input=*/1, config);
+    node.bind(ctx);
+    node.onStart();
+    plantHostile(node, rng, kinds, 16);
+    ASSERT_NO_THROW(restart(node)) << tag;
+    EXPECT_LE(node.acceptedBallot(), node.promised()) << tag;
+
+    const paxos::Ballot promised = node.promised();
+    const paxos::Ballot accepted = node.acceptedBallot();
+    const bool decided = node.decided();
+    const Value decision = node.decisionValue();
+    ASSERT_NO_THROW(restart(node)) << tag;
+    EXPECT_EQ(node.promised(), promised) << tag;
+    EXPECT_EQ(node.acceptedBallot(), accepted) << tag;
+    EXPECT_EQ(node.decided(), decided) << tag;
+    EXPECT_EQ(node.decisionValue(), decision) << tag;
+  }
+}
+
+class IdleEngine final : public Process {
+ public:
+  void onMessage(ProcessId, const Message&) override {}
+};
+
+// The service: the quarantine is exactly what the replayed opens below
+// maxDecrees and the replayed commits bound, and the client front lists
+// exactly the commands of the replayed commit records. The oracle reads
+// the records as their writer wrote them: an open or commit at its exact
+// size, a commit only as the next decree, and a no-op commit applying
+// nothing.
+TEST(Fuzz, HostileServiceRecordsReplayToAWritableState) {
+  constexpr std::uint64_t kRecOpen = 3;
+  constexpr std::uint64_t kRecCommit = 4;
+  const std::vector<RecordKind> kinds = {
+      {1, 1, {}}, {2, 1, {1}}, {kRecOpen, 2, {}}, {kRecCommit, 2, {1}}};
+  svc::SvcNodeOptions options;
+  options.durable = true;
+  options.maxDecrees = 8;
+  svc::WorkloadOptions workload;
+  workload.commandsPerNode = 0;
+  const auto zipf = svc::makeZipfCdf(workload);
+  Rng rng(0x5EC0);
+  for (int trial = 0; trial < kHostileTrials; ++trial) {
+    const std::string tag = "trial " + std::to_string(trial);
+    QuietContext ctx;
+    svc::SvcNode node(
+        [](std::uint64_t, Value, bool) {
+          return std::make_unique<IdleEngine>();
+        },
+        svc::ClientFront(workload, zipf, 0, 5, 1), options);
+    node.bind(ctx);
+    node.onStart();
+    const auto records = plantHostile(node, rng, kinds, options.maxDecrees + 2);
+    ASSERT_NO_THROW(restart(node)) << tag;
+
+    std::uint64_t quarantine = 0;
+    std::uint64_t commits = 0;
+    std::vector<Value> applied;
+    std::unordered_set<Value> seen;
+    for (const std::vector<std::uint64_t>& r : records) {
+      if (r.size() == 3 && r[0] == kRecOpen && r[1] < options.maxDecrees)
+        quarantine = std::max(quarantine, r[1] + 1);
+      if (r.size() < 4 || r[0] != kRecCommit || r[3] != r.size() - 4 ||
+          r[1] != commits) {
+        continue;
+      }
+      ++commits;
+      if (r[2] == 0) continue;
+      for (std::size_t i = 4; i < r.size(); ++i) {
+        if (seen.insert(store::toValue(r[i])).second)
+          applied.push_back(store::toValue(r[i]));
+      }
+    }
+    EXPECT_EQ(node.quarantine(), std::max(quarantine, commits)) << tag;
+    EXPECT_EQ(node.decreeLog().size(), commits) << tag;
+    EXPECT_EQ(node.front().applied(), applied) << tag;
+
+    const std::vector<Value> decrees = node.decreeLog();
+    ASSERT_NO_THROW(restart(node)) << tag;
+    EXPECT_EQ(node.quarantine(), std::max(quarantine, commits)) << tag;
+    EXPECT_EQ(node.decreeLog(), decrees) << tag;
+    EXPECT_EQ(node.front().applied(), applied) << tag;
   }
 }
 

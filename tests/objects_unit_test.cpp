@@ -249,7 +249,7 @@ TEST(BenOrVacUnit, AbstainsWithoutMajority) {
 TEST(BenOrVacUnit, OutcomeThresholds) {
   // commit: > t = 2 ratifies; adopt: >= 1; vacillate: none.
   struct Case {
-    int ratifies;
+    ProcessId ratifies;
     Confidence confidence;
   };
   for (const Case c : {Case{3, Confidence::kCommit},

@@ -1,16 +1,23 @@
 // Surgical unit tests of the Raft message handlers: a ManualContext drives
 // one RaftProcess directly (no simulator), asserting on exactly which
-// replies and state transitions each RPC produces.
+// replies and state transitions each RPC produces. The same context drives
+// the planted-record replays of Raft, Paxos and the service at the end.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "paxos/messages.hpp"
+#include "paxos/paxos_node.hpp"
 #include "raft/kv_store.hpp"
 #include "raft/messages.hpp"
 #include "raft/raft_process.hpp"
 #include "sim/process.hpp"
-#include "store/wal.hpp"
+#include "store/journal.hpp"
+#include "svc/messages.hpp"
+#include "svc/service.hpp"
 
 namespace ooc {
 namespace {
@@ -580,7 +587,7 @@ TEST(RaftUnit, SentEntriesSurviveEveryLogMutation) {
 }
 
 // A journal replay checks each count it reads from a record against what
-// is left of the record, by subtraction. Summed, 4 + 2 * (2^63 + 1) + 1
+// is left of the record, by division. Summed, 4 + 2 * (2^63 + 1) + 1
 // wraps to 7, which the 7-word snapshot record below would pass, and the
 // replay would read 2^64 words past its end; likewise a state length of
 // 2^64 - 1 in a 5-word record. Both records are CRC-valid and ignored.
@@ -609,6 +616,192 @@ TEST(RaftUnit, ReplayIgnoresRecordCountsThatWouldWrap) {
   EXPECT_EQ(node.snapshotIndex(), 0u);
   EXPECT_EQ(node.log(), (std::vector<raft::LogEntry>{raft::LogEntry{1, 10},
                                                      raft::LogEntry{1, 11}}));
+}
+
+// ---------------------------------------------------------------------------
+// Planted journal records. Each replay below recovers CRC-valid records that
+// no writer produces, and must still recover a state its writer could reach.
+// Paxos and the service replay through the same record reader as Raft, so
+// their planted cases sit here too.
+
+constexpr std::uint64_t kMaxWord = ~std::uint64_t{0};
+
+/// Appends `records` to `node`'s journal, syncs them, then crashes and
+/// restarts the node, which replays them.
+template <typename Node>
+void replayPlanted(Node& node,
+                   const std::vector<std::vector<std::uint64_t>>& records) {
+  auto* wal = const_cast<store::WriteAheadLog*>(node.wal());
+  ASSERT_NE(wal, nullptr);
+  for (const std::vector<std::uint64_t>& record : records) wal->append(record);
+  wal->sync();
+  node.onCrash();
+  node.onRestart();
+}
+
+// A snapshot or entry record whose last index would pass 2^64 - 1 is
+// ignored. Replayed, lastLogIndex() wrapped to 0 below a commit index of
+// 2^64 - 1.
+TEST(RaftUnit, ReplayIgnoresRecordsThatWouldWrapTheLastIndex) {
+  constexpr std::uint64_t kRecEntry = 2;
+  constexpr std::uint64_t kRecSnapshot = 4;
+  struct Case {
+    const char* name;
+    std::vector<std::vector<std::uint64_t>> records;
+    raft::LogIndex snapshotIndex;
+  };
+  const Case cases[] = {
+      {"a snapshot holding one entry past the last index",
+       {{kRecSnapshot, kMaxWord, /*snapshotTerm=*/1, /*logLen=*/1, 1, 5,
+         /*stateLen=*/0}},
+       0},
+      {"an entry after a snapshot at the last index",
+       {{kRecSnapshot, kMaxWord, 1, /*logLen=*/0, /*stateLen=*/0},
+        {kRecEntry, /*term=*/1, /*command=*/5}},
+       kMaxWord},
+  };
+  for (const Case& c : cases) {
+    raft::RaftConfig config;
+    config.durable = true;
+    ManualContext ctx(5);
+    raft::RaftProcess node{config};
+    node.bind(ctx);
+    node.onStart();
+    replayPlanted(node, c.records);
+    EXPECT_EQ(node.snapshotIndex(), c.snapshotIndex) << c.name;
+    EXPECT_TRUE(node.log().empty()) << c.name;
+    EXPECT_EQ(node.commitIndex(), node.snapshotIndex()) << c.name;
+    EXPECT_LE(node.commitIndex(), node.lastLogIndex()) << c.name;
+  }
+}
+
+// Writers only raise the promise, so a promise record below an accepted
+// ballot comes from no writer. Replayed as an assignment, it left the
+// acceptor promising 7, and accepting 7, after it had accepted 10.
+TEST(PaxosUnit, ReplayNeverLowersThePromiseBelowTheAcceptedBallot) {
+  constexpr std::uint64_t kRecPromise = 1;
+  constexpr std::uint64_t kRecAccept = 2;
+  struct Case {
+    const char* name;
+    std::vector<std::vector<std::uint64_t>> records;
+    paxos::Ballot promised;
+  };
+  const Case cases[] = {
+      {"an accept, then a lower promise",
+       {{kRecAccept, /*ballot=*/10, /*value=*/7}, {kRecPromise, 5}},
+       10},
+      {"a promise, a lower accept, then a lower promise",
+       {{kRecPromise, 12}, {kRecAccept, 10, 7}, {kRecPromise, 5}},
+       12},
+  };
+  for (const Case& c : cases) {
+    paxos::PaxosConfig config;
+    config.durable = true;
+    ManualContext ctx(5);
+    paxos::PaxosNode node(/*input=*/1, config);
+    node.bind(ctx);
+    node.onStart();
+    replayPlanted(node, c.records);
+    EXPECT_EQ(node.promised(), c.promised) << c.name;
+    EXPECT_EQ(node.acceptedBallot(), 10u) << c.name;
+    ctx.clear();
+    node.onMessage(3, paxos::Prepare(7));
+    EXPECT_EQ(ctx.lastTo<paxos::Promise>(3), nullptr) << c.name;
+    EXPECT_NE(ctx.lastTo<paxos::Nack>(3), nullptr) << c.name;
+  }
+}
+
+/// A decree engine that does nothing: the service tests below watch only
+/// what each decree was opened to propose.
+class IdleEngine final : public Process {
+ public:
+  void onMessage(ProcessId, const Message&) override {}
+};
+
+/// Node 0 of a 5-node durable service with no client load; its engines
+/// record (decree, proposal) as they open.
+struct SvcBench {
+  static constexpr std::uint64_t kMaxDecrees = 16;
+  static constexpr std::uint64_t kRecBatch = 2;
+  static constexpr std::uint64_t kRecOpen = 3;
+  static constexpr std::uint64_t kRecCommit = 4;
+
+  SvcBench()
+      : ctx(5),
+        node(
+            [this](std::uint64_t decree, Value proposal, bool) {
+              opened.emplace_back(decree, proposal);
+              return std::make_unique<IdleEngine>();
+            },
+            front(), options()) {
+    node.bind(ctx);
+    node.onStart();
+  }
+
+  static svc::ClientFront front() {
+    svc::WorkloadOptions workload;
+    workload.commandsPerNode = 0;
+    return svc::ClientFront(workload, svc::makeZipfCdf(workload), 0, 5, 1);
+  }
+  static svc::SvcNodeOptions options() {
+    svc::SvcNodeOptions options;
+    options.durable = true;
+    options.maxDecrees = kMaxDecrees;
+    return options;
+  }
+
+  /// Peer traffic for `decree` makes the node open every decree up to it.
+  void traffic(std::uint64_t decree) {
+    node.onMessage(1, svc::DecreeMessage(
+                          decree, makeMessage<paxos::Prepare>(1)));
+  }
+
+  ManualContext ctx;
+  std::vector<std::pair<std::uint64_t, Value>> opened;
+  svc::SvcNode node;
+};
+
+// An open at or past maxDecrees comes from no writer. At 2^64 - 1, decree +
+// 1 wrapped to 0, so the quarantine missed the open and its batch stayed
+// parked on a decree that never decides; at maxDecrees it moved the
+// quarantine past every decree the node may open. Ignored, the batch is
+// proposed again in the first decree the node opens.
+TEST(SvcUnit, ReplayIgnoresOpensNoWriterJournals) {
+  const Value batch = svc::makeBatchId(0, 1);
+  for (const std::uint64_t decree : {kMaxWord, SvcBench::kMaxDecrees}) {
+    SvcBench bench;
+    replayPlanted(bench.node,
+                  {{SvcBench::kRecBatch, store::toWord(batch), 1, 42},
+                   {SvcBench::kRecOpen, decree, store::toWord(batch)}});
+    EXPECT_EQ(bench.node.quarantine(), 0u) << decree;
+    bench.traffic(0);
+    EXPECT_EQ(bench.opened,
+              (std::vector<std::pair<std::uint64_t, Value>>{{0, batch}}))
+        << decree;
+  }
+}
+
+// The counts in batch and commit records are checked by division too.
+// Summed, 3 + (2^64 - 1) wraps to 2 and 4 + (2^64 - 1) to 3, which the
+// records below pass, and the replay would reserve or read 2^64 - 1
+// commands. Both records are ignored.
+TEST(SvcUnit, ReplayIgnoresRecordCountsThatWouldWrap) {
+  const std::uint64_t batch = store::toWord(svc::makeBatchId(0, 1));
+  const std::vector<std::vector<std::uint64_t>> records[] = {
+      {{SvcBench::kRecBatch, batch, /*n=*/kMaxWord, 42}},
+      {{SvcBench::kRecCommit, /*decree=*/0, batch, /*n=*/kMaxWord, 42}},
+  };
+  for (const auto& planted : records) {
+    SvcBench bench;
+    replayPlanted(bench.node, planted);
+    const std::string name = "tag " + std::to_string(planted[0][0]);
+    EXPECT_TRUE(bench.node.decreeLog().empty()) << name;
+    EXPECT_TRUE(bench.node.front().applied().empty()) << name;
+    bench.traffic(0);
+    EXPECT_EQ(bench.opened, (std::vector<std::pair<std::uint64_t, Value>>{
+                                {0, svc::kNoopBatch}}))
+        << name;
+  }
 }
 
 }  // namespace

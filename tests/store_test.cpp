@@ -95,10 +95,12 @@ TEST(WriteAheadLog, TornTailNeverYieldsAPartialRecord) {
     ASSERT_GE(records.size(), 1u);
     ASSERT_LE(records.size(), 3u);
     EXPECT_EQ(records[0], (std::vector<std::uint64_t>{10}));
-    if (records.size() >= 2)
+    if (records.size() >= 2) {
       EXPECT_EQ(records[1], (std::vector<std::uint64_t>{20, 21}));
-    if (records.size() == 3)
+    }
+    if (records.size() == 3) {
       EXPECT_EQ(records[2], (std::vector<std::uint64_t>{30, 31, 32}));
+    }
   }
 }
 
