@@ -55,7 +55,7 @@ RaftScenarioConfig recoveryConfig(std::size_t restarts, std::uint64_t seed,
   // [150, 300]) with short downtimes, so recovery races live vote grants —
   // the regime where a stale journal can act before the term moves on.
   for (std::size_t i = 0; i < restarts; ++i) {
-    RaftScenarioConfig::RestartEvent event;
+    compose::RestartEntry event;
     event.id = static_cast<ProcessId>(i % config.n);
     event.at = 155 + 35 * static_cast<Tick>(i);
     event.downtime = 5;

@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
         runTrials(blackoutTrials, [&](int trial) {
           ooc::svc::SvcConfig config = baseConfig(spec, quick);
           config.seed = 360000 + static_cast<std::uint64_t>(trial);
-          ooc::svc::RestartEvent restart;
+          ooc::compose::RestartEntry restart;
           restart.id = spec.engine == "raft" ? raftLeader : 0;
           restart.at = spec.engine == "raft" ? leaderAt + 120 : 120;
           restart.downtime = 150;

@@ -106,7 +106,7 @@ std::optional<Violation> SchedulerCoherenceInvariant::check(
                            SchedulingPolicy policy) {
     std::ostringstream os;
     os << count << " " << what << " under the " << ooc::toString(policy)
-       << " policy (structurally impossible; RoundScheduler regression)";
+       << " policy (structurally impossible; round-scheduling regression)";
     return Violation{name(), os.str()};
   };
   if (policy != SchedulingPolicy::kOooDriver && report.overlapWitnesses > 0)

@@ -155,7 +155,7 @@ class SvcExactlyOnceInvariant final : public Invariant {
 /// behind the tick barrier); event-driven runs never overlap rounds (they
 /// defer, but the frontier is still sequential); ooo-driver runs never
 /// defer (activation is inline — overlap comes from detached drives).
-/// A count on the wrong side is a RoundScheduler regression.
+/// A count on the wrong side is a round-scheduling regression.
 class SchedulerCoherenceInvariant final : public Invariant {
  public:
   const char* name() const noexcept override { return "scheduler-coherence"; }

@@ -2,7 +2,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
+#include "compose/kv.hpp"
 #include "compose/run.hpp"
 #include "harness/serialize.hpp"
 
@@ -156,6 +158,19 @@ Scenario parseScenario(const std::string& text) {
   return scenario;
 }
 
+namespace {
+
+void describeRestarts(std::ostream& os,
+                      const std::vector<compose::RestartEntry>& restarts) {
+  os << " restarts=";
+  for (std::size_t i = 0; i < restarts.size(); ++i) {
+    if (i > 0) os << ',';
+    os << 'p' << compose::restartEntry(restarts[i]);
+  }
+}
+
+}  // namespace
+
 std::string describe(const Scenario& scenario) {
   std::ostringstream os;
   os << toString(scenario.family) << " n=" << scenario.processCount()
@@ -166,12 +181,7 @@ std::string describe(const Scenario& scenario) {
          << " partitions=" << scenario.raft.partitions.size()
          << " drop-prob=" << scenario.raft.dropProbability;
       if (!scenario.raft.restarts.empty()) {
-        os << " restarts=";
-        for (std::size_t i = 0; i < scenario.raft.restarts.size(); ++i) {
-          const auto& event = scenario.raft.restarts[i];
-          if (i > 0) os << ',';
-          os << 'p' << event.id << '@' << event.at << '+' << event.downtime;
-        }
+        describeRestarts(os, scenario.raft.restarts);
         os << (scenario.raft.raft.durable ? " durable" : " volatile");
         if (scenario.raft.raft.durable)
           os << (scenario.raft.raft.syncBeforeReply ? "+sync" : "+nosync");
@@ -205,12 +215,7 @@ std::string describe(const Scenario& scenario) {
          << " batch-max=" << scenario.svc.service.batchMax
          << " crashes=" << scenario.svc.crashes.size();
       if (!scenario.svc.restarts.empty()) {
-        os << " restarts=";
-        for (std::size_t i = 0; i < scenario.svc.restarts.size(); ++i) {
-          const auto& event = scenario.svc.restarts[i];
-          if (i > 0) os << ',';
-          os << 'p' << event.id << '@' << event.at << '+' << event.downtime;
-        }
+        describeRestarts(os, scenario.svc.restarts);
         os << (scenario.svc.service.durable ? " durable" : " volatile");
       }
       if (scenario.svc.adversary.enabled())

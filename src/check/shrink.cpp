@@ -37,6 +37,34 @@ void eachCrashReduction(const Scenario& base, const Config& config,
   }
 }
 
+/// Restart reductions: drop each event, then pull each event earlier and
+/// shorten each downtime (smaller schedules first).
+template <typename Config>
+void eachRestartReduction(const Scenario& base, const Config& config,
+                          Config Scenario::* member,
+                          std::vector<Scenario>& out) {
+  for (std::size_t i = 0; i < config.restarts.size(); ++i) {
+    Scenario candidate = base;
+    auto& restarts = (candidate.*member).restarts;
+    restarts.erase(restarts.begin() + static_cast<std::ptrdiff_t>(i));
+    out.push_back(std::move(candidate));
+  }
+  for (std::size_t i = 0; i < config.restarts.size(); ++i) {
+    if (config.restarts[i].at > 1) {
+      Scenario candidate = base;
+      auto& event = (candidate.*member).restarts[i];
+      event.at = std::max<Tick>(1, event.at / 2);
+      out.push_back(std::move(candidate));
+    }
+    if (config.restarts[i].downtime > 1) {
+      Scenario candidate = base;
+      auto& event = (candidate.*member).restarts[i];
+      event.downtime = std::max<Tick>(1, event.downtime / 2);
+      out.push_back(std::move(candidate));
+    }
+  }
+}
+
 void eachAdversaryReduction(const Scenario& base,
                             const compose::AdversaryOptions& adversary,
                             std::vector<Scenario>& out, Family family) {
@@ -77,28 +105,7 @@ std::vector<Scenario> reductions(const Scenario& base) {
     case Family::kRaft: {
       const auto& config = base.raft;
       eachCrashReduction(base, config, &Scenario::raft, out);
-      // Restart reductions: drop each event, then pull each event earlier
-      // and shorten each downtime (smaller schedules first).
-      for (std::size_t i = 0; i < config.restarts.size(); ++i) {
-        Scenario candidate = base;
-        auto& restarts = candidate.raft.restarts;
-        restarts.erase(restarts.begin() + static_cast<std::ptrdiff_t>(i));
-        out.push_back(std::move(candidate));
-      }
-      for (std::size_t i = 0; i < config.restarts.size(); ++i) {
-        if (config.restarts[i].at > 1) {
-          Scenario candidate = base;
-          auto& event = candidate.raft.restarts[i];
-          event.at = std::max<Tick>(1, event.at / 2);
-          out.push_back(std::move(candidate));
-        }
-        if (config.restarts[i].downtime > 1) {
-          Scenario candidate = base;
-          auto& event = candidate.raft.restarts[i];
-          event.downtime = std::max<Tick>(1, event.downtime / 2);
-          out.push_back(std::move(candidate));
-        }
-      }
+      eachRestartReduction(base, config, &Scenario::raft, out);
       for (std::size_t i = 0; i < config.partitions.size(); ++i) {
         Scenario candidate = base;
         auto& partitions = candidate.raft.partitions;
@@ -204,28 +211,7 @@ std::vector<Scenario> reductions(const Scenario& base) {
     case Family::kSvc: {
       const auto& config = base.svc;
       eachCrashReduction(base, config, &Scenario::svc, out);
-      // Restart reductions mirror the Raft family's: drop each event, pull
-      // it earlier, shorten its downtime.
-      for (std::size_t i = 0; i < config.restarts.size(); ++i) {
-        Scenario candidate = base;
-        auto& restarts = candidate.svc.restarts;
-        restarts.erase(restarts.begin() + static_cast<std::ptrdiff_t>(i));
-        out.push_back(std::move(candidate));
-      }
-      for (std::size_t i = 0; i < config.restarts.size(); ++i) {
-        if (config.restarts[i].at > 1) {
-          Scenario candidate = base;
-          auto& event = candidate.svc.restarts[i];
-          event.at = std::max<Tick>(1, event.at / 2);
-          out.push_back(std::move(candidate));
-        }
-        if (config.restarts[i].downtime > 1) {
-          Scenario candidate = base;
-          auto& event = candidate.svc.restarts[i];
-          event.downtime = std::max<Tick>(1, event.downtime / 2);
-          out.push_back(std::move(candidate));
-        }
-      }
+      eachRestartReduction(base, config, &Scenario::svc, out);
       // Shallower pipeline, smaller batches, less traffic: a finding that
       // survives with window=1 batch=1 is nearly the sequential log.
       if (config.service.window > 1) {

@@ -293,7 +293,7 @@ Scenario RestartScheduleStrategy::generate(std::size_t index) const {
   const std::size_t seedOffset = offset % options_.seedsPerSchedule;
   offset /= options_.seedsPerSchedule;
 
-  std::vector<harness::RaftScenarioConfig::RestartEvent> restarts;
+  std::vector<compose::RestartEntry> restarts;
   restarts.reserve(subset.size());
   for (const ProcessId id : subset) {
     std::size_t digit = offset % options_.crashTicks.size();

@@ -184,7 +184,7 @@ Composition parseComposition(const std::string& text) {
   composition.adversary = getAdversary(kv);
   composition.earlyCommitDecision = kv.getU64("early-commit", 0) != 0;
   composition.maxRounds =
-      static_cast<Round>(kv.getU64("max-rounds", composition.maxRounds));
+      kv.getNarrow<Round>("max-rounds", composition.maxRounds);
   composition.maxTicks = kv.getU64("max-ticks", composition.maxTicks);
   composition.fault = parsePlantedFault(kv.get("fault", "none"));
   {

@@ -105,23 +105,16 @@ std::string crashEntry(const std::pair<ProcessId, Tick>& crash) {
   return std::to_string(crash.first) + "@" + std::to_string(crash.second);
 }
 
-namespace {
-
-ProcessId parseProcessId(const std::string& token, const std::string& what) {
-  const std::uint64_t id = parseU64(token, what);
-  if (id > std::numeric_limits<ProcessId>::max())
-    throw std::runtime_error("config: '" + what + "' process id " + token +
-                             " is out of range");
-  return static_cast<ProcessId>(id);
+std::string restartEntry(const RestartEntry& restart) {
+  return std::to_string(restart.id) + "@" + std::to_string(restart.at) +
+         "+" + std::to_string(restart.downtime);
 }
-
-}  // namespace
 
 std::pair<ProcessId, Tick> parseCrash(const std::string& entry) {
   const auto at = entry.find('@');
   if (at == std::string::npos)
     throw std::runtime_error("config: malformed crash '" + entry + "'");
-  return {parseProcessId(entry.substr(0, at), "crash"),
+  return {parseNarrow<ProcessId>(entry.substr(0, at), "crash"),
           parseU64(entry.substr(at + 1), "crash")};
 }
 
@@ -131,7 +124,7 @@ RestartEntry parseRestart(const std::string& entry) {
   if (at == std::string::npos || plus == std::string::npos)
     throw std::runtime_error("config: malformed restart '" + entry + "'");
   RestartEntry restart;
-  restart.id = parseProcessId(entry.substr(0, at), "restart");
+  restart.id = parseNarrow<ProcessId>(entry.substr(0, at), "restart");
   restart.at = parseU64(entry.substr(at + 1, plus - at - 1), "restart");
   restart.downtime = parseU64(entry.substr(plus + 1), "restart");
   return restart;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -71,6 +72,18 @@ std::uint64_t parseU64(const std::string& token, const std::string& what);
 std::int64_t parseI64(const std::string& token, const std::string& what);
 double parseDouble(const std::string& token, const std::string& what);
 
+/// parseU64 for a field narrower than 64 bits: a value `Int` cannot hold
+/// throws an out-of-range diagnostic naming `what`, where a cast would
+/// wrap it (2^32 read into a 32-bit field loads as 0).
+template <typename Int>
+Int parseNarrow(const std::string& token, const std::string& what) {
+  const std::uint64_t value = parseU64(token, what);
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<Int>::max()))
+    throw std::runtime_error("config: '" + what + "' value " + token +
+                             " is out of range");
+  return static_cast<Int>(value);
+}
+
 class KvReader {
  public:
   explicit KvReader(const std::string& text);
@@ -83,6 +96,10 @@ class KvReader {
   }
   std::uint64_t getU64(const std::string& key, std::uint64_t fallback) const {
     return has(key) ? parseU64(get(key), key) : fallback;
+  }
+  template <typename Int>
+  Int getNarrow(const std::string& key, Int fallback) const {
+    return has(key) ? parseNarrow<Int>(get(key), key) : fallback;
   }
   double getDouble(const std::string& key, double fallback) const {
     return has(key) ? parseDouble(get(key), key) : fallback;
@@ -98,12 +115,15 @@ class KvReader {
 std::string crashEntry(const std::pair<ProcessId, Tick>& crash);
 std::pair<ProcessId, Tick> parseCrash(const std::string& entry);
 
-/// `pid@tick+downtime` crash-restart entries.
+/// `pid@tick+downtime` crash-restart entries: process `id` crashes at `at`
+/// and rejoins `downtime` ticks later with a fresh incarnation. The one
+/// restart type of the Raft and service configs.
 struct RestartEntry {
   ProcessId id = 0;
   Tick at = 0;
-  Tick downtime = 0;
+  Tick downtime = 50;
 };
+std::string restartEntry(const RestartEntry& restart);
 RestartEntry parseRestart(const std::string& entry);
 
 /// Delay-adversary triple (`adversary-budget/-prob/-seed`), shared by every

@@ -189,14 +189,10 @@ CompositionResult runComposition(const Composition& composition,
     options.scheduling = resolved.scheduling;
     options.alwaysRunDriver = resolved.alwaysRunDriver;
     options.maxRounds = composition.maxRounds;
-    if (!vacDetector) {
-      if (composition.earlyCommitDecision) {
-        options.decideOnCommit = true;  // paper-faithful, unsound corner
-      } else {
-        options.decideOnCommit = false;  // classic: fixed t+1 phases
-        options.decideAfterRound = static_cast<Round>(resolved.t + 1);
-      }
-    }
+    // AC templates decide after the classic fixed t+1 phases unless the
+    // composition asks for the paper-faithful (unsound) decide on commit.
+    if (!vacDetector && !composition.earlyCommitDecision)
+      options.decideAfterRound = static_cast<Round>(resolved.t + 1);
     wireTelemetry(options, hooks.telemetry, skewProbe.get(), id);
     auto process = std::make_unique<ConsensusProcess>(
         input, detectorFactory, driverFactory, options);

@@ -60,8 +60,7 @@ ConsensusProcess::ConsensusProcess(Value input,
     : value_(input),
       detectorFactory_(std::move(detectorFactory)),
       driverFactory_(std::move(driverFactory)),
-      options_(options),
-      scheduler_(makeRoundScheduler(options.scheduling)) {
+      options_(options) {
   if (!detectorFactory_)
     throw std::invalid_argument("detector factory is required");
   if (!driverFactory_)
@@ -70,6 +69,34 @@ ConsensusProcess::ConsensusProcess(Value input,
 }
 
 ConsensusProcess::~ConsensusProcess() = default;
+
+template <typename Call>
+bool ConsensusProcess::route(Round round, Stage stage, Call&& call) {
+  // A live loose driver owns its round's drive traffic even after the
+  // frontier moved past it (and even after the frontier retired).
+  if (stage == Stage::kDrive) {
+    for (auto& entry : loose_) {
+      if (entry.round == round) {
+        activeRound_ = round;
+        activeStage_ = Stage::kDrive;
+        call(*entry.driver);
+        return true;
+      }
+    }
+  }
+  if (exhausted_ || round != round_ || stage != stage_) return false;
+  const bool live = stage == Stage::kDetect ? detector_ != nullptr
+                                            : driver_ != nullptr;
+  if (!live) return true;  // the frontier object already completed
+  activeRound_ = round;
+  activeStage_ = stage;
+  if (stage == Stage::kDetect) {
+    call(*detector_);
+  } else {
+    call(*driver_);
+  }
+  return true;
+}
 
 void ConsensusProcess::onStart() {
   beginRound();
@@ -200,7 +227,7 @@ void ConsensusProcess::pump() {
       switch (outcome->confidence) {
         case Confidence::kCommit:
           value_ = outcome->value;
-          if (options_.decideOnCommit && !decided_) {
+          if (options_.decideAfterRound == 0 && !decided_) {
             decided_ = true;
             decisionValue_ = outcome->value;
             decisionRound_ = round_;
@@ -226,14 +253,14 @@ void ConsensusProcess::pump() {
 
       detector_.reset();
       if (runDriver) {
-        if (!useDriverValue_ && scheduler_->detachesCourtesyDrives()) {
+        if (!useDriverValue_ && detachesCourtesyDrives(options_.scheduling)) {
           // ooo-driver: the drive wave of this round proceeds loose while
           // the next round's detector goes live immediately.
           launchLooseDriver(*outcome);
           beginRound();
           continue;
         }
-        if (!scheduler_->advancesInline()) {
+        if (!advancesInline(options_.scheduling)) {
           pendingOutcome_ = *outcome;
           scheduleWakeup(PendingWake::kInvokeDriver);
           return;
@@ -241,7 +268,7 @@ void ConsensusProcess::pump() {
         invokeFrontierDriver(*outcome);
         continue;
       }
-      if (!scheduler_->advancesInline()) {
+      if (!advancesInline(options_.scheduling)) {
         scheduleWakeup(PendingWake::kBeginRound);
         return;
       }
@@ -258,7 +285,7 @@ void ConsensusProcess::pump() {
     if (options_.onDriverValue)
       options_.onDriverValue(round_, *driven, ctx().now());
     if (useDriverValue_) value_ = *driven;
-    if (!scheduler_->advancesInline()) {
+    if (!advancesInline(options_.scheduling)) {
       driver_.reset();  // completed: late drive messages are stale
       scheduleWakeup(PendingWake::kBeginRound);
       return;
@@ -275,34 +302,12 @@ void ConsensusProcess::onMessage(ProcessId from, const Message& message) {
 }
 
 void ConsensusProcess::dispatch(ProcessId from, const TaggedMessage& tagged) {
-  // A live loose driver owns its round's drive traffic even after the
-  // frontier moved past it (and even after the frontier retired).
-  if (tagged.stage() == Stage::kDrive) {
-    for (auto& entry : loose_) {
-      if (entry.round == tagged.round()) {
-        activeRound_ = entry.round;
-        activeStage_ = Stage::kDrive;
-        entry.driver->onMessage(*objectContext_, from, tagged.inner());
-        return;
-      }
-    }
-  }
+  if (route(tagged.round(), tagged.stage(), [&](auto& object) {
+        object.onMessage(*objectContext_, from, tagged.inner());
+      }))
+    return;
   if (exhausted_) return;
   if (tagged.round() < round_) return;  // stale: round already finished
-  const bool current =
-      tagged.round() == round_ && tagged.stage() == stage_;
-  if (current) {
-    if (stage_ == Stage::kDetect && detector_) {
-      activeRound_ = round_;
-      activeStage_ = Stage::kDetect;
-      detector_->onMessage(*objectContext_, from, tagged.inner());
-    } else if (stage_ == Stage::kDrive && driver_) {
-      activeRound_ = round_;
-      activeStage_ = Stage::kDrive;
-      driver_->onMessage(*objectContext_, from, tagged.inner());
-    }
-    return;
-  }
   // Same round but a stage we already passed: stale, drop.
   if (tagged.round() == round_ && tagged.stage() == Stage::kDetect &&
       stage_ == Stage::kDrive) {
@@ -333,32 +338,13 @@ void ConsensusProcess::replayBuffered() {
   std::vector<BufferedMessage> keep;
   keep.reserve(buffered_.size());
   for (auto& entry : buffered_) {
-    Driver* looseTarget = nullptr;
-    if (entry.stage == Stage::kDrive) {
-      for (auto& loose : loose_) {
-        if (loose.round == entry.round) {
-          looseTarget = loose.driver.get();
-          break;
-        }
-      }
-    }
-    if (looseTarget != nullptr) {
-      activeRound_ = entry.round;
-      activeStage_ = Stage::kDrive;
-      looseTarget->onMessage(*objectContext_, entry.from, *entry.inner);
-    } else if (entry.round == round_ && entry.stage == stage_) {
-      if (stage_ == Stage::kDetect && detector_) {
-        activeRound_ = round_;
-        activeStage_ = Stage::kDetect;
-        detector_->onMessage(*objectContext_, entry.from, *entry.inner);
-      } else if (stage_ == Stage::kDrive && driver_) {
-        activeRound_ = round_;
-        activeStage_ = Stage::kDrive;
-        driver_->onMessage(*objectContext_, entry.from, *entry.inner);
-      }
-    } else if (entry.round > round_ ||
-               (entry.round == round_ && stage_ == Stage::kDetect &&
-                entry.stage == Stage::kDrive)) {
+    if (route(entry.round, entry.stage, [&](auto& object) {
+          object.onMessage(*objectContext_, entry.from, *entry.inner);
+        }))
+      continue;
+    if (entry.round > round_ ||
+        (entry.round == round_ && stage_ == Stage::kDetect &&
+         entry.stage == Stage::kDrive)) {
       keep.push_back(std::move(entry));
     }
     // else: stale, drop
@@ -382,9 +368,6 @@ void ConsensusProcess::pruneBufferedAfterDecide() {
 }
 
 void ConsensusProcess::noteTimerOwner(TimerId id) {
-  // Lockstep keeps the legacy routing (all timers go to the frontier
-  // object), so no ownership table is needed there.
-  if (scheduler_->policy() == SchedulingPolicy::kLockstep) return;
   timerOwners_.emplace_back(id, activeRound_, activeStage_);
 }
 
@@ -413,51 +396,19 @@ bool ConsensusProcess::takeTimerOwner(TimerId id, Round& round,
 }
 
 void ConsensusProcess::onTimer(TimerId id) {
-  if (scheduler_->policy() == SchedulingPolicy::kLockstep) {
-    // Legacy routing: the frontier object owns every timer.
-    if (stage_ == Stage::kDetect && detector_) {
-      activeRound_ = round_;
-      activeStage_ = Stage::kDetect;
-      detector_->onTimer(*objectContext_, id);
-    } else if (stage_ == Stage::kDrive && driver_) {
-      activeRound_ = round_;
-      activeStage_ = Stage::kDrive;
-      driver_->onTimer(*objectContext_, id);
-    }
-    pump();
-    return;
-  }
   if (wakeTimer_ && *wakeTimer_ == id) {
     wakeTimer_.reset();
     onWakeup();
     return;
   }
+  // A timer reaches the object that armed it; once that object completed
+  // or retired, the timer is stale and reaches nothing.
   Round ownerRound = 0;
   Stage ownerStage = Stage::kDetect;
   if (takeTimerOwner(id, ownerRound, ownerStage)) {
-    if (ownerStage == Stage::kDrive) {
-      for (auto& entry : loose_) {
-        if (entry.round == ownerRound) {
-          activeRound_ = entry.round;
-          activeStage_ = Stage::kDrive;
-          entry.driver->onTimer(*objectContext_, id);
-          pump();
-          return;
-        }
-      }
-    }
-    if (!exhausted_ && ownerRound == round_ && ownerStage == stage_) {
-      if (stage_ == Stage::kDetect && detector_) {
-        activeRound_ = round_;
-        activeStage_ = Stage::kDetect;
-        detector_->onTimer(*objectContext_, id);
-      } else if (stage_ == Stage::kDrive && driver_) {
-        activeRound_ = round_;
-        activeStage_ = Stage::kDrive;
-        driver_->onTimer(*objectContext_, id);
-      }
-    }
-    // Owner object already completed/retired: the timer is stale.
+    route(ownerRound, ownerStage, [&](auto& object) {
+      object.onTimer(*objectContext_, id);
+    });
   }
   pump();
 }
@@ -470,16 +421,13 @@ void ConsensusProcess::onTick(Tick tick) {
   // via the barrier itself. Policies without a tick barrier (event-driven)
   // drop the forwarding entirely — their objects are async-mode and advance
   // on arrivals alone (registry-gated).
-  if (scheduler_->forwardsTickBarrier()) {
-    if (stage_ == Stage::kDetect && detector_ && tick > detectorInvokedAt_) {
-      activeRound_ = round_;
-      activeStage_ = Stage::kDetect;
-      detector_->onTick(*objectContext_, tick);
-    } else if (stage_ == Stage::kDrive && driver_ &&
-               tick > driverInvokedAt_) {
-      activeRound_ = round_;
-      activeStage_ = Stage::kDrive;
-      driver_->onTick(*objectContext_, tick);
+  if (forwardsTickBarrier(options_.scheduling)) {
+    const Tick invokedAt =
+        stage_ == Stage::kDetect ? detectorInvokedAt_ : driverInvokedAt_;
+    if (tick > invokedAt) {
+      route(round_, stage_, [&](auto& object) {
+        object.onTick(*objectContext_, tick);
+      });
     }
     for (auto& entry : loose_) {
       if (tick > entry.invokedAt) {

@@ -24,13 +24,20 @@
 //    keeps its own value.
 //
 // *When* the next object of the loop is invoked is not fixed by the
-// template: it is delegated to a RoundScheduler policy (core/scheduling.hpp).
-// Under the default lockstep policy the loop above runs inline and
-// tick-aligned, exactly as before the policy split; event-driven defers
+// template: three predicates of the SchedulingPolicy (core/scheduling.hpp)
+// decide it. Under the default lockstep policy the loop above runs inline
+// and tick-aligned, exactly as before the policy split; event-driven defers
 // each activation to a fresh wakeup event (per-process round skew);
 // ooo-driver detaches courtesy drives into "loose" drivers that keep
 // exchanging while the next round's detector is already live (DESIGN.md
 // §14).
+//
+// *Which* object an event reaches is fixed, by one routing rule (route()):
+// a message, buffered message, timer or tick barrier addressed to (round,
+// stage) reaches a live loose driver of that round, else the frontier
+// object at that coordinate, else nothing. A timer is addressed to the
+// object that armed it, so one left armed by a completed object reaches no
+// later object.
 #pragma once
 
 #include <cstdint>
@@ -76,15 +83,13 @@ class ConsensusProcess final : public Process {
     /// (lockstep algorithms); the template still only *uses* the driver's
     /// value when the outcome calls for it.
     bool alwaysRunDriver = false;
-    /// Decide when the detector commits (the paper's rule). Disable for
-    /// algorithms whose drivers lack validity under faults — with a
-    /// Byzantine king, Phase-King's conciliator can hand adopters a value
-    /// different from a just-committed one, breaking agreement (see
-    /// EXPERIMENTS.md, "the early-decision gap"); the classic algorithm is
-    /// recovered by disabling this and setting decideAfterRound.
-    bool decideOnCommit = true;
-    /// If non-zero, decide the currently held value once this many rounds
-    /// have completed (classic Phase-King: t+1 phases).
+    /// 0: decide when the detector commits (the paper's rule). Non-zero:
+    /// decide the currently held value once this many rounds have
+    /// completed, and never on commit (classic Phase-King: t+1 phases).
+    /// Algorithms whose drivers lack validity under faults need the fixed
+    /// round — with a Byzantine king, Phase-King's conciliator can hand
+    /// adopters a value different from a just-committed one, breaking
+    /// agreement (see EXPERIMENTS.md, "the early-decision gap").
     Round decideAfterRound = 0;
     /// Safety cap: after this many rounds the process stops participating
     /// (reported as non-termination by the harness).
@@ -169,6 +174,13 @@ class ConsensusProcess final : public Process {
   /// What a scheduled wakeup event will do (event-driven policy).
   enum class PendingWake { kNone, kBeginRound, kInvokeDriver };
 
+  /// The one routing rule: hands the object addressed by (round, stage) to
+  /// `call` — a live loose driver of `round` for a drive coordinate, else
+  /// the frontier object when (round, stage) is the frontier. Returns false
+  /// when no live object has that coordinate; true also when the frontier
+  /// object there already completed (`call` is then not invoked).
+  template <typename Call>
+  bool route(Round round, Stage stage, Call&& call);
   void beginRound();
   /// Advances through completed objects until blocked on communication.
   void pump();
@@ -188,7 +200,6 @@ class ConsensusProcess final : public Process {
   DetectorFactory detectorFactory_;
   DriverFactory driverFactory_;
   Options options_;
-  std::unique_ptr<RoundScheduler> scheduler_;
 
   std::unique_ptr<ObjectContextImpl> objectContext_;
   std::unique_ptr<AgreementDetector> detector_;
@@ -217,8 +228,8 @@ class ConsensusProcess final : public Process {
   PendingWake pending_ = PendingWake::kNone;
   std::optional<Outcome> pendingOutcome_;
   std::optional<TimerId> wakeTimer_;
-  /// Timer ownership by (round, stage), kept only under non-lockstep
-  /// policies where several objects may hold timers at once.
+  /// Timer ownership by (round, stage): onTimer routes each timer to the
+  /// coordinate of the object that armed it.
   std::vector<std::tuple<TimerId, Round, Stage>> timerOwners_;
 
   std::uint64_t overlapWitnesses_ = 0;

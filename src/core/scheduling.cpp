@@ -1,42 +1,6 @@
 #include "core/scheduling.hpp"
 
-#include <stdexcept>
-
 namespace ooc {
-
-namespace {
-
-class LockstepScheduler final : public RoundScheduler {
- public:
-  SchedulingPolicy policy() const noexcept override {
-    return SchedulingPolicy::kLockstep;
-  }
-  bool advancesInline() const noexcept override { return true; }
-  bool detachesCourtesyDrives() const noexcept override { return false; }
-  bool forwardsTickBarrier() const noexcept override { return true; }
-};
-
-class EventDrivenScheduler final : public RoundScheduler {
- public:
-  SchedulingPolicy policy() const noexcept override {
-    return SchedulingPolicy::kEventDriven;
-  }
-  bool advancesInline() const noexcept override { return false; }
-  bool detachesCourtesyDrives() const noexcept override { return false; }
-  bool forwardsTickBarrier() const noexcept override { return false; }
-};
-
-class OooDriverScheduler final : public RoundScheduler {
- public:
-  SchedulingPolicy policy() const noexcept override {
-    return SchedulingPolicy::kOooDriver;
-  }
-  bool advancesInline() const noexcept override { return true; }
-  bool detachesCourtesyDrives() const noexcept override { return true; }
-  bool forwardsTickBarrier() const noexcept override { return true; }
-};
-
-}  // namespace
 
 const char* toString(SchedulingPolicy policy) noexcept {
   switch (policy) {
@@ -53,18 +17,6 @@ std::optional<SchedulingPolicy> parseSchedulingPolicy(
   if (name == "event-driven") return SchedulingPolicy::kEventDriven;
   if (name == "ooo-driver") return SchedulingPolicy::kOooDriver;
   return std::nullopt;
-}
-
-std::unique_ptr<RoundScheduler> makeRoundScheduler(SchedulingPolicy policy) {
-  switch (policy) {
-    case SchedulingPolicy::kLockstep:
-      return std::make_unique<LockstepScheduler>();
-    case SchedulingPolicy::kEventDriven:
-      return std::make_unique<EventDrivenScheduler>();
-    case SchedulingPolicy::kOooDriver:
-      return std::make_unique<OooDriverScheduler>();
-  }
-  throw std::invalid_argument("unknown scheduling policy");
 }
 
 }  // namespace ooc

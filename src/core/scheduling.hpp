@@ -31,7 +31,6 @@
 // scenarios, counterexamples, and service configs.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -50,30 +49,28 @@ const char* toString(SchedulingPolicy policy) noexcept;
 std::optional<SchedulingPolicy> parseSchedulingPolicy(
     const std::string& name) noexcept;
 
-/// The policy object the hosting ConsensusProcess consults at each
-/// round-advancement decision point. Implementations are stateless — all
-/// scheduling state (live objects, buffered messages, pending wakeups)
-/// stays in the host, so one scheduler could serve many processes.
-class RoundScheduler {
- public:
-  virtual ~RoundScheduler() = default;
+// The three questions the hosting ConsensusProcess asks at each
+// round-advancement decision point. They are pure functions of the policy:
+// all scheduling state (live objects, buffered messages, pending wakeups)
+// stays in the host.
 
-  virtual SchedulingPolicy policy() const noexcept = 0;
+/// Invoke a completed object's successor inline, within the event that
+/// completed it. When false the host schedules a fresh wakeup event and
+/// activates the successor there (event-driven skew).
+constexpr bool advancesInline(SchedulingPolicy policy) noexcept {
+  return policy != SchedulingPolicy::kEventDriven;
+}
 
-  /// Invoke a completed object's successor inline, within the event that
-  /// completed it. When false the host schedules a fresh wakeup event and
-  /// activates the successor there (event-driven skew).
-  virtual bool advancesInline() const noexcept = 0;
+/// Detach courtesy drives (driver value unused by the template) into
+/// loose drivers that run concurrently with the next round's detector.
+constexpr bool detachesCourtesyDrives(SchedulingPolicy policy) noexcept {
+  return policy == SchedulingPolicy::kOooDriver;
+}
 
-  /// Detach courtesy drives (driver value unused by the template) into
-  /// loose drivers that run concurrently with the next round's detector.
-  virtual bool detachesCourtesyDrives() const noexcept = 0;
-
-  /// Forward lockstep tick barriers to live objects. Policies that drop
-  /// the barrier only compose with async-mode objects (registry-gated).
-  virtual bool forwardsTickBarrier() const noexcept = 0;
-};
-
-std::unique_ptr<RoundScheduler> makeRoundScheduler(SchedulingPolicy policy);
+/// Forward lockstep tick barriers to live objects. Policies that drop
+/// the barrier only compose with async-mode objects (registry-gated).
+constexpr bool forwardsTickBarrier(SchedulingPolicy policy) noexcept {
+  return policy != SchedulingPolicy::kEventDriven;
+}
 
 }  // namespace ooc

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "compose/hooks.hpp"
+#include "compose/kv.hpp"
 #include "compose/run.hpp"
 #include "phaseking/byzantine.hpp"
 #include "raft/types.hpp"
@@ -86,12 +87,7 @@ struct RaftScenarioConfig {
   /// state and any unsynced journal writes) and rejoins after `downtime`
   /// ticks with a fresh incarnation. Whether anything survives the restart
   /// is governed by `raft.durable` / `raft.syncBeforeReply`.
-  struct RestartEvent {
-    ProcessId id = 0;
-    Tick at = 0;
-    Tick downtime = 50;
-  };
-  std::vector<RestartEvent> restarts;
+  std::vector<compose::RestartEntry> restarts;
 
   /// Partition timeline: at `at`, impose `groups` (one id per process);
   /// an empty vector heals the network.

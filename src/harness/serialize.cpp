@@ -1,6 +1,5 @@
 #include "harness/serialize.hpp"
 
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -18,8 +17,11 @@ using compose::KvWriter;
 using compose::crashEntry;
 using compose::getAdversary;
 using compose::parseCrash;
+using compose::parseNarrow;
+using compose::parseRestart;
 using compose::parseU64;
 using compose::putAdversary;
+using compose::restartEntry;
 using compose::stampRunId;
 
 }  // namespace
@@ -46,12 +48,8 @@ std::string serialize(const RaftScenarioConfig& config) {
     }
     kv.put("partition", os.str());
   }
-  // Restart entries: "pid@tick+downtime".
-  for (const auto& event : config.restarts) {
-    kv.put("restart", std::to_string(event.id) + "@" +
-                          std::to_string(event.at) + "+" +
-                          std::to_string(event.downtime));
-  }
+  for (const auto& event : config.restarts)
+    kv.put("restart", restartEntry(event));
   kv.put("election-min", config.raft.electionTimeoutMin);
   kv.put("election-max", config.raft.electionTimeoutMax);
   kv.put("heartbeat", config.raft.heartbeatInterval);
@@ -90,11 +88,7 @@ RaftScenarioConfig parseRaftConfig(const std::string& text) {
     std::string token;
     while (std::getline(groups, token, ',')) {
       if (token.empty()) continue;
-      const std::uint64_t group = parseU64(token, "partition");
-      if (group > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
-        throw std::runtime_error("config: partition group " + token +
-                                 " is out of range");
-      event.groups.push_back(static_cast<int>(group));
+      event.groups.push_back(parseNarrow<int>(token, "partition"));
     }
     config.partitions.push_back(std::move(event));
   }
@@ -111,10 +105,8 @@ RaftScenarioConfig parseRaftConfig(const std::string& text) {
   // Durability keys are absent from configs predating crash-recovery; the
   // fallbacks reproduce the old semantics (no journal, restarts are fresh
   // boots).
-  for (const std::string& entry : kv.getAll("restart")) {
-    const compose::RestartEntry restart = compose::parseRestart(entry);
-    config.restarts.push_back({restart.id, restart.at, restart.downtime});
-  }
+  for (const std::string& entry : kv.getAll("restart"))
+    config.restarts.push_back(parseRestart(entry));
   config.raft.durable =
       kv.getU64("durable", config.raft.durable ? 1 : 0) != 0;
   config.raft.syncBeforeReply =

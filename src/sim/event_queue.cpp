@@ -6,6 +6,8 @@
 #include <numeric>
 #include <utility>
 
+#include "sim/run_arena.hpp"
+
 namespace ooc {
 namespace {
 
@@ -18,49 +20,24 @@ struct OverflowOrder {
   }
 };
 
-/// Thread-local pool of warm queue storage. A Simulator (and therefore an
-/// EventQueue) is confined to one thread for its lifetime, so checkout
-/// needs no locking; a checker worker thread hands one storage from run to
-/// run and keeps the lane and far-bucket capacities hot across the whole
-/// sweep.
-struct Arena {
-  std::vector<EventQueue::Storage> storages;
-};
-
-Arena& arena() noexcept {
-  thread_local Arena instance;
-  return instance;
-}
-
 }  // namespace
 
-EventQueue::EventQueue() {
-  auto& pool = arena().storages;
-  if (!pool.empty()) {
-    storage_ = std::move(pool.back());
-    pool.pop_back();
-  } else {
-    storage_.ring.resize(kWindow);
-  }
-}
-
-EventQueue::~EventQueue() {
+void EventQueue::Storage::clear() noexcept {
   // Clearing keeps capacity.
-  for (Bucket& bucket : storage_.ring) bucket.reset();
-  for (std::vector<SimEvent>& bucket : storage_.far) bucket.clear();
-  storage_.stream.clear();
-  auto& pool = arena().storages;
-  // A handful of live queues per thread is the realistic maximum (nested
-  // simulations do not exist); cap the pool so pathological use cannot
-  // hoard memory.
-  if (pool.size() < 4) pool.push_back(std::move(storage_));
+  for (Bucket& bucket : ring) bucket.reset();
+  for (std::vector<SimEvent>& bucket : far) bucket.clear();
+  stream.clear();
 }
 
-void EventQueue::drainThreadArena() noexcept { arena().storages.clear(); }
-
-std::size_t EventQueue::threadArenaSize() noexcept {
-  return arena().storages.size();
+// A Simulator (and therefore an EventQueue) is confined to one thread for
+// its lifetime, so a checker worker thread hands one storage from run to
+// run and keeps the lane and far-bucket capacities hot across the whole
+// sweep.
+EventQueue::EventQueue() : storage_(run_arena::checkout<Storage>()) {
+  if (storage_.ring.empty()) storage_.ring.resize(kWindow);
 }
+
+EventQueue::~EventQueue() { run_arena::recycle(std::move(storage_)); }
 
 void EventQueue::push(SimEvent event) {
   event.seq = nextSeq_++;

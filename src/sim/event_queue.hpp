@@ -34,11 +34,11 @@
 //
 // Per-event allocation is avoided twice over: events live by value in the
 // bucket lanes and far buckets (which retain capacity across ticks), and
-// that storage itself is checked out of a thread-local arena on
-// construction and returned cleared on destruction — a model-checker
-// worker thread reuses one warm arena across every configuration it
-// sweeps, and a service run starts with the lanes and far buckets the last
-// one grew.
+// that storage itself is checked out of the thread-local run arena
+// (sim/run_arena.hpp) on construction and returned cleared on destruction —
+// a model-checker worker thread reuses one warm storage across every
+// configuration it sweeps, and a service run starts with the lanes and far
+// buckets the last one grew.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +100,7 @@ class EventQueue {
   /// past Raft's 300-tick election timeout.
   static constexpr std::size_t kFarSpans = 8;
 
-  EventQueue();   // checks bucket storage out of the thread-local arena
+  EventQueue();   // checks bucket storage out of the thread-local run arena
   ~EventQueue();  // returns it, cleared but with capacity retained
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -117,16 +117,8 @@ class EventQueue {
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
 
-  /// Drops every queued arena so the next EventQueue on this thread starts
-  /// cold (test hook for memory accounting; never needed in normal use).
-  static void drainThreadArena() noexcept;
-
-  /// Queue storages currently pooled in this thread's arena (test hook: the
-  /// arena-reuse stress asserts the pool stays bounded by its cap).
-  static std::size_t threadArenaSize() noexcept;
-
-  /// Internal storage layout; public only so the thread-local arena can
-  /// pool it.
+  /// Internal storage layout; public only so the thread-local run arena
+  /// (sim/run_arena.hpp) can pool it.
   struct Bucket {
     std::vector<SimEvent> lanes[2];  // [0] normal, [1] barrier
     std::size_t next[2] = {0, 0};    // drain positions
@@ -144,6 +136,12 @@ class EventQueue {
     std::vector<Bucket> ring;              // kWindow buckets, tick & kMask
     std::vector<SimEvent> far[kFarSpans];  // push order, span & kFarMask
     std::vector<SimEvent> stream;          // opened spans, in pop order
+
+    /// The run arena's pooling pair: clear() empties every bucket and
+    /// lane, keeping their capacity; capacity() is 0 only for a storage
+    /// that holds no ring (fresh or moved-from), which is not pooled.
+    void clear() noexcept;
+    std::size_t capacity() const noexcept { return ring.size(); }
   };
 
  private:

@@ -57,10 +57,10 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<NetworkModel> network)
   if (!network_) throw std::invalid_argument("network model is required");
   // Per-run scratch vectors come from the thread-local run arena (see
   // sim/run_arena.hpp): a sweep worker hands the same warm buffers from
-  // simulator to simulator, like the EventQueue's bucket ring.
-  controlActions_ = run_arena::checkout<std::function<void()>>();
-  timerOwner_ = run_arena::checkout<ProcessId>();
-  scratchDelays_ = run_arena::checkout<Tick>();
+  // simulator to simulator, as it does the EventQueue's bucket storage.
+  controlActions_ = run_arena::checkout<std::vector<std::function<void()>>>();
+  timerOwner_ = run_arena::checkout<std::vector<ProcessId>>();
+  scratchDelays_ = run_arena::checkout<std::vector<Tick>>();
 }
 
 Simulator::~Simulator() {

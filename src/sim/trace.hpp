@@ -127,7 +127,9 @@ class ScheduleObserver {
 /// capacity-0 vector behind, which recycle() drops.
 class TraceRecorder final : public ScheduleObserver {
  public:
-  TraceRecorder() { trace_.events = run_arena::checkout<TraceEvent>(); }
+  TraceRecorder() {
+    trace_.events = run_arena::checkout<std::vector<TraceEvent>>();
+  }
   ~TraceRecorder() override { run_arena::recycle(std::move(trace_.events)); }
 
   void onEvent(const TraceEvent& event) override {

@@ -211,7 +211,7 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   }
 
   for (const auto& [id, tick] : config.crashes) sim.crashAt(id, tick);
-  for (const RestartEvent& event : config.restarts)
+  for (const compose::RestartEntry& event : config.restarts)
     sim.restartAt(event.id, event.at, event.downtime);
 
   if (config.engine == "raft") {
@@ -319,7 +319,7 @@ SvcResult runSvc(const SvcConfig& config, const compose::RunHooks& hooks) {
   for (ProcessId id = 0; id < n; ++id) {
     bool faulted = false;
     for (const auto& [cid, tick] : config.crashes) faulted |= (cid == id);
-    for (const RestartEvent& event : config.restarts)
+    for (const compose::RestartEntry& event : config.restarts)
       faulted |= (event.id == id);
     if (!faulted) {
       reference = id;
@@ -398,11 +398,8 @@ std::string serializeSvcConfig(const SvcConfig& config) {
   kv.put("max-delay", config.maxDelay);
   for (const auto& crash : config.crashes)
     kv.put("crash", compose::crashEntry(crash));
-  for (const RestartEvent& event : config.restarts) {
-    kv.put("restart", std::to_string(event.id) + "@" +
-                          std::to_string(event.at) + "+" +
-                          std::to_string(event.downtime));
-  }
+  for (const compose::RestartEntry& event : config.restarts)
+    kv.put("restart", compose::restartEntry(event));
   compose::putAdversary(kv, config.adversary);
   kv.put("max-ticks", config.maxTicks);
   return compose::stampRunId(kv.str());
@@ -455,16 +452,14 @@ SvcConfig parseSvcConfig(const std::string& text) {
       kv.getDouble("burst-factor", config.workload.burstFactor);
   config.workload.zipfTheta =
       kv.getDouble("zipf-theta", config.workload.zipfTheta);
-  config.workload.keySpace = static_cast<std::uint32_t>(
-      kv.getU64("key-space", config.workload.keySpace));
+  config.workload.keySpace =
+      kv.getNarrow<std::uint32_t>("key-space", config.workload.keySpace);
   config.minDelay = kv.getU64("min-delay", config.minDelay);
   config.maxDelay = kv.getU64("max-delay", config.maxDelay);
   for (const std::string& entry : kv.getAll("crash"))
     config.crashes.push_back(compose::parseCrash(entry));
-  for (const std::string& entry : kv.getAll("restart")) {
-    const compose::RestartEntry restart = compose::parseRestart(entry);
-    config.restarts.push_back({restart.id, restart.at, restart.downtime});
-  }
+  for (const std::string& entry : kv.getAll("restart"))
+    config.restarts.push_back(compose::parseRestart(entry));
   config.adversary = compose::getAdversary(kv);
   config.maxTicks = kv.getU64("max-ticks", config.maxTicks);
   if (const auto rejected = validateEngine(config))

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "compose/hooks.hpp"
+#include "compose/kv.hpp"
 #include "core/scheduling.hpp"
 #include "raft/types.hpp"
 #include "svc/service.hpp"
@@ -44,14 +45,6 @@
 #include "util/types.hpp"
 
 namespace ooc::svc {
-
-/// Crash-restart timeline entry (same wire form as the Raft family:
-/// "pid@tick+downtime").
-struct RestartEvent {
-  ProcessId id = 0;
-  Tick at = 0;
-  Tick downtime = 50;
-};
 
 struct SvcConfig {
   /// Which consensus powers the decrees: "compose" (registry pairing,
@@ -82,7 +75,7 @@ struct SvcConfig {
   compose::AdversaryOptions adversary;
   /// Permanent crashes (pid@tick) and crash-restarts (pid@tick+downtime).
   std::vector<std::pair<ProcessId, Tick>> crashes;
-  std::vector<RestartEvent> restarts;
+  std::vector<compose::RestartEntry> restarts;
 
   Tick maxTicks = 2'000'000;
 };

@@ -22,6 +22,7 @@
 #include "compose/run.hpp"
 #include "fd/oracle.hpp"
 #include "sim/trace.hpp"
+#include "svc/run.hpp"
 
 namespace ooc {
 namespace {
@@ -203,6 +204,45 @@ TEST(ComposeSerialize, KeyValueRoundTrips) {
     EXPECT_EQ(parsed.adversary.extraDelayMax,
               original.adversary.extraDelayMax);
     EXPECT_EQ(parsed.bias, original.bias);
+  }
+}
+
+TEST(ComposeSerialize, NarrowFieldsRejectValuesTheyCannotHold) {
+  // A read that casts the parsed 64-bit value wraps 2^32 into a 32-bit
+  // field: max-rounds=2^32 loaded as 0 (every process retired before
+  // round 1) and key-space=2^32+1 as 1. The range-checked read rejects
+  // what the field cannot hold and loads the widest value it can.
+  struct Row {
+    const char* key;
+    std::string text;
+    std::function<std::uint64_t(const std::string&)> load;
+  };
+  const Row rows[] = {
+      {"max-rounds", compose::serialize(sampleComposition()),
+       [](const std::string& text) -> std::uint64_t {
+         return compose::parseComposition(text).maxRounds;
+       }},
+      {"key-space", svc::serializeSvcConfig(svc::SvcConfig{}),
+       [](const std::string& text) -> std::uint64_t {
+         return svc::parseSvcConfig(text).workload.keySpace;
+       }},
+  };
+  constexpr std::uint64_t kWidest = 4'294'967'295;  // 2^32 - 1
+  for (const Row& row : rows) {
+    const std::string line = std::string("\n") + row.key + "=";
+    const auto at = row.text.find(line);
+    ASSERT_NE(at, std::string::npos) << row.key;
+    const auto end = row.text.find('\n', at + 1);
+    const auto with = [&](std::uint64_t value) {
+      return row.text.substr(0, at) + line + std::to_string(value) +
+             row.text.substr(end);
+    };
+    EXPECT_EQ(row.load(with(kWidest)), kWidest) << row.key;
+    for (const std::uint64_t wide : {kWidest + 1, kWidest + 2}) {
+      EXPECT_NE(throwText([&] { row.load(with(wide)); }).find("out of range"),
+                std::string::npos)
+          << row.key << "=" << wide;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Roundless consensus — the pluggable round-scheduling policy across its
 // layers (DESIGN.md §14):
 //
-//  * policy wire names and the RoundScheduler behavior matrix;
+//  * policy wire names and the scheduling predicates' behavior matrix;
 //  * structural signatures of real runs — lockstep pins overlap and
 //    deferral to zero, event-driven defers without overlapping, the
 //    ooo-driver overlaps without deferring;
@@ -47,28 +47,22 @@ TEST(SchedulingPolicyNames, WireNamesRoundTrip) {
 }
 
 TEST(SchedulingPolicyNames, SchedulerBehaviorMatrix) {
-  const auto lockstep = makeRoundScheduler(SchedulingPolicy::kLockstep);
-  EXPECT_TRUE(lockstep->advancesInline());
-  EXPECT_FALSE(lockstep->detachesCourtesyDrives());
-  EXPECT_TRUE(lockstep->forwardsTickBarrier());
+  constexpr auto kLockstep = SchedulingPolicy::kLockstep;
+  EXPECT_TRUE(advancesInline(kLockstep));
+  EXPECT_FALSE(detachesCourtesyDrives(kLockstep));
+  EXPECT_TRUE(forwardsTickBarrier(kLockstep));
 
-  const auto eventDriven = makeRoundScheduler(SchedulingPolicy::kEventDriven);
-  EXPECT_FALSE(eventDriven->advancesInline());
-  EXPECT_FALSE(eventDriven->detachesCourtesyDrives());
-  EXPECT_FALSE(eventDriven->forwardsTickBarrier());
+  constexpr auto kEventDriven = SchedulingPolicy::kEventDriven;
+  EXPECT_FALSE(advancesInline(kEventDriven));
+  EXPECT_FALSE(detachesCourtesyDrives(kEventDriven));
+  EXPECT_FALSE(forwardsTickBarrier(kEventDriven));
 
   // Ooo-driver keeps the lockstep frontier (inline advance, barrier
   // forwarded — async objects ignore it) and only detaches the drives.
-  const auto ooo = makeRoundScheduler(SchedulingPolicy::kOooDriver);
-  EXPECT_TRUE(ooo->advancesInline());
-  EXPECT_TRUE(ooo->detachesCourtesyDrives());
-  EXPECT_TRUE(ooo->forwardsTickBarrier());
-
-  for (const SchedulingPolicy policy :
-       {SchedulingPolicy::kLockstep, SchedulingPolicy::kEventDriven,
-        SchedulingPolicy::kOooDriver}) {
-    EXPECT_EQ(makeRoundScheduler(policy)->policy(), policy);
-  }
+  constexpr auto kOoo = SchedulingPolicy::kOooDriver;
+  EXPECT_TRUE(advancesInline(kOoo));
+  EXPECT_TRUE(detachesCourtesyDrives(kOoo));
+  EXPECT_TRUE(forwardsTickBarrier(kOoo));
 }
 
 // ---------------------------------------------------------------------------
@@ -325,7 +319,7 @@ TEST(SchedulerCoherence, FiresOnStructurallyImpossibleCounters) {
   scenario.family = check::Family::kCompose;
   scenario.compose = skewBase("lottery", SchedulingPolicy::kLockstep);
 
-  // Lockstep: any overlap or deferral is a RoundScheduler regression.
+  // Lockstep: any overlap or deferral is a scheduling regression.
   EXPECT_TRUE(invariant.check(scenario, skewReport(1, 0)).has_value());
   EXPECT_TRUE(invariant.check(scenario, skewReport(0, 1)).has_value());
   EXPECT_FALSE(invariant.check(scenario, skewReport(0, 0)).has_value());

@@ -249,7 +249,7 @@ SvcConfig benchmarkShape(const std::string& engine) {
 TEST(Svc, LongLogRunsMatchTheirPinnedDigests) {
   struct Pin {
     const char* engine;
-    std::vector<RestartEvent> restarts;
+    std::vector<compose::RestartEntry> restarts;
     const char* schedule;
     const char* latency;
   };
@@ -283,7 +283,7 @@ TEST(Svc, SerializeRoundTrip) {
   SvcConfig config = smokeConfig("compose");
   config.service.durable = true;
   config.crashes.push_back({2, 150});
-  RestartEvent restart;
+  compose::RestartEntry restart;
   restart.id = 3;
   restart.at = 90;
   restart.downtime = 75;

@@ -294,27 +294,29 @@ TEST(RunArena, ThousandsOfTinyRunsStayBounded) {
     sim.run();
   }
   // Every pool is capped: back-to-back churn recycles, it never hoards.
-  EXPECT_LE(run_arena::poolSize<std::function<void()>>(),
+  EXPECT_LE(run_arena::poolSize<std::vector<std::function<void()>>>(),
             run_arena::kPoolCap);
-  EXPECT_LE(run_arena::poolSize<ProcessId>(), run_arena::kPoolCap);
-  EXPECT_LE(run_arena::poolSize<Tick>(), run_arena::kPoolCap);
-  EXPECT_LE(EventQueue::threadArenaSize(), std::size_t{4});
+  EXPECT_LE(run_arena::poolSize<std::vector<ProcessId>>(),
+            run_arena::kPoolCap);
+  EXPECT_LE(run_arena::poolSize<std::vector<Tick>>(), run_arena::kPoolCap);
+  EXPECT_LE(run_arena::poolSize<EventQueue::Storage>(), run_arena::kPoolCap);
 }
 
 TEST(RunArena, CheckoutReusesRecycledCapacity) {
-  run_arena::drain<int>();
-  std::vector<int> scratch;
+  using Scratch = std::vector<int>;
+  run_arena::drain<Scratch>();
+  Scratch scratch;
   scratch.reserve(128);
   run_arena::recycle(std::move(scratch));
-  ASSERT_EQ(run_arena::poolSize<int>(), 1u);
-  const std::vector<int> reused = run_arena::checkout<int>();
+  ASSERT_EQ(run_arena::poolSize<Scratch>(), 1u);
+  const Scratch reused = run_arena::checkout<Scratch>();
   EXPECT_TRUE(reused.empty());
   EXPECT_GE(reused.capacity(), 128u);
-  EXPECT_EQ(run_arena::poolSize<int>(), 0u);
+  EXPECT_EQ(run_arena::poolSize<Scratch>(), 0u);
 
   // Capacity-0 vectors (moved-from buffers) are dropped, not pooled.
-  run_arena::recycle(std::vector<int>{});
-  EXPECT_EQ(run_arena::poolSize<int>(), 0u);
+  run_arena::recycle(Scratch{});
+  EXPECT_EQ(run_arena::poolSize<Scratch>(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,12 +22,14 @@ struct ProbeMsg final : MessageBase<ProbeMsg> {
 };
 
 /// Detector completing once it has received `needed` probe messages;
-/// records everything it sees.
+/// records everything it sees, timers included.
 class CountingDetector final : public AgreementDetector {
  public:
   CountingDetector(int needed, Confidence confidence,
-                   std::vector<int>* seen)
-      : needed_(needed), confidence_(confidence), seen_(seen) {}
+                   std::vector<int>* seen,
+                   std::vector<TimerId>* timers = nullptr)
+      : needed_(needed), confidence_(confidence), seen_(seen),
+        timers_(timers) {}
 
   void invoke(ObjectContext& ctx, Value v) override {
     value_ = v;
@@ -40,6 +42,9 @@ class CountingDetector final : public AgreementDetector {
     if (seen_) seen_->push_back(probe->payload);
     if (++count_ >= needed_) done_ = true;
   }
+  void onTimer(ObjectContext&, TimerId id) override {
+    if (timers_) timers_->push_back(id);
+  }
   std::optional<Outcome> result() const override {
     return done_ ? std::optional<Outcome>(Outcome{confidence_, value_})
                  : std::nullopt;
@@ -49,6 +54,7 @@ class CountingDetector final : public AgreementDetector {
   int needed_;
   Confidence confidence_;
   std::vector<int>* seen_;
+  std::vector<TimerId>* timers_;
   Value value_ = kNoValue;
   int count_ = 0;
   bool done_ = false;
@@ -73,6 +79,28 @@ class WaitingDriver final : public Driver {
 
  private:
   std::vector<int>* seen_;
+  Value value_ = kNoValue;
+  bool done_ = false;
+};
+
+/// Driver arming a timer when invoked and completing on its first probe
+/// message without cancelling that timer.
+class TimerLeavingDriver final : public Driver {
+ public:
+  explicit TimerLeavingDriver(TimerId* armed) : armed_(armed) {}
+  void invoke(ObjectContext& ctx, const Outcome& detected) override {
+    value_ = detected.value;
+    *armed_ = ctx.setTimer(10);
+  }
+  void onMessage(ObjectContext&, ProcessId, const Message& inner) override {
+    if (inner.as<ProbeMsg>() != nullptr) done_ = true;
+  }
+  std::optional<Value> result() const override {
+    return done_ ? std::optional<Value>(value_) : std::nullopt;
+  }
+
+ private:
+  TimerId* armed_;
   Value value_ = kNoValue;
   bool done_ = false;
 };
@@ -312,7 +340,6 @@ TEST(TemplateRouting, AcTemplateRejectsNothingButRoutesAdoptToDriver) {
 TEST(TemplateRouting, FixedRoundDecisionRule) {
   ConsensusProcess::Options options;
   options.kind = TemplateKind::kAcConciliator;
-  options.decideOnCommit = false;
   options.decideAfterRound = 2;
   ManualHostContext ctx;
   ConsensusProcess process(
@@ -334,6 +361,98 @@ TEST(TemplateRouting, FixedRoundDecisionRule) {
   EXPECT_TRUE(process.decided());
   EXPECT_EQ(process.decisionRound(), 2u);
   EXPECT_EQ(process.decisionValue(), 9);
+}
+
+TEST(TemplateRouting, LooseDriversKeepTheirRoundsDriveTraffic) {
+  // Under ooo-driver a courtesy drive detaches into a loose driver and the
+  // next round's detector goes live at once. Drive traffic of the loose
+  // driver's round still reaches it: arriving after the frontier moved on,
+  // and buffered before the drive detached.
+  ConsensusProcess::Options options;
+  options.kind = TemplateKind::kVacReconciliator;
+  options.scheduling = SchedulingPolicy::kOooDriver;
+  options.alwaysRunDriver = true;
+  options.maxRounds = 50;
+  ManualHostContext ctx;
+  std::vector<int> driverSaw;
+  ConsensusProcess process(
+      7,
+      [](Round) {
+        return std::make_unique<CountingDetector>(1, Confidence::kAdopt,
+                                                  nullptr);
+      },
+      [&driverSaw](Round) {
+        return std::make_unique<WaitingDriver>(&driverSaw);
+      },
+      options);
+  process.bind(ctx);
+  process.onStart();
+  const auto deliver = [&](Round round, Stage stage, int payload) {
+    process.onMessage(1, TaggedMessage(round, stage,
+                                       std::make_unique<ProbeMsg>(payload)));
+  };
+
+  deliver(1, Stage::kDetect, 11);  // adopt: round 1's drive detaches
+  ASSERT_EQ(process.currentRound(), 2u);
+  ASSERT_EQ(process.looseDriversLive(), 1u);
+  deliver(1, Stage::kDrive, 12);
+  EXPECT_EQ(driverSaw, std::vector<int>({12}));
+  EXPECT_EQ(process.looseDriversLive(), 0u);
+
+  deliver(2, Stage::kDrive, 21);  // buffered while round 2 detects
+  EXPECT_EQ(process.bufferedCount(), 1u);
+  deliver(2, Stage::kDetect, 22);  // round 2's drive detaches, replays 21
+  EXPECT_EQ(driverSaw, std::vector<int>({12, 21}));
+  EXPECT_EQ(process.currentRound(), 3u);
+  EXPECT_EQ(process.bufferedCount(), 0u);
+  EXPECT_TRUE(process.rounds()[0].driverValue.has_value());
+}
+
+TEST(TemplateRouting, StaleTimersReachNoLaterObjectUnderEveryPolicy) {
+  // A timer reaches the object that armed it. Round 1's driver completes
+  // by message and leaves its timer armed; when that timer fires after
+  // round 2 began, it is stale and must not reach round 2's detector.
+  for (const SchedulingPolicy policy :
+       {SchedulingPolicy::kLockstep, SchedulingPolicy::kEventDriven,
+        SchedulingPolicy::kOooDriver}) {
+    ConsensusProcess::Options options;
+    options.kind = TemplateKind::kVacReconciliator;
+    options.scheduling = policy;
+    options.maxRounds = 50;
+    ManualHostContext ctx;
+    TimerId armed = 0;
+    std::vector<TimerId> detectorTimers;
+    ConsensusProcess process(
+        7,
+        [&detectorTimers](Round) {
+          return std::make_unique<CountingDetector>(
+              1, Confidence::kVacillate, nullptr, &detectorTimers);
+        },
+        [&armed](Round) {
+          return std::make_unique<TimerLeavingDriver>(&armed);
+        },
+        options);
+    process.bind(ctx);
+    process.onStart();
+    // Event-driven defers each activation to a wakeup: the host's latest
+    // timer. The other policies advance inline.
+    const auto fireWakeup = [&] {
+      if (!advancesInline(policy)) process.onTimer(ctx.timers);
+    };
+
+    process.onMessage(1, TaggedMessage(1, Stage::kDetect,
+                                       std::make_unique<ProbeMsg>(1)));
+    fireWakeup();
+    ASSERT_NE(armed, TimerId{0}) << toString(policy);
+    process.onMessage(1, TaggedMessage(1, Stage::kDrive,
+                                       std::make_unique<ProbeMsg>(2)));
+    fireWakeup();
+    ASSERT_EQ(process.currentRound(), 2u) << toString(policy);
+
+    process.onTimer(armed);
+    EXPECT_TRUE(detectorTimers.empty())
+        << toString(policy) << ": a stale timer reached round 2's detector";
+  }
 }
 
 }  // namespace
