@@ -10,10 +10,7 @@ MonolithicBenOr::MonolithicBenOr(Value input, std::size_t faultTolerance,
 
 MonolithicBenOr::RoundTally& MonolithicBenOr::tally(Round r) {
   RoundTally& entry = tallies_[r];
-  if (entry.proposalSeen.empty()) {
-    entry.proposalSeen.assign(ctx().processCount(), false);
-    entry.reportSeen.assign(ctx().processCount(), false);
-  }
+  if (entry.from.empty()) entry.from.resize(ctx().processCount());
   return entry;
 }
 
@@ -36,17 +33,20 @@ void MonolithicBenOr::onMessage(ProcessId from, const Message& message) {
   if (msg->round < round_) return;  // stale round
 
   RoundTally& entry = tally(msg->round);
+  if (from >= entry.from.size()) return;
+  RoundTally::Slot& slot = entry.from[from];
   if (msg->phase == 1) {
-    if (from >= entry.proposalSeen.size() || entry.proposalSeen[from]) return;
-    entry.proposalSeen[from] = true;
+    if (slot.hasProposal) return;
+    slot.hasProposal = true;
+    slot.proposal = msg->value;
     ++entry.proposals;
-    ++entry.proposalTally[msg->value];
   } else {
-    if (from >= entry.reportSeen.size() || entry.reportSeen[from]) return;
-    entry.reportSeen[from] = true;
+    if (slot.hasReport) return;
+    slot.hasReport = true;
     ++entry.reports;
     if (msg->ratify) {
-      ++entry.ratifyTally[msg->value];
+      slot.ratify = true;
+      slot.report = msg->value;
       if (!entry.anyRatified) entry.anyRatified = msg->value;
     }
   }
@@ -62,16 +62,24 @@ void MonolithicBenOr::tryAdvance() {
     if (!entry.reportSent) {
       if (entry.proposals < n - t_) return;
       entry.reportSent = true;
-      std::optional<Value> majority;
-      for (const auto& [value, count] : entry.proposalTally) {
-        if (2 * count > n) {
-          majority = value;
-          break;
+      // Majority vote (Boyer-Moore): pairing off unequal proposals leaves
+      // the only value that can exceed n/2; then count it.
+      Value leader = kNoValue;
+      std::size_t margin = 0;
+      for (const RoundTally::Slot& slot : entry.from) {
+        if (!slot.hasProposal) continue;
+        if (margin == 0) leader = slot.proposal;
+        if (slot.proposal == leader) {
+          ++margin;
+        } else {
+          --margin;
         }
       }
-      ctx().fanout(majority
-                       ? makeMessage<ClassicMessage>(round_, 2, true,
-                                                     *majority)
+      std::size_t backers = 0;
+      for (const RoundTally::Slot& slot : entry.from)
+        if (slot.hasProposal && slot.proposal == leader) ++backers;
+      ctx().fanout(2 * backers > n
+                       ? makeMessage<ClassicMessage>(round_, 2, true, leader)
                        : makeMessage<ClassicMessage>(round_, 2, false,
                                                      kNoValue));
     }
@@ -79,11 +87,13 @@ void MonolithicBenOr::tryAdvance() {
     if (entry.reports < n - t_) return;
 
     std::optional<Value> committed;
-    for (const auto& [value, count] : entry.ratifyTally) {
-      if (count > t_) {
-        committed = value;
-        break;
-      }
+    for (std::size_t i = 0; i < entry.from.size() && !committed; ++i) {
+      if (!entry.from[i].ratify) continue;
+      const Value value = entry.from[i].report;
+      std::size_t count = 0;
+      for (std::size_t j = i; j < entry.from.size(); ++j)
+        if (entry.from[j].ratify && entry.from[j].report == value) ++count;
+      if (count > t_) committed = value;
     }
     if (committed) {
       preference_ = *committed;

@@ -9,7 +9,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/process.hpp"
@@ -48,13 +47,18 @@ class MonolithicBenOr final : public Process {
   Round currentRound() const noexcept { return round_; }
 
  private:
+  /// One round's messages, one slot per sender (a repeat is ignored).
   struct RoundTally {
-    std::vector<bool> proposalSeen;
-    std::vector<bool> reportSeen;
+    struct Slot {
+      bool hasProposal = false;
+      bool hasReport = false;
+      bool ratify = false;
+      Value proposal = kNoValue;
+      Value report = kNoValue;  // the ratified value when `ratify`
+    };
+    std::vector<Slot> from;
     std::size_t proposals = 0;
     std::size_t reports = 0;
-    std::unordered_map<Value, std::size_t> proposalTally;
-    std::unordered_map<Value, std::size_t> ratifyTally;
     std::optional<Value> anyRatified;
     bool reportSent = false;
   };

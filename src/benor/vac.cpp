@@ -13,8 +13,7 @@ void BenOrVac::invoke(ObjectContext& ctx, Value v) {
     throw std::invalid_argument("Ben-Or requires t < n/2");
   input_ = v;
   invoked_ = true;
-  proposalSeen_.assign(ctx.processCount(), false);
-  reportSeen_.assign(ctx.processCount(), false);
+  senders_.assign(ctx.processCount(), Sender{});
   ctx.fanout(makeMessage<ProposalMessage>(v));
 }
 
@@ -23,20 +22,22 @@ void BenOrVac::onMessage(ObjectContext& ctx, ProcessId from,
   if (!invoked_ || outcome_) return;
 
   if (const auto* proposal = inner.as<ProposalMessage>()) {
-    if (from >= proposalSeen_.size() || proposalSeen_[from]) return;
-    proposalSeen_[from] = true;
+    if (from >= senders_.size() || senders_[from].proposed) return;
+    senders_[from].proposed = true;
+    senders_[from].proposal = proposal->value;
     ++proposalCount_;
-    ++proposalTally_[proposal->value];
     maybeFinishPhaseOne(ctx);
     return;
   }
 
   if (const auto* report = inner.as<ReportMessage>()) {
-    if (from >= reportSeen_.size() || reportSeen_[from]) return;
-    reportSeen_[from] = true;
+    if (from >= senders_.size() || senders_[from].reported) return;
+    Sender& sender = senders_[from];
+    sender.reported = true;
     ++reportCount_;
     if (report->ratify) {
-      ++ratifyTally_[report->value];
+      sender.ratifies = true;
+      sender.ratified = report->value;
       if (!anyRatified_) anyRatified_ = report->value;
     }
     maybeFinish();
@@ -48,15 +49,27 @@ void BenOrVac::maybeFinishPhaseOne(ObjectContext& ctx) {
   if (reportSent_ || proposalCount_ < n - t_) return;
   reportSent_ = true;
 
-  std::optional<Value> majority;
-  for (const auto& [value, count] : proposalTally_) {
-    if (2 * count > n) {
-      majority = value;
-      break;  // at most one value can exceed n/2
+  // At most one value can exceed n/2, and it holds a majority of the
+  // received proposals, so a Boyer-Moore vote names it; one more pass
+  // checks that it really exceeds n/2.
+  Value candidate = kNoValue;
+  std::size_t lead = 0;
+  for (const Sender& sender : senders_) {
+    if (!sender.proposed) continue;
+    if (lead == 0) {
+      candidate = sender.proposal;
+      lead = 1;
+    } else if (sender.proposal == candidate) {
+      ++lead;
+    } else {
+      --lead;
     }
   }
-  if (majority) {
-    ctx.fanout(makeMessage<ReportMessage>(/*ratify=*/true, *majority));
+  std::size_t votes = 0;
+  for (const Sender& sender : senders_)
+    if (sender.proposed && sender.proposal == candidate) ++votes;
+  if (2 * votes > n) {
+    ctx.fanout(makeMessage<ReportMessage>(/*ratify=*/true, candidate));
   } else {
     ctx.fanout(makeMessage<ReportMessage>(/*ratify=*/false, kNoValue));
   }
@@ -64,10 +77,17 @@ void BenOrVac::maybeFinishPhaseOne(ObjectContext& ctx) {
 }
 
 void BenOrVac::maybeFinish() {
-  if (outcome_ || !reportSent_ || reportCount_ < proposalSeen_.size() - t_)
+  if (outcome_ || !reportSent_ || reportCount_ < senders_.size() - t_)
     return;
 
-  for (const auto& [value, count] : ratifyTally_) {
+  // The first value in sender order ratified by more than t senders;
+  // counting from its first ratifier sees every ratify of it.
+  for (std::size_t first = 0; first < senders_.size(); ++first) {
+    if (!senders_[first].ratifies) continue;
+    const Value value = senders_[first].ratified;
+    std::size_t count = 0;
+    for (std::size_t i = first; i < senders_.size(); ++i)
+      if (senders_[i].ratifies && senders_[i].ratified == value) ++count;
     if (count > t_) {
       outcome_ = Outcome{Confidence::kCommit, value};
       return;

@@ -17,10 +17,15 @@
 // sent and n-t reports are in; evaluating on more than n-t reports keeps
 // every guarantee (the t+1-senders intersection argument only needs "at
 // least n-t received").
+//
+// The tallies are one flat per-sender table, read once at each threshold:
+// phase one finds the only value that can hold more than n/2 with a
+// Boyer-Moore vote, and phase two commits the first value, in sender order,
+// that more than t senders ratified (two such values cannot exist in a
+// crash-only run: two phase-one majorities of n intersect).
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/objects.hpp"
@@ -51,12 +56,18 @@ class BenOrVac final : public AgreementDetector {
   bool reportSent_ = false;
   std::optional<Outcome> outcome_;
 
-  std::vector<bool> proposalSeen_;  // sender dedup, phase 1
-  std::vector<bool> reportSeen_;    // sender dedup, phase 2
+  /// What one sender said this round; the flags dedup its deliveries.
+  struct Sender {
+    Value proposal = kNoValue;
+    Value ratified = kNoValue;  // meaningful only when `ratifies`
+    bool proposed = false;
+    bool reported = false;
+    bool ratifies = false;
+  };
+
+  std::vector<Sender> senders_;  // indexed by ProcessId, sized n on invoke
   std::size_t proposalCount_ = 0;
   std::size_t reportCount_ = 0;
-  std::unordered_map<Value, std::size_t> proposalTally_;
-  std::unordered_map<Value, std::size_t> ratifyTally_;
   std::optional<Value> anyRatified_;
 };
 

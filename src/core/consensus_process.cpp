@@ -334,9 +334,8 @@ void ConsensusProcess::dispatch(ProcessId from, const TaggedMessage& tagged) {
 void ConsensusProcess::replayBuffered() {
   // Deliver buffered messages now addressed to a live object, in arrival
   // order. New messages are never added during replay (objects only
-  // consume here), so a single compaction pass suffices.
-  std::vector<BufferedMessage> keep;
-  keep.reserve(buffered_.size());
+  // consume here), so one pass compacts the survivors forward in place.
+  std::size_t kept = 0;
   for (auto& entry : buffered_) {
     if (route(entry.round, entry.stage, [&](auto& object) {
           object.onMessage(*objectContext_, entry.from, *entry.inner);
@@ -345,11 +344,11 @@ void ConsensusProcess::replayBuffered() {
     if (entry.round > round_ ||
         (entry.round == round_ && stage_ == Stage::kDetect &&
          entry.stage == Stage::kDrive)) {
-      keep.push_back(std::move(entry));
+      buffered_[kept++] = std::move(entry);
     }
     // else: stale, drop
   }
-  buffered_ = std::move(keep);
+  buffered_.resize(kept);
 }
 
 void ConsensusProcess::pruneBufferedAfterDecide() {

@@ -11,12 +11,19 @@
 // duplication fault shares one payload across every delivery instead of
 // deep-copying per recipient. Nothing in the delivery path copies a
 // payload.
+//
+// Payload storage: makeMessage puts the message and its refcounts in one
+// block from the thread-local block pool (run_arena::BlockAllocator, see
+// sim/run_arena.hpp), so a block freed by one delivery is reused by the
+// next send on that thread instead of going back through malloc.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
+
+#include "sim/run_arena.hpp"
 
 namespace ooc {
 
@@ -83,11 +90,12 @@ class MessageBase : public Message {
   MessageBase() noexcept : Message(tagOf<Derived>()) {}
 };
 
-/// Builds a shared, immutable payload in place:
+/// Builds a shared, immutable payload in place, in a pooled block:
 ///   ctx.fanout(makeMessage<ProposalMessage>(round, value));
 template <typename T, typename... Args>
 std::shared_ptr<const T> makeMessage(Args&&... args) {
-  return std::make_shared<const T>(std::forward<Args>(args)...);
+  return std::allocate_shared<const T>(run_arena::BlockAllocator<T>{},
+                                       std::forward<Args>(args)...);
 }
 
 }  // namespace ooc

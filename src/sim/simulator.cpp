@@ -83,6 +83,7 @@ ProcessId Simulator::addProcess(std::unique_ptr<Process> process,
   slot.process->bind(*slot.context);
   processes_.push_back(std::move(slot));
   decisions_.emplace_back();
+  if (awaited(id)) ++awaitedCount_;
   return id;
 }
 
@@ -93,6 +94,7 @@ void Simulator::setValidValues(std::vector<Value> values) {
 void Simulator::crashAt(ProcessId id, Tick tick) {
   schedule(tick, [this, id] {
     if (id < processes_.size() && !processes_[id].crashed) {
+      if (awaited(id)) --awaitedCount_;
       processes_[id].crashed = true;
       OOC_DEBUG("p", id, " crashed at tick ", now_);
     }
@@ -218,6 +220,7 @@ void Simulator::run() {
       case SimEvent::Kind::kCrash: {
         Slot& slot = processes_[event.target];
         if (!slot.crashed) {
+          if (awaited(event.target)) --awaitedCount_;
           slot.crashed = true;
           // Stale timers must not survive into the next incarnation: purge
           // every armed timer this process owns (its queue entries become
@@ -232,6 +235,7 @@ void Simulator::run() {
         Slot& slot = processes_[event.target];
         if (slot.crashed) {
           slot.crashed = false;
+          if (awaited(event.target)) ++awaitedCount_;
           ++slot.incarnation;
           ++restarts_;
           slot.process->onRestart();
@@ -435,6 +439,7 @@ void Simulator::recordDecision(ProcessId id, Value v) {
   // caught by the harness-level decision-history monitors, which see every
   // incarnation's announcement (see RaftConsensus::decisionHistory).
   if (decision.decided) return;
+  if (awaited(id)) --awaitedCount_;
   decision.decided = true;
   decision.value = v;
   decision.at = now_;
@@ -482,14 +487,7 @@ const Simulator::Decision& Simulator::decision(ProcessId id) const {
   return decisions_.at(id);
 }
 
-bool Simulator::allCorrectDecided() const {
-  for (ProcessId id = 0; id < processes_.size(); ++id) {
-    const Slot& slot = processes_[id];
-    if (slot.faulty || slot.crashed) continue;
-    if (!decisions_[id].decided) return false;
-  }
-  return true;
-}
+bool Simulator::allCorrectDecided() const { return awaitedCount_ == 0; }
 
 std::size_t Simulator::correctDecisionCount() const {
   std::size_t count = 0;

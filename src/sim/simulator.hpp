@@ -177,6 +177,12 @@ class Simulator final {
   /// window has gone fully or mostly dead.
   void releaseTimer(TimerId id) noexcept;
   bool shouldStop() const;
+  /// True for a correct (non-faulty, non-crashed) process that has not
+  /// decided yet: the processes allCorrectDecided() waits for.
+  bool awaited(ProcessId id) const noexcept {
+    return !processes_[id].faulty && !processes_[id].crashed &&
+           !decisions_[id].decided;
+  }
 
   SimConfig config_;
   std::unique_ptr<NetworkModel> network_;
@@ -229,6 +235,9 @@ class Simulator final {
   std::uint64_t currentCause_ = kNoCausalParent;
 
   std::vector<Decision> decisions_;
+  /// Processes for which awaited() holds, kept current at every add,
+  /// decision, crash and restart so allCorrectDecided() is O(1).
+  std::size_t awaitedCount_ = 0;
   std::vector<Value> validValues_;
   bool agreementViolated_ = false;
   bool validityViolated_ = false;

@@ -5,17 +5,28 @@
 namespace ooc::store {
 namespace {
 
-std::array<std::uint32_t, 256> makeCrcTable() noexcept {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables for the reflected polynomial 0xEDB88320: row 0 is the
+/// classic bytewise table, and row k advances a byte's contribution past k
+/// further zero bytes, so eight bytes fold in with eight lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables makeCrcTables() noexcept {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      tables[k][i] =
+          (tables[k - 1][i] >> 8) ^ tables[0][tables[k - 1][i] & 0xFF];
+  return tables;
 }
+
+constexpr CrcTables kCrcTables = makeCrcTables();
 
 void putU32(std::uint8_t* p, std::uint32_t v) noexcept {
   p[0] = static_cast<std::uint8_t>(v);
@@ -41,10 +52,17 @@ constexpr std::size_t kHeaderBytes = 8;  // length:u32 + crc:u32
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
-  static const std::array<std::uint32_t, 256> table = makeCrcTable();
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = getU32(data) ^ c;
+    const std::uint32_t hi = getU32(data + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -440,7 +440,8 @@ void SvcNode::replyCatchup(ProcessId to, std::uint64_t fromDecree) {
 }
 
 void SvcNode::mergeCatchup(const CatchupReply& reply) {
-  for (const auto& [id, cmds] : reply.batches()) batchStore_.emplace(id, cmds);
+  for (const auto& [id, cmds] : reply.batches())
+    batchStore_.try_emplace(id, cmds);
   if (recovering_) {
     // First reply after a non-durable restart: the responder's applied
     // prefix plus the pipeline depth bounds how far our previous
@@ -468,7 +469,7 @@ void SvcNode::onMessage(ProcessId from, const Message& message) {
     return;
   }
   if (const auto* announce = message.as<BatchAnnounce>()) {
-    batchStore_.emplace(announce->batchId(), announce->commands());
+    batchStore_.try_emplace(announce->batchId(), announce->commands());
     // Remember the binding for a decree we have not joined yet: if we open
     // it with nothing of our own, we echo this batch instead of a no-op.
     // First binding wins when two owners race for the same decree.

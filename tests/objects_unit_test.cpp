@@ -3,7 +3,9 @@
 // exact thresholds and edge cases of every algorithm object.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "benor/byzantine_vac.hpp"
@@ -280,6 +282,82 @@ TEST(BenOrVacUnit, EarlyReportsBufferedUntilQuorum) {
     bench.vac.onMessage(bench.ctx, from, benor::ProposalMessage(1));
   ASSERT_TRUE(bench.vac.result().has_value());
   EXPECT_EQ(bench.vac.result()->confidence, Confidence::kCommit);
+}
+
+TEST(BenOrVacUnit, ReportIgnoresArrivalOrder) {
+  // n = 9, t = 2: the report goes out on the 7th distinct proposal and
+  // ratifies a value only when more than 9/2 of all n proposed it.
+  constexpr std::size_t kN = 9;
+  constexpr std::size_t kT = 2;
+  const auto reportAfter = [&](const std::vector<Value>& proposals,
+                               std::vector<ProcessId> order) {
+    std::vector<std::pair<bool, Value>> reports;
+    do {
+      ManualObjectContext ctx(kN);
+      benor::BenOrVac vac(kT);
+      vac.invoke(ctx, 1);
+      for (ProcessId from : order)
+        vac.onMessage(ctx, from, benor::ProposalMessage(proposals[from]));
+      const auto* report = ctx.lastBroadcast<benor::ReportMessage>();
+      EXPECT_NE(report, nullptr);
+      if (report != nullptr) reports.emplace_back(report->ratify, report->value);
+    } while (std::next_permutation(order.begin(), order.end()));
+    return reports;
+  };
+  std::vector<ProcessId> senders(kN - kT);
+  std::iota(senders.begin(), senders.end(), ProcessId{0});
+
+  // Five 2s among seven proposals: every arrival order ratifies 2.
+  for (const auto& [ratify, value] :
+       reportAfter({2, 0, 2, 1, 2, 2, 2}, senders)) {
+    ASSERT_TRUE(ratify);
+    ASSERT_EQ(value, 2);
+  }
+  // Four 2s are a majority of the seven received but not of n: abstain.
+  for (const auto& [ratify, value] :
+       reportAfter({0, 2, 2, 1, 0, 2, 2}, senders))
+    ASSERT_FALSE(ratify);
+}
+
+TEST(BenOrVacUnit, DuplicateAndOutOfRangeSendersAreIgnored) {
+  ManualObjectContext ctx(9);
+  benor::BenOrVac vac(2);
+  vac.invoke(ctx, 1);
+  for (ProcessId from = 0; from < 6; ++from)
+    vac.onMessage(ctx, from, benor::ProposalMessage(from < 4 ? 2 : 0));
+  // A repeat from p0 and two senders outside [0, n), all for 2: were any
+  // of them counted, the quorum would be in with a majority for 2.
+  vac.onMessage(ctx, 0, benor::ProposalMessage(2));
+  vac.onMessage(ctx, 9, benor::ProposalMessage(2));
+  vac.onMessage(ctx, 100, benor::ProposalMessage(2));
+  EXPECT_EQ(ctx.lastBroadcast<benor::ReportMessage>(), nullptr);
+  vac.onMessage(ctx, 6, benor::ProposalMessage(1));
+  const auto* report = ctx.lastBroadcast<benor::ReportMessage>();
+  ASSERT_NE(report, nullptr);
+  EXPECT_FALSE(report->ratify) << "four 2s of n = 9";
+}
+
+TEST(BenOrVacUnit, CommitNeedsMoreThanTRatifies) {
+  // n = 9, t = 2: exactly t ratifies adopt, t + 1 commit; a repeated
+  // ratify from one sender counts once.
+  for (const std::size_t ratifies : {std::size_t{2}, std::size_t{3}}) {
+    ManualObjectContext ctx(9);
+    benor::BenOrVac vac(2);
+    vac.invoke(ctx, 1);
+    for (ProcessId from = 0; from < 7; ++from)
+      vac.onMessage(ctx, from, benor::ProposalMessage(2));
+    vac.onMessage(ctx, 0, benor::ReportMessage(true, 2));  // repeated below
+    for (ProcessId from = 0; from < 7; ++from) {
+      const bool ratify = from < ratifies;
+      vac.onMessage(ctx, from,
+                    benor::ReportMessage(ratify, ratify ? 2 : kNoValue));
+    }
+    ASSERT_TRUE(vac.result().has_value());
+    EXPECT_EQ(vac.result()->confidence,
+              ratifies > 2 ? Confidence::kCommit : Confidence::kAdopt)
+        << ratifies << " ratifies";
+    EXPECT_EQ(vac.result()->value, 2);
+  }
 }
 
 // ---------------------------------------------------------------------------

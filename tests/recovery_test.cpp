@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "benor/reconciliators.hpp"
+#include "benor/vac.hpp"
 #include "check/invariant.hpp"
 #include "check/replay.hpp"
 #include "check/scenario.hpp"
@@ -18,7 +20,9 @@
 #include "compose/kv.hpp"
 #include "harness/scenarios.hpp"
 #include "harness/serialize.hpp"
+#include "core/consensus_process.hpp"
 #include "paxos/paxos_node.hpp"
+#include "raft/consensus.hpp"
 #include "sim/message.hpp"
 #include "sim/network.hpp"
 #include "sim/process.hpp"
@@ -102,6 +106,100 @@ TEST(SimulatorRestart, StaleTimersAndInFlightMessagesDropped) {
             (std::vector<std::uint32_t>{0, 1}));
   EXPECT_EQ(sim.restarts(), 1u);
   EXPECT_EQ(sim.incarnation(1), 1u);
+}
+
+// --- the stop predicate across crashes and restarts --------------------------
+
+/// What Simulator::allCorrectDecided() must equal, read through the public
+/// accessors: every non-faulty, non-crashed process has decided.
+bool scanAllCorrectDecided(const Simulator& sim) {
+  for (ProcessId id = 0; id < sim.processCount(); ++id)
+    if (!sim.faulty(id) && !sim.crashed(id) && !sim.decision(id).decided)
+      return false;
+  return true;
+}
+
+/// Tallies of one differential run: events compared, disagreements, and
+/// how often the predicate fell back from true to false (a restart of an
+/// undecided process after the rest had decided).
+struct StopPredicateTally {
+  std::size_t compared = 0;
+  std::size_t mismatches = 0;
+  std::size_t reopened = 0;
+};
+
+/// Runs `sim` to the end, comparing allCorrectDecided() with the scan after
+/// every event. It never stops early, so every crash and restart runs.
+void compareStopPredicate(Simulator& sim, StopPredicateTally& tally) {
+  bool last = false;
+  sim.setStopPredicate([&](const Simulator& s) {
+    const bool fast = s.allCorrectDecided();
+    ++tally.compared;
+    if (fast != scanAllCorrectDecided(s)) ++tally.mismatches;
+    if (last && !fast) ++tally.reopened;
+    last = fast;
+    return false;
+  });
+  sim.run();
+}
+
+SimConfig restartRunConfig(std::uint64_t seed) {
+  SimConfig config;
+  config.seed = seed;
+  config.maxTicks = 4000;
+  return config;
+}
+
+std::unique_ptr<NetworkModel> restartRunNetwork() {
+  UniformDelayNetwork::Options net;
+  net.minDelay = 1;
+  net.maxDelay = 5;
+  return std::make_unique<UniformDelayNetwork>(net);
+}
+
+TEST(StopPredicate, MatchesAScanThroughCrashesAndRestarts) {
+  StopPredicateTally compose, raft;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Tick downtime = 5 + 4 * seed;
+    {
+      // Ben-Or VAC + coin, n = 5, t = 2: p4 crashes for good, p3 crashes
+      // and comes back, and p0 is marked faulty.
+      Simulator sim(restartRunConfig(seed), restartRunNetwork());
+      ConsensusProcess::Options options;
+      options.maxRounds = 60;
+      options.participateRoundsAfterDecide = 2;
+      for (ProcessId id = 0; id < 5; ++id)
+        sim.addProcess(std::make_unique<ConsensusProcess>(
+                           static_cast<Value>(id % 2),
+                           benor::BenOrVac::factory(2),
+                           benor::CoinReconciliator::factory(), options),
+                       /*faulty=*/id == 0);
+      sim.crashAt(4, 2 + seed % 3);
+      sim.restartAt(3, 3 + seed % 5, downtime);
+      compareStopPredicate(sim, compose);
+    }
+    {
+      // Durable Raft, n = 5: p1 restarts twice, p2 crashes for good.
+      Simulator sim(restartRunConfig(seed), restartRunNetwork());
+      raft::RaftConfig config;
+      config.durable = true;
+      for (ProcessId id = 0; id < 5; ++id)
+        sim.addProcess(std::make_unique<raft::RaftConsensus>(
+            static_cast<Value>(10 + id), config));
+      sim.restartAt(1, 40 + 20 * seed, downtime);
+      sim.restartAt(1, 900, 30);
+      sim.crashAt(2, 100 + 50 * seed);
+      compareStopPredicate(sim, raft);
+    }
+  }
+  EXPECT_GT(compose.compared, 0u);
+  EXPECT_EQ(compose.mismatches, 0u);
+  EXPECT_GT(raft.compared, 0u);
+  EXPECT_EQ(raft.mismatches, 0u);
+  // Both kinds of run reach the transition a scan-free count could miss:
+  // a restart that reopens a finished run.
+  EXPECT_GT(compose.reopened, 0u);
+  EXPECT_GT(raft.reopened, 0u);
 }
 
 TEST(RaftRecovery, DurableSyncRestartsAreCleanAndLive) {

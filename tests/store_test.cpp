@@ -20,6 +20,30 @@ TEST(Crc32, KnownVector) {
             0xCBF43926u);
 }
 
+/// The plain one-byte-per-step CRC-32 the table-driven crc32 must match.
+std::uint32_t bytewiseCrc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesTheBytewiseLoopAtEveryLengthAndOffset) {
+  Rng rng(0xC3C3);
+  std::vector<std::uint8_t> bytes(8 + 257);
+  for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng.below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 257; ++length) {
+      const std::uint8_t* data = bytes.data() + offset;
+      ASSERT_EQ(crc32(data, length), bytewiseCrc32(data, length))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlips) {
   std::vector<std::uint8_t> bytes = {1, 2, 3, 4, 5, 6, 7, 8};
   const std::uint32_t clean = crc32(bytes.data(), bytes.size());

@@ -41,6 +41,7 @@
 #include "sim/process.hpp"
 #include "sim/run_arena.hpp"
 #include "sim/simulator.hpp"
+#include "svc/run.hpp"
 #include "sweep/scheduler.hpp"
 
 namespace ooc {
@@ -317,6 +318,110 @@ TEST(RunArena, CheckoutReusesRecycledCapacity) {
   // Capacity-0 vectors (moved-from buffers) are dropped, not pooled.
   run_arena::recycle(Scratch{});
   EXPECT_EQ(run_arena::poolSize<Scratch>(), 0u);
+}
+
+TEST(RunArena, BlockPoolStaysBoundedAndReusesBlocks) {
+  if (!run_arena::kBlockPoolEnabled)
+    GTEST_SKIP() << "AddressSanitizer build: blocks go to operator new";
+  constexpr std::size_t kBytes = 48;  // the 33..48-byte class
+  std::vector<std::size_t> others;
+  for (std::size_t bytes = run_arena::kBlockStep;
+       bytes <= run_arena::kBlockMaxBytes; bytes += run_arena::kBlockStep)
+    others.push_back(bytes == kBytes ? 0 : run_arena::blockPoolSize(bytes));
+
+  // Release more blocks than the cap: the list keeps exactly the cap.
+  std::vector<void*> blocks(run_arena::kBlockCap + 16);
+  for (void*& block : blocks) block = run_arena::allocateBlock(kBytes);
+  for (void* block : blocks) run_arena::releaseBlock(block, kBytes);
+  EXPECT_EQ(run_arena::blockPoolSize(kBytes), run_arena::kBlockCap);
+  EXPECT_EQ(run_arena::blockPoolSize(33), run_arena::kBlockCap)
+      << "33 and 48 bytes share a class";
+
+  // The next request, of any size in the class, gets the last block
+  // released, and costs no miss.
+  void* block = run_arena::allocateBlock(kBytes);
+  run_arena::releaseBlock(block, kBytes);
+  const std::uint64_t misses = run_arena::blockMisses();
+  EXPECT_EQ(run_arena::allocateBlock(40), block);
+  EXPECT_EQ(run_arena::blockMisses(), misses);
+  run_arena::releaseBlock(block, 40);
+
+  // Above kBlockMaxBytes the pool is bypassed: no miss, nothing kept.
+  void* large = run_arena::allocateBlock(run_arena::kBlockMaxBytes + 1);
+  EXPECT_EQ(run_arena::blockMisses(), misses);
+  run_arena::releaseBlock(large, run_arena::kBlockMaxBytes + 1);
+  EXPECT_EQ(run_arena::blockPoolSize(run_arena::kBlockMaxBytes + 1), 0u);
+
+  // The other classes never saw any of this.
+  std::size_t at = 0;
+  for (std::size_t bytes = run_arena::kBlockStep;
+       bytes <= run_arena::kBlockMaxBytes; bytes += run_arena::kBlockStep) {
+    if (bytes != kBytes) {
+      EXPECT_EQ(run_arena::blockPoolSize(bytes), others[at]) << bytes;
+    }
+    ++at;
+  }
+}
+
+/// Holds a block until thread exit. Constructed before the thread's block
+/// pool, so it is destroyed after it.
+struct ReleasedAtThreadExit {
+  void* block = nullptr;
+  ~ReleasedAtThreadExit() {
+    if (block != nullptr) run_arena::releaseBlock(block, 48);
+  }
+};
+
+struct PoolProbe final : MessageBase<PoolProbe> {
+  explicit PoolProbe(int value) : value(value) {}
+  int value;
+  std::string describe() const override { return "probe"; }
+};
+
+TEST(RunArena, BlocksMayBeReleasedOnAnotherThreadOrAfterExit) {
+  // Allocated on a worker, released here: the block joins this thread's
+  // list.
+  void* block = nullptr;
+  std::thread([&] { block = run_arena::allocateBlock(64); }).join();
+  const std::size_t before = run_arena::blockPoolSize(64);
+  run_arena::releaseBlock(block, 64);
+  if (run_arena::kBlockPoolEnabled && before < run_arena::kBlockCap) {
+    EXPECT_EQ(run_arena::blockPoolSize(64), before + 1);
+  }
+
+  // A message made here and dropped by its last reader on a worker.
+  std::shared_ptr<const PoolProbe> probe = makeMessage<PoolProbe>(7);
+  std::thread([moved = std::move(probe)]() mutable {
+    EXPECT_EQ(moved->value, 7);
+    moved.reset();
+  }).join();
+
+  // Released during thread exit, after that thread's pool is gone: the
+  // block goes straight to operator delete.
+  std::thread([] {
+    thread_local ReleasedAtThreadExit held;
+    held.block = run_arena::allocateBlock(48);
+  }).join();
+}
+
+TEST(RunArena, RepeatedServiceRunDrawsEveryMessageFromThePool) {
+  if (!run_arena::kBlockPoolEnabled)
+    GTEST_SKIP() << "AddressSanitizer build: blocks go to operator new";
+  svc::SvcConfig config;  // engine compose: benor-vac + lottery
+  config.n = 3;
+  config.seed = 11;
+  config.workload.commandsPerNode = 12;
+  (void)svc::runSvc(config);
+  std::size_t pooled = 0;
+  for (std::size_t bytes = run_arena::kBlockStep;
+       bytes <= run_arena::kBlockMaxBytes; bytes += run_arena::kBlockStep)
+    pooled += run_arena::blockPoolSize(bytes);
+  EXPECT_GT(pooled, 0u) << "the first run's messages came back to the pool";
+  const std::uint64_t misses = run_arena::blockMisses();
+  const svc::SvcResult second = svc::runSvc(config);
+  EXPECT_TRUE(second.allApplied);
+  EXPECT_EQ(run_arena::blockMisses(), misses)
+      << "the first run's freed blocks serve every message of the second";
 }
 
 // ---------------------------------------------------------------------------
