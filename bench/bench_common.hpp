@@ -14,7 +14,8 @@
 //     return bench.finish();
 //   }
 //
-// Flags (uniform across all benches):
+// Flags (uniform across all benches, parsed by cli::ArgParser, so a
+// missing or malformed value exits 2):
 //   --quick        scale trial counts down (CI smoke mode); see trials()
 //   --threads N    worker threads for trial sweeps (default: hardware)
 //   --json PATH    additionally write the whole bench result as JSON
@@ -45,6 +46,7 @@
 #include "obs/metrics.hpp"
 #include "obs/run_id.hpp"
 #include "sweep/scheduler.hpp"
+#include "tools/cli_args.hpp"
 #include "util/stats.hpp"
 
 namespace ooc::bench {
@@ -120,15 +122,15 @@ inline compose::TrialStats runCompositionTrials(
 class Bench {
  public:
   Bench(int argc, char** argv, std::string name) : name_(std::move(name)) {
+    const cli::ArgParser args("bench_" + name_, argc, argv);
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--quick") {
         quick_ = true;
-      } else if (arg == "--json" && i + 1 < argc) {
-        jsonPath_ = argv[++i];
-      } else if (arg == "--threads" && i + 1 < argc) {
-        setTrialThreads(static_cast<std::size_t>(
-            std::strtoull(argv[++i], nullptr, 10)));
+      } else if (arg == "--json") {
+        jsonPath_ = args.next(i);
+      } else if (arg == "--threads") {
+        setTrialThreads(static_cast<std::size_t>(args.nextNumber(i)));
       } else if (arg == "--help" || arg == "-h") {
         std::printf("usage: bench_%s [--quick] [--threads N] [--json PATH]\n"
                     "  --quick      reduced trial counts (CI smoke mode)\n"

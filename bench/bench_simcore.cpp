@@ -1,5 +1,6 @@
 // E19 — simulator core throughput: events/sec and ns/event across
-// protocol x n x fault-mix.
+// protocol x n x fault-mix; E23 — the same workload's scaling across
+// threads; E13 — the wall-clock cost of the paper's decomposition.
 //
 // Every other experiment in this repo is bottlenecked by how fast the
 // discrete-event scheduler in src/sim/ can execute protocol runs (the
@@ -11,7 +12,8 @@
 //
 // Unlike the other benches, the metric values here are wall-clock timings:
 // the JSON (run_id, tables' event counts, verdict) is deterministic but the
-// events/sec and ns/event numbers are machine-dependent by design.
+// events/sec, ns/event and microseconds-per-run numbers are
+// machine-dependent by design.
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -28,6 +30,7 @@
 using namespace ooc;
 using namespace ooc::bench;
 using compose::Composition;
+using compose::CompositionResult;
 using compose::runComposition;
 using harness::RaftScenarioConfig;
 
@@ -120,6 +123,73 @@ std::vector<Scenario> scenarios() {
                    return CellResult{r.eventsProcessed, r.allDecided ? 1u : 0u};
                  }});
   return all;
+}
+
+using PairSide = std::function<CompositionResult(std::uint64_t seed)>;
+
+/// One E13 cell: a template-decomposed run and the monolithic loop it
+/// reproduces, timed on the same seeds.
+struct CostPair {
+  std::string describe;
+  /// True when the decomposed side is E1's bit-for-bit copy of the
+  /// monolithic loop (benor-vac; vac-from-two-ac sends twice the traffic):
+  /// every seed must then give equal events and messages on both sides.
+  bool sameRun;
+  PairSide decomposed;
+  PairSide monolithic;
+};
+
+CostPair benOrPair(std::size_t n, const std::string& detector) {
+  const std::size_t t = std::max<std::size_t>(1, n / 8);
+  return {"Ben-Or n=" + std::to_string(n) + ", " + detector + "+local-coin",
+          detector == "benor-vac",
+          [=](std::uint64_t seed) {
+            Composition config;
+            config.detector = detector;
+            config.driver = "local-coin";
+            config.n = n;
+            config.inputs = alternatingInputs(n);
+            config.t = t;
+            config.seed = seed;
+            return runComposition(config);
+          },
+          [=](std::uint64_t seed) {
+            harness::MonolithicBenOrConfig config;
+            config.n = n;
+            config.inputs = alternatingInputs(n);
+            config.t = t;
+            config.seed = seed;
+            return harness::runMonolithicBenOr(config);
+          }};
+}
+
+CostPair phaseKingPair(std::size_t n) {
+  const std::size_t f = (n - 1) / 3;
+  return {"Phase-King n=" + std::to_string(n) + ", f=" + std::to_string(f),
+          false,
+          [=](std::uint64_t seed) {
+            Composition config;
+            config.detector = "phaseking-ac";
+            config.driver = "king-conciliator";
+            config.n = n;
+            config.byzantineCount = f;
+            config.inputs = {0, 1};
+            config.seed = seed;
+            return runComposition(config);
+          },
+          [=](std::uint64_t seed) {
+            harness::MonolithicPhaseKingConfig config;
+            config.n = n;
+            config.byzantineCount = f;
+            config.seed = seed;
+            return harness::runMonolithicPhaseKing(config);
+          }};
+}
+
+std::vector<CostPair> costPairs() {
+  return {benOrPair(8, "benor-vac"), benOrPair(16, "benor-vac"),
+          benOrPair(16, "vac-from-two-ac"), phaseKingPair(13),
+          phaseKingPair(25)};
 }
 
 }  // namespace
@@ -265,6 +335,74 @@ int main(int argc, char** argv) {
     bench.note("hardware threads: " + std::to_string(hw) +
                "; gauges simcore_aggregate_events_per_sec and "
                "simcore_scaling_efficiency are labeled by threads");
+  }
+
+  // E13 — each seed runs both sides back to back in this process, the
+  // side that goes first alternating by seed, so host drift between runs
+  // hits both sides alike. The ratio is of the two sides' summed times.
+  // The registry is off while E13 runs, as it is by default: the template
+  // publishes per-round telemetry the monolithic loops do not, and that
+  // is the registry's cost, not the decomposition's.
+  bench.banner(
+      "E13: decomposition cost",
+      "Template-decomposed runs against the monolithic loops on shared "
+      "seeds: the detector and driver objects cost a constant factor in "
+      "wall-clock time, not an asymptotic change. The Ben-Or pairs match "
+      "event for event and message for message on every seed (E1). "
+      "Timings are wall-clock (machine-dependent).");
+  {
+    obs::metrics().enable(false);
+    const int pairRuns = bench.trials(200);
+    Table table({"pair (decomposed vs monolithic)", "runs", "decomposed us/run",
+                 "monolithic us/run", "ratio", "decomposed events/run",
+                 "monolithic events/run"});
+    const auto timed = [](const PairSide& side, std::uint64_t seed,
+                          std::chrono::nanoseconds& elapsed) {
+      const auto start = std::chrono::steady_clock::now();
+      CompositionResult result = side(seed);
+      elapsed += std::chrono::steady_clock::now() - start;
+      return result;
+    };
+    for (const CostPair& pair : costPairs()) {
+      std::chrono::nanoseconds decomposedTime{0};
+      std::chrono::nanoseconds monolithicTime{0};
+      std::uint64_t decomposedEvents = 0;
+      std::uint64_t monolithicEvents = 0;
+      for (int run = 0; run < pairRuns; ++run) {
+        const std::uint64_t seed = 13'000 + static_cast<std::uint64_t>(run);
+        CompositionResult decomposed;
+        CompositionResult monolithic;
+        if (run % 2 == 0) {
+          decomposed = timed(pair.decomposed, seed, decomposedTime);
+          monolithic = timed(pair.monolithic, seed, monolithicTime);
+        } else {
+          monolithic = timed(pair.monolithic, seed, monolithicTime);
+          decomposed = timed(pair.decomposed, seed, decomposedTime);
+        }
+        for (const CompositionResult* result : {&decomposed, &monolithic})
+          bench.require(result->allDecided && !result->agreementViolated,
+                        pair.describe + ": every run decides with agreement");
+        if (pair.sameRun)
+          bench.require(
+              decomposed.eventsProcessed == monolithic.eventsProcessed &&
+                  decomposed.messagesByCorrect == monolithic.messagesByCorrect,
+              pair.describe + ": equal events and messages on every seed");
+        decomposedEvents += decomposed.eventsProcessed;
+        monolithicEvents += monolithic.eventsProcessed;
+      }
+      const double runs = static_cast<double>(pairRuns);
+      const double decomposedNs = static_cast<double>(decomposedTime.count());
+      const double monolithicNs = static_cast<double>(monolithicTime.count());
+      table.addRow(
+          {pair.describe, Table::cell(pairRuns),
+           Table::cell(decomposedNs / 1e3 / runs, 1),
+           Table::cell(monolithicNs / 1e3 / runs, 1),
+           Table::cell(monolithicNs > 0 ? decomposedNs / monolithicNs : 0.0),
+           Table::cell(static_cast<double>(decomposedEvents) / runs, 1),
+           Table::cell(static_cast<double>(monolithicEvents) / runs, 1)});
+    }
+    obs::metrics().enable(true);
+    bench.emit(table);
   }
   return bench.finish();
 }

@@ -17,22 +17,16 @@
 //    record — node 0 otherwise) and report the largest commit gap at a
 //    never-faulted node: the service-level failover blackout.
 //
-// Unlike the single-shot benches this one writes its own JSON schema
-// ("ooc.svc.v1", documented in EXPERIMENTS.md): the unit of result is an
-// engine's service profile, not a consensus cell.
+// The E21 table is the engines' profile in ooc.bench.v1; the registry
+// snapshot carries the svc_mean_commands_per_ktick and svc_blackout_ticks
+// gauges at full precision.
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "bench/bench_common.hpp"
 #include "obs/metrics.hpp"
-#include "obs/run_id.hpp"
 #include "svc/run.hpp"
-#include "sweep/scheduler.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -41,7 +35,7 @@ using ooc::Table;
 using ooc::Tick;
 
 struct EngineSpec {
-  std::string label;     // row / JSON / metric label
+  std::string label;     // table row and gauge label
   std::string engine;    // SvcConfig::engine
   std::string detector;  // compose only
   std::string driver;    // compose only
@@ -49,9 +43,7 @@ struct EngineSpec {
 
 /// One engine's aggregated service profile across the trial seeds.
 struct EngineProfile {
-  int trials = 0;
   std::uint64_t committedCmds = 0;
-  std::uint64_t emittedCmds = 0;
   std::uint64_t noopDecrees = 0;
   std::uint64_t decrees = 0;
   std::uint64_t messages = 0;
@@ -93,64 +85,8 @@ double percentileTicks(std::vector<Tick>& pooled, double q) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string jsonPath;
-  std::size_t threads = 0;  // sweep workers for the trial fan-out; 0 = hw
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      jsonPath = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: bench_svc [--quick] [--threads N] [--json PATH]\n"
-                  "  --quick      reduced trial counts (CI smoke mode)\n"
-                  "  --threads N  worker threads for the trial sweep "
-                  "(0 = hardware);\n"
-                  "               results are byte-identical at any value\n"
-                  "  --json PATH  write machine-readable results "
-                  "(schema ooc.svc.v1)\n");
-      return 0;
-    } else {
-      std::fprintf(stderr, "bench_svc: unknown argument '%s'\n", arg.c_str());
-      return 2;
-    }
-  }
-  ooc::obs::metrics().reset();
-  ooc::obs::metrics().enable(true);
-
-  // Trial fan-out: each pass builds its configs up front, runs them through
-  // the experiment scheduler into a trial-indexed vector, and folds the
-  // results sequentially in trial order — so every number below (and the
-  // ooc.svc.v1 JSON, quarantined `sweep` block aside) is byte-identical at
-  // any --threads value.
-  ooc::sweep::SweepAccumulator sweepTelemetry;
-  const auto runTrials = [&](int trials, const auto& makeConfig) {
-    std::vector<ooc::svc::SvcResult> results(
-        static_cast<std::size_t>(trials));
-    ooc::sweep::Options pool;
-    pool.threads = threads;
-    sweepTelemetry.add(ooc::sweep::parallelFor(
-        results.size(),
-        [&](std::size_t index, ooc::sweep::Control&) {
-          results[index] =
-              ooc::svc::runSvc(makeConfig(static_cast<int>(index)));
-        },
-        pool));
-    return results;
-  };
-
-  int failures = 0;
-  std::map<std::string, int> violations;
-  const auto require = [&](bool ok, const std::string& what) {
-    if (ok) return;
-    ++failures;
-    ++violations[what];
-    std::printf("!! property violation: %s\n", what.c_str());
-  };
+  ooc::bench::Bench bench(argc, argv, "svc");
+  const bool quick = bench.quick();
 
   const std::vector<EngineSpec> specs = {
       {"raft", "raft", "", ""},
@@ -160,39 +96,36 @@ int main(int argc, char** argv) {
   const int throughputTrials = quick ? 3 : 10;
   const int blackoutTrials = quick ? 2 : 5;
 
-  std::printf(
-      "=== E21: replicated-log service — composed engine vs Paxos vs Raft "
-      "===\n"
-      "Same zipfian closed-loop workload (theta=0.99, %d clients), same\n"
+  bench.banner(
+      "E21: replicated-log service — composed engine vs Paxos vs Raft",
+      "Same zipfian closed-loop workload (theta=0.99, 100000 clients), same\n"
       "n=5 cluster, window=4, batch<=4, durable journals. Every run is\n"
-      "audited for prefix agreement and exactly-once commit.\n\n",
-      100000);
+      "audited for prefix agreement and exactly-once commit.");
 
   std::vector<EngineProfile> profiles(specs.size());
   for (std::size_t e = 0; e < specs.size(); ++e) {
     const EngineSpec& spec = specs[e];
     EngineProfile& profile = profiles[e];
-    profile.trials = throughputTrials;
 
     // --- throughput pass (fault-free) ---
     // The first trial's election record seeds the blackout pass victim.
     ooc::ProcessId raftLeader = 0;
     Tick leaderAt = 0;
     const std::vector<ooc::svc::SvcResult> throughputResults =
-        runTrials(throughputTrials, [&](int trial) {
+        ooc::bench::runTrialsParallel(throughputTrials, [&](int trial) {
           ooc::svc::SvcConfig config = baseConfig(spec, quick);
           config.seed = 350000 + static_cast<std::uint64_t>(trial);
-          return config;
+          return ooc::svc::runSvc(config);
         });
     for (int trial = 0; trial < throughputTrials; ++trial) {
       const ooc::svc::SvcResult& result =
           throughputResults[static_cast<std::size_t>(trial)];
-      require(result.prefixOk, spec.label + ": prefix agreement");
-      require(result.exactlyOnce, spec.label + ": exactly-once commit");
-      require(result.allApplied, spec.label + ": full delivery (no faults)");
-      require(!result.hitCap, spec.label + ": run terminated");
+      bench.require(result.prefixOk, spec.label + ": prefix agreement");
+      bench.require(result.exactlyOnce, spec.label + ": exactly-once commit");
+      bench.require(result.allApplied,
+                    spec.label + ": full delivery (no faults)");
+      bench.require(!result.hitCap, spec.label + ": run terminated");
       profile.committedCmds += result.commandsCommitted;
-      profile.emittedCmds += result.commandsEmitted;
       profile.noopDecrees += result.noopDecrees;
       profile.decrees += result.decreesCommitted;
       profile.messages += result.messagesByCorrect;
@@ -212,7 +145,7 @@ int main(int argc, char** argv) {
     // Raft loses its elected leader; the leaderless engines lose node 0
     // (every node coordinates its own batches, so any victim works).
     const std::vector<ooc::svc::SvcResult> blackoutResults =
-        runTrials(blackoutTrials, [&](int trial) {
+        ooc::bench::runTrialsParallel(blackoutTrials, [&](int trial) {
           ooc::svc::SvcConfig config = baseConfig(spec, quick);
           config.seed = 360000 + static_cast<std::uint64_t>(trial);
           ooc::compose::RestartEntry restart;
@@ -220,15 +153,15 @@ int main(int argc, char** argv) {
           restart.at = spec.engine == "raft" ? leaderAt + 120 : 120;
           restart.downtime = 150;
           config.restarts.push_back(restart);
-          return config;
+          return ooc::svc::runSvc(config);
         });
-    for (int trial = 0; trial < blackoutTrials; ++trial) {
-      const ooc::svc::SvcResult& result =
-          blackoutResults[static_cast<std::size_t>(trial)];
-      require(result.prefixOk, spec.label + ": prefix agreement (blackout)");
-      require(result.exactlyOnce,
-              spec.label + ": exactly-once commit (blackout)");
-      require(!result.hitCap, spec.label + ": run terminated (blackout)");
+    for (const ooc::svc::SvcResult& result : blackoutResults) {
+      bench.require(result.prefixOk,
+                    spec.label + ": prefix agreement (blackout)");
+      bench.require(result.exactlyOnce,
+                    spec.label + ": exactly-once commit (blackout)");
+      bench.require(!result.hitCap,
+                    spec.label + ": run terminated (blackout)");
       profile.blackout.add(static_cast<double>(result.maxCommitGap));
     }
 
@@ -261,97 +194,10 @@ int main(int argc, char** argv) {
                   Table::cell(p.batchSize.mean()), Table::cell(msgsPerCmd),
                   Table::cell(noopPct, 1), Table::cell(p.blackout.mean())});
   }
-  std::printf("%s\n", table.render().c_str());
-  std::printf(
+  bench.emit(table);
+  bench.note(
       "blackout = largest commit gap at a never-faulted node while the\n"
       "coordinator is down; the closed loop stalls with it, so it bounds\n"
-      "client-visible unavailability.\n\n");
-
-  if (failures > 0)
-    std::printf("\n%d correctness violations — INVESTIGATE\n", failures);
-
-  if (!jsonPath.empty()) {
-    ooc::obs::JsonWriter w;
-    w.beginObject();
-    w.key("schema").value("ooc.svc.v1");
-    w.key("bench").value("svc");
-    w.key("run_id").value(
-        ooc::obs::runId(std::string("svc") + (quick ? "\x1f/quick"
-                                                    : "\x1f/full")));
-    w.key("quick").value(quick);
-
-    w.key("verdict").beginObject();
-    w.key("failures").value(failures);
-    w.key("violations").beginArray();
-    for (const auto& [what, count] : violations) {
-      w.beginObject();
-      w.key("what").value(what);
-      w.key("count").value(static_cast<std::uint64_t>(count));
-      w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-
-    const ooc::svc::SvcConfig shape = baseConfig(specs.front(), quick);
-    w.key("workload").beginObject();
-    w.key("clients").value(shape.workload.clients);
-    w.key("commands_per_node").value(shape.workload.commandsPerNode);
-    w.key("zipf_theta").value(shape.workload.zipfTheta);
-    w.key("closed_loop").value(shape.workload.closedLoop);
-    w.key("think_min").value(static_cast<std::uint64_t>(
-        shape.workload.thinkMin));
-    w.key("think_max").value(static_cast<std::uint64_t>(
-        shape.workload.thinkMax));
-    w.key("n").value(static_cast<std::uint64_t>(shape.n));
-    w.key("window").value(shape.service.window);
-    w.key("batch_max").value(static_cast<std::uint64_t>(
-        shape.service.batchMax));
-    w.endObject();
-
-    w.key("engines").beginArray();
-    for (std::size_t e = 0; e < specs.size(); ++e) {
-      EngineProfile& p = profiles[e];
-      w.beginObject();
-      w.key("engine").value(specs[e].label);
-      w.key("detector").value(specs[e].detector);
-      w.key("driver").value(specs[e].driver);
-      w.key("trials").value(static_cast<std::uint64_t>(p.trials));
-      w.key("committed_cmds").value(p.committedCmds);
-      w.key("committed_cmds_per_ktick").value(p.cmdsPerKtick.mean());
-      w.key("noop_ratio").value(
-          p.decrees + p.noopDecrees == 0
-              ? 0.0
-              : static_cast<double>(p.noopDecrees) /
-                    static_cast<double>(p.decrees + p.noopDecrees));
-      w.key("p50_decide_ticks").value(percentileTicks(p.latencies, 0.50));
-      w.key("p99_decide_ticks").value(percentileTicks(p.latencies, 0.99));
-      w.key("mean_batch_size").value(p.batchSize.mean());
-      w.key("msgs_per_cmd").value(
-          p.committedCmds == 0
-              ? 0.0
-              : static_cast<double>(p.messages) /
-                    static_cast<double>(p.committedCmds));
-      w.key("blackout_ticks").value(p.blackout.mean());
-      w.endObject();
-    }
-    w.endArray();
-
-    w.key("metrics").raw(ooc::obs::metrics().toJson());
-    // Scheduler telemetry (wall-clock + thread-dependent shape): the one
-    // non-reproducible block of ooc.svc.v1 — byte-diff consumers strip
-    // `sweep` first.
-    if (!sweepTelemetry.empty())
-      w.key("sweep").raw(ooc::sweep::toJson(sweepTelemetry));
-    w.endObject();
-
-    std::ofstream out(jsonPath, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "bench_svc: cannot write '%s'\n",
-                   jsonPath.c_str());
-      return 2;
-    }
-    out << w.str() << '\n';
-  }
-
-  return failures > 0 ? 1 : 0;
+      "client-visible unavailability.\n");
+  return bench.finish();
 }

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Bench suite smoke: builds and runs every experiment binary and the three
 # composition matrices, writing their JSON under --out: one
-# BENCH_<name>.json per bench (schema ooc.bench.v1, ooc.svc.v1 for
-# bench_svc; bench_template_overhead emits google-benchmark's schema since
-# wall-clock timings have no reproducible form) and one ooc.matrix.v2 file
-# per matrix (BENCH_matrix.json, BENCH_fd_matrix.json, BENCH_roundless.json).
+# BENCH_<name>.json per bench (schema ooc.bench.v1) and one ooc.matrix.v2
+# file per matrix (BENCH_matrix.json, BENCH_fd_matrix.json,
+# BENCH_roundless.json).
 # Exits nonzero if any bench or matrix reported a correctness violation.
 # Nothing outside --out and build/ is written; the record of performance
 # over commits is benchmark/ (see BENCHMARK.json).
@@ -36,7 +35,7 @@ while [ $# -gt 0 ]; do
     --jobs) JOBS="$2"; shift ;;
     --threads) THREADS="$2"; shift ;;
     -h|--help)
-      sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) echo "bench.sh: unknown argument '$1'" >&2; exit 2 ;;
@@ -63,7 +62,6 @@ bench_replicated_log
 bench_paxos
 bench_recovery
 bench_svc
-bench_template_overhead
 bench_simcore
 "
 
@@ -83,10 +81,7 @@ for bench in $BENCHES; do
   json_path="$OUT/BENCH_${name}.json"
   [ "$JSON" = 1 ] && json_flag="--json $json_path"
   threads_flag=""
-  # bench_template_overhead is the google-benchmark harness; it has no
-  # trial sweep and no --threads flag.
-  [ -n "$THREADS" ] && [ "$bench" != "bench_template_overhead" ] && \
-    threads_flag="--threads $THREADS"
+  [ -n "$THREADS" ] && threads_flag="--threads $THREADS"
   # shellcheck disable=SC2086  # flags are intentionally word-split
   (
     set +e

@@ -1,4 +1,4 @@
-// Shared flag parsing for the tools/ CLIs.
+// Shared flag parsing for the tools/ CLIs and the bench binaries.
 //
 // Every binary used to carry its own copy of the next/nextNumber/nextDouble
 // lambdas; this header is the single spelling. Error behaviour is part of
@@ -6,13 +6,27 @@
 // prints `<tool>: <flag> needs a ...` to stderr and exits with status 2.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 namespace ooc::cli {
+
+/// `token` as an unsigned integer, or nullopt unless the whole token is
+/// digits that fit: no sign, no space, so "-1" cannot wrap to 2^64-1
+/// (the rule compose::parseU64 applies to files).
+inline std::optional<std::uint64_t> parseNumber(const std::string& token) {
+  std::uint64_t parsed = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return parsed;
+}
 
 /// Cursor-style access to flag values in argv. The methods advance `i`
 /// past the consumed value, mirroring the loop variable of the usual
@@ -31,20 +45,14 @@ class ArgParser {
     return argv_[++i];
   }
 
-  /// next(), parsed as an unsigned integer (the whole token must parse).
+  /// next(), parsed by parseNumber().
   std::uint64_t nextNumber(int& i) const {
     const char* flag = argv_[i];
     const std::string value = next(i);
-    try {
-      std::size_t consumed = 0;
-      const std::uint64_t parsed = std::stoull(value, &consumed);
-      if (consumed != value.size()) throw std::invalid_argument(value);
-      return parsed;
-    } catch (const std::exception&) {
-      std::cerr << tool_ << ": " << flag << " needs a number, got '" << value
-                << "'\n";
-      std::exit(2);
-    }
+    if (const auto parsed = parseNumber(value)) return *parsed;
+    std::cerr << tool_ << ": " << flag << " needs a number, got '" << value
+              << "'\n";
+    std::exit(2);
   }
 
   /// next(), parsed as a double (the whole token must parse).

@@ -26,7 +26,6 @@
 //
 // Exit status: 0 ok, 1 audit violation or replay divergence, 2 usage or
 // parse failure.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -36,6 +35,7 @@
 #include "check/causal_run.hpp"
 #include "check/replay.hpp"
 #include "check/timeline.hpp"
+#include "cli_args.hpp"
 #include "obs/causal/causal.hpp"
 #include "obs/causal/perfetto.hpp"
 #include "obs/causal/provenance.hpp"
@@ -134,8 +134,15 @@ int runTimeline(const std::vector<std::string>& args) {
   TimelineOptions options;
   options.showDeliveries = !hideDeliveries;
   options.showTimers = !hideTimers;
-  options.maxEventsPerProcess =
-      static_cast<std::size_t>(std::strtoull(maxEvents.c_str(), nullptr, 10));
+  if (!maxEvents.empty()) {
+    const auto parsed = cli::parseNumber(maxEvents);
+    if (!parsed) {
+      std::cerr << "ooc: --max-events needs a number, got '" << maxEvents
+                << "'\n";
+      return 2;
+    }
+    options.maxEventsPerProcess = static_cast<std::size_t>(*parsed);
+  }
   try {
     std::cout << renderTimeline(loadCounterexampleFile(path), options);
   } catch (const std::exception& error) {
